@@ -36,17 +36,7 @@ from .harness import (
 )
 from .modem import BITS_PER_SYMBOL, CONSTELLATION, qpsk_demodulate, qpsk_modulate
 from .precoding import PrecodingBasis, assemble_transmit, make_basis, mixing_matrix
-from .receiver import (
-    ProjectedSignal,
-    SicPlan,
-    SicResult,
-    build_sic_plan,
-    decoding_order,
-    ml_detect,
-    project,
-    sic_decode,
-    sic_decode_per_block,
-)
+from .receiver import cancel_mask, decode, ml_detect, project
 from .topology import (
     GroupAssignment,
     PowerAllocation,
@@ -68,11 +58,8 @@ __all__ = [
     "NoiseModel",
     "PowerAllocation",
     "PrecodingBasis",
-    "ProjectedSignal",
     "RateRecord",
     "ResultRow",
-    "SicPlan",
-    "SicResult",
     "SimConfig",
     "Topology",
     "ValidationError",
@@ -80,10 +67,10 @@ __all__ = [
     "allocate_power",
     "assemble_transmit",
     "assign_groups",
-    "build_sic_plan",
     "build_topology",
+    "cancel_mask",
     "channel_matrix",
-    "decoding_order",
+    "decode",
     "dof_total",
     "draw_fading",
     "effective_gain",
@@ -104,8 +91,6 @@ __all__ = [
     "run_experiment",
     "run_rate_experiment",
     "run_single_user_experiment",
-    "sic_decode",
-    "sic_decode_per_block",
     "single_user_rate",
     "single_user_rate_table",
     "squared_channel_gain",

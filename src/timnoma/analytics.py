@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .channel import NoiseModel
-from .receiver import build_sic_plan, decoding_order
+from .receiver import cancel_mask
 from .topology import GroupAssignment, PowerAllocation, Topology, path_loss
 
 ORDER_MODES = ("distance", "instantaneous")
@@ -49,17 +49,17 @@ def squared_channel_gain(topology: Topology, fading: np.ndarray, user: int) -> f
 
 
 def _noise_set(user, topology, fading, groups, noise, order_mode):
+    """Same-group users ranked before ``user``: the ones whose receivers
+    would cancel it, and which it cannot cancel itself."""
     if order_mode not in ORDER_MODES:
         raise ValidationError(f"unknown order mode {order_mode!r}")
-    if order_mode == "distance":
-        order = range(topology.user_count)
-    else:
+    gains = None
+    if order_mode == "instantaneous":
         gains = [
             squared_channel_gain(topology, fading, k) / noise.variance
             for k in range(topology.user_count)
         ]
-        order = decoding_order(gains)
-    return build_sic_plan(order, groups).noise_sets[user]
+    return np.flatnonzero(cancel_mask(groups, gains)[:, user, 0])
 
 
 def user_rate(

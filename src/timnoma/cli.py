@@ -72,14 +72,14 @@ def _config_from_args(args: argparse.Namespace) -> SimConfig:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = _config_from_args(args)
+        # the run itself can still refuse its environment (TIMNOMA_WORKERS)
+        result = run_experiment(_config_from_args(args))
     except (ConfigError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    result = run_experiment(config)
     try:
         if args.out == "-":
             emit_csv(result, sys.stdout)

@@ -38,30 +38,28 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytics import RateRecord, hybrid_rate_table, single_user_rate_table
-from .channel import NoiseModel, add_noise, draw_fading
+from .channel import NoiseModel, draw_fading
 from .errors import ConfigError, ValidationError
-from .modem import qpsk_demodulate, qpsk_modulate
+from .modem import qpsk_modulate
 from .precoding import make_basis, mixing_matrix
-from .receiver import (
-    ProjectedSignal,
-    build_sic_plan,
-    decoding_order,
-    ml_detect,
-    project,
-    sic_decode,
-    sic_decode_per_block,
-)
+from .receiver import cancel_mask, decode, project
 from .topology import allocate_power, assign_groups, build_topology, path_loss
 
 WORKERS_ENV = "TIMNOMA_WORKERS"
 
 EXPERIMENTS = ("ber", "ber_single_user", "rate", "rate_single_user", "ratio")
+RATE_EXPERIMENTS = ("rate", "rate_single_user", "ratio")
 ORDER_MODES = ("distance", "instantaneous")
 FADING_MODES = ("block", "frame")
 TDMA_BASELINES = ("full_power_time_share",)
 
 DEFAULT_DISTANCES = (0.5, 1.5, 2.5, 3.5, 4.5)
 DEFAULT_SNR_GRID = tuple(float(s) for s in range(0, 31, 2))
+
+
+def _is_int(value) -> bool:
+    # bool subclasses int, but True is no frame count
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -90,7 +88,12 @@ class SimConfig:
 
     def validated(self) -> "SimConfig":
         """Return self after checking every invariant; raise ConfigError
-        listing all violations at once."""
+        listing all violations at once.
+
+        Once every field passes, the scene and each SNR point's noise model
+        are built with the constructors the run uses, so a config that
+        passes cannot fail later in one of them.
+        """
         problems = []
         try:
             build_topology(
@@ -98,19 +101,26 @@ class SimConfig:
             )
         except ValidationError as exc:
             problems.append(str(exc))
-        if not (isinstance(self.total_power, (int, float)) and self.total_power > 0):
-            problems.append("total_power must be positive")
-        if not (isinstance(self.frames, int) and self.frames >= 1):
+        if not _is_int(self.group_count):
+            problems.append("group_count must be an integer")
+        power = self.total_power
+        is_number = isinstance(power, (int, float)) and not isinstance(power, bool)
+        if not (is_number and power > 0 and math.isfinite(power)):
+            problems.append("total_power must be a positive finite number")
+        if not (_is_int(self.frames) and self.frames >= 1):
             problems.append("frames must be a positive integer")
-        if not (isinstance(self.bits_per_frame, int) and self.bits_per_frame >= 2):
+        elif self.experiment in RATE_EXPERIMENTS and self.frames < 2:
+            # a standard error needs at least two realizations
+            problems.append("frames must be at least 2 for rate experiments")
+        if not (_is_int(self.bits_per_frame) and self.bits_per_frame >= 2):
             problems.append("bits_per_frame must be a positive even integer")
-        elif self.bits_per_frame % (2 * max(1, int(self.group_count))) != 0:
+        elif _is_int(self.group_count) and self.bits_per_frame % (2 * max(1, self.group_count)):
             problems.append("bits_per_frame must be divisible by 2*group_count")
         if not self.snr_grid_db:
             problems.append("snr_grid must not be empty")
         elif any(not math.isfinite(s) for s in self.snr_grid_db):
             problems.append("snr_grid values must be finite")
-        if not (isinstance(self.seed, int) and 0 <= self.seed < 2**64):
+        if not (_is_int(self.seed) and 0 <= self.seed < 2**64):
             problems.append("seed must be a non-negative 64-bit integer")
         if self.decoding_order_mode not in ORDER_MODES:
             problems.append(f"decoding_order_mode must be one of {ORDER_MODES}")
@@ -120,6 +130,18 @@ class SimConfig:
             problems.append(f"tdma_baseline_mode must be one of {TDMA_BASELINES}")
         if self.experiment not in EXPERIMENTS:
             problems.append(f"experiment must be one of {EXPERIMENTS}")
+        if not problems:
+            try:
+                _scene(self)
+            except ValidationError as exc:
+                problems.append(str(exc))
+            for snr in self.snr_grid_db:
+                try:
+                    NoiseModel(self.noise_variance(snr))
+                except (ValidationError, OverflowError):
+                    problems.append(
+                        f"snr_grid value {snr!r} dB gives no positive finite noise variance"
+                    )
         if problems:
             raise ConfigError("invalid config: " + "; ".join(problems))
         return self
@@ -139,6 +161,8 @@ class ResultRow:
     stderr: float
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.value) and math.isfinite(self.stderr)):
+            raise ValidationError(f"{self.metric} value and stderr must be finite")
         if self.value < 0 or (self.metric.startswith("ber") and self.value > 1):
             raise ValidationError(f"{self.metric} value {self.value} out of range")
         if self.stderr < 0:
@@ -280,52 +304,64 @@ def _scene(config: SimConfig):
     return topo, groups, power, basis
 
 
+def _noiseless_received(out, mix, symbols, channels, single_user: bool) -> None:
+    """Fill ``out[k, t, s]`` with receiver k's noiseless signal: its channel
+    times the transmit, or in a single-user run times its own mixing column
+    alone (with one user this is the hybrid transmit itself).
+
+    The symbols and the transmit die on return, so they are not alive while
+    the next frame draws its fading and bits.
+    """
+    if single_user:
+        np.multiply(mix.T[:, :, np.newaxis], symbols[:, np.newaxis, :], out=out)
+        out *= channels[:, np.newaxis, :]
+    else:
+        transmit = np.sum(mix[:, :, np.newaxis] * symbols, axis=1)  # (T, S)
+        np.multiply(channels[:, np.newaxis, :], transmit, out=out)
+
+
 def _ber_counts(config: SimConfig, snr_index: int, snr_db: float, single_user: bool) -> np.ndarray:
-    """Per-user bit error counts accumulated over all frames of one point."""
+    """Per-user bit error counts accumulated over all frames of one point.
+
+    Every frame decodes all K receivers at once. The transmit sum, the
+    solo transmits and the projection are broadcast sums over axes of
+    length at most K, so no BLAS call runs per frame.
+    """
     topo, groups, power, basis = _scene(config)
     count = topo.user_count
     symbols_per_frame = config.bits_per_frame // 2
     gamma = np.array([path_loss(topo, k) for k in range(count)])
     amp = np.sqrt(np.asarray(power.per_user))
-    mix = mixing_matrix(power, groups, basis)
-    if single_user:
-        # zero out every other user's column; with one user this is the
-        # hybrid mixing matrix itself, so the two pipelines coincide
-        solo_mix = [mix * (np.arange(count) == k) for k in range(count)]
+    mix = mixing_matrix(power, groups, basis)  # (T, K)
+    group_of = np.asarray(groups.group_of)
     noise = NoiseModel(config.noise_variance(snr_db))
-    per_block_plan = config.fading_mode == "block" and config.decoding_order_mode == "instantaneous"
-    static_plan = None
-    if config.decoding_order_mode == "distance":
-        static_plan = build_sic_plan(range(count), groups)
+    scale = math.sqrt(noise.variance / 2.0)
+    blocks = symbols_per_frame if config.fading_mode == "block" else None
+    per_frame_order = config.decoding_order_mode == "instantaneous" and not single_user
+    if single_user:
+        cancel = np.zeros((count, count, 1), dtype=bool)
+    else:
+        cancel = cancel_mask(groups)
+    # receiver k's noise is normals[k, 0] + 1j * normals[k, 1]; in C order
+    # one draw is the sequence of per-receiver real, then imaginary, draws
+    normals = np.empty((count, 2, topo.group_count, symbols_per_frame))
+    received = np.empty((count, topo.group_count, symbols_per_frame), dtype=np.complex128)
     errors = np.zeros(count, dtype=np.int64)
     for frame in range(config.frames):
         rng = np.random.default_rng(np.random.SeedSequence((config.seed, snr_index, frame)))
-        if config.fading_mode == "block":
-            fading = draw_fading(rng, count, blocks=symbols_per_frame)  # (K, S)
-        else:
-            fading = draw_fading(rng, count)[:, np.newaxis]  # (K, 1), frame-constant
+        fading = draw_fading(rng, count, blocks=blocks).reshape(count, -1)  # (K, S) or (K, 1)
         bits = rng.integers(0, 2, size=(count, config.bits_per_frame))
-        symbols = qpsk_modulate(bits)  # (K, S)
         channels = np.sqrt(gamma)[:, np.newaxis] * fading
-        gains = gamma[:, np.newaxis] * np.abs(fading) ** 2 / noise.variance
-        if not single_user:
-            transmit = mix @ symbols  # (T, S)
-        plan = static_plan
-        if plan is None and not per_block_plan:
-            plan = build_sic_plan(decoding_order(gains[:, 0]), groups)
-        for k in range(count):
-            group = groups.group_of[k]
-            if single_user:
-                received = add_noise(rng, channels[k] * (solo_mix[k] @ symbols), noise)
-                detected = ml_detect(project(received, basis, group), channels[k], amp[k])
-            else:
-                received = add_noise(rng, channels[k] * transmit, noise)
-                projected = ProjectedSignal(project(received, basis, group), channels[k])
-                if per_block_plan:
-                    detected = sic_decode_per_block(k, projected, gains, groups, power)
-                else:
-                    detected = sic_decode(k, projected, plan, power).estimate
-            errors[k] += int(np.count_nonzero(qpsk_demodulate(detected) != bits[k]))
+        if per_frame_order:
+            gains = gamma[:, np.newaxis] * np.abs(fading) ** 2 / noise.variance
+            cancel = cancel_mask(groups, gains)
+        _noiseless_received(received, mix, qpsk_modulate(bits), channels, single_user)
+        rng.standard_normal(out=normals)
+        normals *= scale
+        received.real += normals[:, 0]
+        received.imag += normals[:, 1]
+        decided = decode(project(received, basis, group_of), channels, amp, cancel)
+        errors += np.count_nonzero(decided != bits, axis=1)
     return errors
 
 

@@ -1,6 +1,6 @@
 """Two-stage decoding: projection onto the group precoder, then SIC.
 
-Stage 1 multiplies the received T-vector by the group's precoding vector
+Stage 1 projects the received T-vector onto the group's precoding vector
 (plain transpose, the basis is real), which cancels every other group's
 contribution exactly and leaves white noise of unchanged variance.
 
@@ -9,172 +9,151 @@ receiver detects and subtracts the same-group signals that rank after it in
 the decoding order, iterating in descending transmit power (the strongest
 uncancelled signal is always detected first), then detects its own symbol.
 Same-group signals ranked before the receiver are absorbed as noise. All
-detections are per-symbol maximum likelihood over the QPSK points.
+detections are per-symbol maximum likelihood over the Gray-QPSK points.
+
+``decode`` runs stage 2 for every receiver of a frame at once. Which user a
+receiver cancels on which block is a boolean (receiver, interferer, block)
+mask from ``cancel_mask``, so the static distance order, the per-block
+instantaneous order and the single-user run (an all-false mask) share one
+kernel. Nothing here calls BLAS: every sum runs over an axis of length at
+most K, where a broadcast is cheaper than a BLAS call and never starts
+BLAS threads inside a pool worker.
 """
 
 from __future__ import annotations
-
-import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
 from .modem import CONSTELLATION
 from .precoding import PrecodingBasis
-from .topology import GroupAssignment, PowerAllocation
+from .topology import GroupAssignment
+
+_AMP = CONSTELLATION[0].real  # per-axis amplitude of every QPSK point
 
 
-@dataclass(frozen=True)
-class ProjectedSignal:
-    """Post-projection scalar signal per block plus the receiver's own
-    effective channel g = sqrt(gamma) * h."""
+def project(received, basis: PrecodingBasis, group) -> np.ndarray | complex:
+    """Project received T-vectors onto group precoding vectors.
 
-    value: np.ndarray | complex
-    effective_channel: np.ndarray | complex
-
-
-@dataclass(frozen=True)
-class SicPlan:
-    """Decoding order and the per-receiver cancel/noise split.
-
-    ``cancel_sets[k]`` holds the same-group users ranked after user k in the
-    order, already arranged in cancellation sequence (descending transmit
-    power, i.e. descending user index). ``noise_sets[k]`` holds the
-    same-group users ranked before k; they are never cancelled.
-    """
-
-    order: tuple[int, ...]
-    cancel_sets: tuple[tuple[int, ...], ...]
-    noise_sets: tuple[tuple[int, ...], ...]
-
-
-@dataclass(frozen=True)
-class SicResult:
-    """Outcome of one SIC chain: the receiver's own symbol estimate, the
-    final residual it was detected from, and the (user, estimate) pairs
-    subtracted along the way."""
-
-    estimate: np.ndarray | complex
-    residual: np.ndarray | complex
-    cancelled: tuple[tuple[int, np.ndarray | complex], ...]
-
-
-def project(received: np.ndarray, basis: PrecodingBasis, group: int) -> np.ndarray | complex:
-    """Project the received T-vector(s) onto the group's precoding vector.
-
-    ``received`` has shape (T,) or (T, S); the result is a complex scalar or
-    an (S,) array. Other groups' signals cancel exactly by orthonormality.
+    ``group`` is one group index or an array of them. The slot axis of
+    ``received`` follows the group axes: shape (T,) or (T, S) for a single
+    group gives a complex scalar or an (S,) array, and shape (K, T, S) for
+    K groups gives (K, S). Other groups' signals cancel exactly by
+    orthonormality.
     """
     received = np.asarray(received)
-    if received.shape[0] != basis.group_count:
+    vectors = basis.vectors[group]  # group's shape + (T,)
+    slot_axis = vectors.ndim - 1
+    if received.ndim <= slot_axis or received.shape[slot_axis] != basis.group_count:
         raise ValidationError(
-            f"received vector has {received.shape[0]} slots, basis expects {basis.group_count}"
+            f"received signal of shape {received.shape} has no axis of "
+            f"{basis.group_count} slots where group {group!r} needs it"
         )
-    out = basis.vectors[group] @ received
+    weights = vectors.reshape(vectors.shape + (1,) * (received.ndim - vectors.ndim))
+    # one slot at a time keeps the temporaries at the size of the result
+    weights = np.moveaxis(weights, slot_axis, 0)
+    slots = np.moveaxis(received, slot_axis, 0)
+    out = weights[0] * slots[0]
+    for weight, slot in zip(weights[1:], slots[1:]):
+        out += weight * slot
     return complex(out) if out.ndim == 0 else out
 
 
-def decoding_order(gains) -> tuple[int, ...]:
-    """Users sorted by decreasing effective gain, ties broken by index."""
-    gains = np.asarray(gains, dtype=float)
-    return tuple(sorted(range(len(gains)), key=lambda k: (-gains[k], k)))
+def cancel_mask(groups: GroupAssignment, gains=None) -> np.ndarray:
+    """Boolean (receiver, interferer, block) SIC cancel mask.
+
+    ``mask[k, j, s]`` is true when receiver k detects and subtracts user j
+    on block s: j shares k's group and ranks after k in the decoding order.
+    Without ``gains`` the order is by distance (user index), so the mask is
+    ``same_group & (j > k)`` with a single block axis entry. With ``gains``
+    of shape (K,) or (K, S), the instantaneous noise-normalized gains, the
+    order is by decreasing gain, block by block: j ranks after k where its
+    gain is smaller, ties going to the larger index.
+    """
+    users = np.arange(len(groups.group_of))
+    group_of = np.asarray(groups.group_of)
+    later = (users[np.newaxis, :] > users[:, np.newaxis])[:, :, np.newaxis]
+    same_group = (group_of[np.newaxis, :] == group_of[:, np.newaxis])[:, :, np.newaxis]
+    if gains is None:
+        return same_group & later
+    gains = np.asarray(gains, dtype=float).reshape(len(users), -1)
+    own = gains[:, np.newaxis, :]
+    other = gains[np.newaxis, :, :]
+    return same_group & ((other < own) | ((other == own) & later))
 
 
-def build_sic_plan(order, groups: GroupAssignment) -> SicPlan:
-    """Derive each receiver's cancel and noise sets from a decoding order."""
-    order = tuple(order)
-    position = {user: rank for rank, user in enumerate(order)}
-    cancel_sets = []
-    noise_sets = []
-    for user in range(len(order)):
-        members = groups.members[groups.group_of[user]]
-        after = [j for j in members if position[j] > position[user]]
-        before = [j for j in members if position[j] < position[user]]
-        # strongest transmit power first; power rises with user index
-        cancel_sets.append(tuple(sorted(after, reverse=True)))
-        noise_sets.append(tuple(sorted(before)))
-    return SicPlan(order, tuple(cancel_sets), tuple(noise_sets))
+def _bit_flips(residual, effective_channel) -> np.ndarray:
+    """Per-axis ML bit decisions: true (bit 1) where conj(g) * r < 0.
+
+    Gray QPSK with a scalar channel decides each axis of conj(g) * r on its
+    own sign. An exact zero decides bit 0, the earlier point in
+    constellation order, as the minimum-distance search breaks its ties.
+    The result interleaves real and imaginary decisions along the last
+    axis, which is the ``qpsk_modulate`` bit order.
+    """
+    matched = np.ascontiguousarray(np.conj(effective_channel) * residual, dtype=np.complex128)
+    return matched.view(np.float64) < 0
 
 
 def ml_detect(residual, effective_channel, amplitude: float):
     """Per-symbol ML detection against the scaled QPSK constellation.
 
     Minimizes |residual - effective_channel * amplitude * s|^2 over the four
-    points; ties resolve to the earliest point in constellation order.
-    Vectorized: ``residual`` (and a matching ``effective_channel``) may be
-    arrays, in which case an array of decisions is returned.
+    points, which for Gray QPSK is a sign test on each axis of
+    conj(effective_channel) * residual; ties resolve to the earliest point
+    in constellation order. Vectorized: ``residual`` (and a broadcastable
+    ``effective_channel``) may be arrays, in which case an array of
+    decisions is returned.
     """
     if not amplitude > 0:
         raise ValidationError("amplitude must be positive")
-    residual = np.asarray(residual)
-    scale = np.asarray(effective_channel) * amplitude
-    points = CONSTELLATION.reshape((4,) + (1,) * residual.ndim)
-    metrics = np.abs(residual[np.newaxis, ...] - scale[np.newaxis, ...] * points) ** 2
-    decided = CONSTELLATION[np.argmin(metrics, axis=0)]
-    return complex(decided) if decided.ndim == 0 else decided
+    flips = _bit_flips(residual, effective_channel)
+    decided = np.where(flips, -_AMP, _AMP).view(np.complex128)
+    if np.ndim(residual) == 0 and np.ndim(effective_channel) == 0:
+        return complex(decided[0])
+    return decided
 
 
-def sic_decode(
-    user: int,
-    projected: ProjectedSignal,
-    plan: SicPlan,
-    power: PowerAllocation,
-    genie_symbols=None,
-) -> SicResult:
-    """Run the receiver's SIC chain and detect its own symbol.
+def decode(signal, channels, amplitudes, cancel, genie_symbols=None) -> np.ndarray:
+    """Run every receiver's SIC chain and return the bits it decides.
 
-    Every user in the receiver's cancel set is detected from the running
-    residual and its reconstructed contribution g * sqrt(P_j) * estimate is
-    subtracted; detection errors propagate exactly as they would in a real
-    chain. If ``genie_symbols`` (indexable by user) is given, the true
-    symbols are subtracted instead of detected ones, which isolates the
-    receiver's own detection from propagation effects.
+    ``signal`` is (K, S) complex: receiver k's projected signal on block s.
+    It is overwritten with each receiver's final residual, the one its own
+    symbols were detected from. ``channels`` holds each receiver's
+    effective channel g_k = sqrt(gamma_k) * h_k, shape (K, S), or (K, 1)
+    when it is constant over the frame. ``amplitudes`` are the transmit
+    amplitudes sqrt(P_j). ``cancel`` is a (K, K, S) or (K, K, 1) mask from
+    ``cancel_mask``.
+
+    Interferers are swept in descending transmit power. Each one is
+    detected from the running residual of every receiver that cancels it
+    on some block, and its reconstruction g * sqrt(P_j) * estimate is
+    subtracted on the blocks the mask selects, so detection errors
+    propagate exactly as in a real chain. If
+    ``genie_symbols`` ((K, S), the transmitted symbols) is given, the true
+    symbols are subtracted instead, which isolates each receiver's own
+    detection from propagation effects.
+
+    Returns (K, 2S) booleans in ``qpsk_modulate`` bit order.
     """
-    channel = projected.effective_channel
-    residual = np.asarray(projected.value, dtype=np.complex128)
-    cancelled = []
-    for j in plan.cancel_sets[user]:
-        amp = math.sqrt(power.per_user[j])
-        if genie_symbols is not None:
-            estimate = genie_symbols[j]
-        else:
-            estimate = ml_detect(residual, channel, amp)
-        residual = residual - channel * amp * estimate
-        cancelled.append((j, estimate))
-    estimate = ml_detect(residual, channel, math.sqrt(power.per_user[user]))
-    if residual.ndim == 0:
-        residual = complex(residual)
-    return SicResult(estimate, residual, tuple(cancelled))
-
-
-def sic_decode_per_block(
-    user: int,
-    projected: ProjectedSignal,
-    block_gains: np.ndarray,
-    groups: GroupAssignment,
-    power: PowerAllocation,
-):
-    """SIC with the decoding order recomputed block by block.
-
-    ``block_gains`` has shape (K, S) (or (K,) for a single block) and holds
-    the instantaneous noise-normalized gains that define the order. A
-    same-group user j lands in the cancel set of the blocks where it ranks
-    after ``user`` (smaller gain, ties to the larger index); reconstruction
-    is subtracted only on those blocks. The sweep still runs in descending
-    transmit power. Returns the receiver's own symbol estimates.
-    """
-    channel = projected.effective_channel
-    residual = np.asarray(projected.value, dtype=np.complex128)
-    gains = np.asarray(block_gains, dtype=float)
-    own_gain = gains[user]
-    members = groups.members[groups.group_of[user]]
-    for j in sorted((m for m in members if m != user), reverse=True):
-        ranks_after = (gains[j] < own_gain) | ((gains[j] == own_gain) & (j > user))
-        if not np.any(ranks_after):
+    residual = signal
+    amplitudes = np.asarray(amplitudes, dtype=float)
+    count = len(amplitudes)
+    cancel = np.asarray(cancel, dtype=bool)
+    if residual.ndim != 2 or residual.shape[0] != count or cancel.shape[:2] != (count, count):
+        raise ValidationError(
+            f"signal {residual.shape} and cancel mask {cancel.shape} do not match {count} users"
+        )
+    for j in np.argsort(-amplitudes, kind="stable"):
+        rows = np.flatnonzero(cancel[:, j, :].any(axis=1))
+        if rows.size == 0:
             continue
-        amp = math.sqrt(power.per_user[j])
-        estimate = ml_detect(residual, channel, amp)
-        residual = np.where(ranks_after, residual - channel * amp * estimate, residual)
-    estimate = ml_detect(residual, channel, math.sqrt(power.per_user[user]))
-    return estimate
+        running, channel = residual[rows], channels[rows]
+        if genie_symbols is None:
+            estimate = ml_detect(running, channel, amplitudes[j])
+        else:
+            estimate = genie_symbols[j]
+        reconstruction = channel * amplitudes[j] * estimate
+        np.subtract(running, reconstruction, out=running, where=cancel[rows, j, :])
+        residual[rows] = running
+    return _bit_flips(residual, channels)

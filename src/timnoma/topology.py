@@ -82,6 +82,12 @@ def build_topology(
         )
     if distances[-1] > cell_radius:
         raise ValidationError("distances must not exceed the cell radius")
+    try:
+        finite = all(0 < 1.0 / d**path_loss_exponent < math.inf for d in distances)
+    except (OverflowError, ZeroDivisionError):
+        finite = False
+    if not finite:
+        raise ValidationError("path loss 1/d^n must be a positive finite number for every user")
     if not (1 <= int(group_count) <= len(distances)):
         raise ValidationError(
             "group_count must be between 1 and the number of users"

@@ -133,3 +133,46 @@ def awgn_qpsk_ber(es_over_sigma2: float) -> float:
 def rayleigh_qpsk_ber(mean_bit_snr: float) -> float:
     """Gray QPSK per-bit error rate averaged over unit Rayleigh fading."""
     return 0.5 * (1.0 - math.sqrt(mean_bit_snr / (1.0 + mean_bit_snr)))
+
+
+# Gray QPSK points in bit-pair order 00, 01, 10, 11, written out literally
+QPSK_POINTS = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / math.sqrt(2.0)
+
+
+def minimum_distance_detect(residual, channel, amplitude):
+    """Textbook ML: the QPSK point s minimizing |r - g a s|^2, by search.
+
+    Ties go to the earliest point in bit-pair order.
+    """
+    residual = np.asarray(residual, dtype=complex)
+    scale = np.asarray(channel) * amplitude
+    points = QPSK_POINTS.reshape((4,) + (1,) * residual.ndim)
+    metrics = np.abs(residual[np.newaxis] - scale[np.newaxis] * points) ** 2
+    return QPSK_POINTS[np.argmin(metrics, axis=0)]
+
+
+def reference_sic_bits(projected, channels, powers, group_of, gains):
+    """One receiver at a time SIC, the loop the vectorized bank replaces.
+
+    ``projected`` and ``channels`` are (K, S); ``gains`` (K, S) set the
+    decoding order block by block (distance order is any strictly
+    decreasing gain). Receiver k sweeps its same-group users in descending
+    power and subtracts user j on the blocks where j ranks after k (smaller
+    gain, ties to the larger index), detecting by minimum-distance search.
+    Returns (K, 2S) bits, real then imaginary decision per symbol.
+    """
+    count = len(powers)
+    bits = []
+    for k in range(count):
+        residual = np.array(projected[k], dtype=complex)
+        channel = channels[k]
+        for j in sorted(range(count), key=lambda u: -powers[u]):
+            if j == k or group_of[j] != group_of[k]:
+                continue
+            after = (gains[j] < gains[k]) | ((gains[j] == gains[k]) & (j > k))
+            amp = math.sqrt(powers[j])
+            estimate = minimum_distance_detect(residual, channel, amp)
+            residual = np.where(after, residual - channel * amp * estimate, residual)
+        own = minimum_distance_detect(residual, channel, math.sqrt(powers[k]))
+        bits.append(np.stack([own.real < 0, own.imag < 0], axis=-1).reshape(-1))
+    return np.array(bits)

@@ -15,11 +15,11 @@ import pytest
 
 from timnoma import (
     NoiseModel,
-    ProjectedSignal,
     SimConfig,
     add_noise,
     assemble_transmit,
-    build_sic_plan,
+    cancel_mask,
+    decode,
     dof_total,
     draw_fading,
     emit_csv,
@@ -28,7 +28,6 @@ from timnoma import (
     run_ber_experiment,
     run_rate_experiment,
     run_single_user_experiment,
-    sic_decode,
     user_rate,
 )
 from timnoma.harness import WORKERS_ENV, replace
@@ -117,20 +116,25 @@ def test_criterion_03_genie_sic_cancellation(ref_topology, ref_power, ref_groups
     n = 10_000
     symbols = CONSTELLATION[rng.integers(0, 4, size=(5, n))]
     fading = draw_fading(rng, 5, blocks=n)
-    noise = add_noise(rng, np.zeros((2, n)), NoiseModel(0.5))
+    noise = add_noise(rng, np.zeros((5, 2, n)), NoiseModel(0.5))
     transmit = assemble_transmit(symbols, ref_power, ref_groups, ref_basis)
-    gamma0 = 1.0 / ref_topology.distances[0] ** 3
-    channel = np.sqrt(gamma0) * fading[0]
-    received = channel * transmit + noise
-    projected = ProjectedSignal(project(received, ref_basis, 0), channel)
-    plan = build_sic_plan(range(5), ref_groups)
-    result = sic_decode(0, projected, plan, ref_power, genie_symbols=symbols)
-    expected = (
-        channel * math.sqrt(ref_power.per_user[0]) * symbols[0]
-        + ref_basis.vectors[0] @ noise
-    )
-    scale = np.abs(np.asarray(projected.value))
-    worst = float(np.max(np.abs(result.residual - expected) / scale))
+    gamma = np.array([1.0 / d**3 for d in ref_topology.distances])
+    channels = np.sqrt(gamma)[:, None] * fading
+    received = channels[:, None, :] * transmit + noise
+    group_of = np.asarray(ref_groups.group_of)
+    residual = project(received, ref_basis, group_of)
+    scale = np.abs(residual)
+    mask = cancel_mask(ref_groups)
+    amplitudes = np.sqrt(np.asarray(ref_power.per_user))
+    decode(residual, channels, amplitudes, mask, genie_symbols=symbols)
+    # after genie cancellation each receiver keeps its own signal, the
+    # same-group signals ranked before it, and its projected noise
+    worst = 0.0
+    for k in range(5):
+        kept = mask[:, k, 0] | (np.arange(5) == k)
+        own_and_uncancelled = amplitudes[kept] @ symbols[kept]
+        expected = channels[k] * own_and_uncancelled + ref_basis.vectors[group_of[k]] @ noise[k]
+        worst = max(worst, float(np.max(np.abs(residual[k] - expected) / scale[k])))
     passed = worst <= 1e-12
     report(3, "genie-aided SIC cancels exactly", passed, f"max scaled err = {worst:.2e}")
     assert passed

@@ -88,6 +88,32 @@ class TestCliErrors:
         out = tmp_path / "missing" / "dir" / "out.csv"
         assert main(["ber", *TINY, "--out", str(out)]) == 2
 
+    @pytest.mark.parametrize("workers", ["0", "many"])
+    def test_bad_worker_env_exits_one(self, workers, monkeypatch, capsys):
+        monkeypatch.setenv("TIMNOMA_WORKERS", workers)
+        assert main(["ber", "--frames", "1", "--snr", "10"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "TIMNOMA_WORKERS" in err
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "argv,config_text,fragment",
+        [
+            (["rate", "--frames", "1", "--snr", "10"], None, "frames"),
+            (["ber", "--frames", "1", "--snr", "4000"], None, "snr_grid"),
+            (["rate", "--frames", "2", "--snr", "10"], "total_power = inf\n", "total_power"),
+        ],
+    )
+    def test_unrunnable_config_exits_one(self, argv, config_text, fragment, tmp_path, capsys):
+        if config_text is not None:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(config_text)
+            argv = [*argv, "--config", str(cfg)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and fragment in err
+        assert len(err.splitlines()) == 1
+
     def test_unknown_command_exits_nonzero(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import io
 import math
 
@@ -9,6 +11,7 @@ from timnoma import (
     ExperimentResult,
     ResultRow,
     SimConfig,
+    ValidationError,
     emit_csv,
     parse_config,
     parse_config_text,
@@ -63,6 +66,16 @@ class TestSimConfig:
             ({"experiment": "throughput"}, "experiment"),
             ({"distances": (2.0, 1.0)}, "strictly increasing"),
             ({"total_power": -1.0}, "total_power"),
+            ({"total_power": math.inf}, "total_power"),
+            ({"snr_grid_db": (4000.0,)}, "snr_grid"),  # sigma^2 underflows to 0
+            ({"snr_grid_db": (-4000.0,)}, "snr_grid"),  # sigma^2 overflows
+            ({"frames": True}, "frames"),
+            ({"seed": False}, "seed"),
+            ({"group_count": True}, "group_count"),
+            ({"experiment": "rate", "frames": 1}, "frames"),  # stderr needs two samples
+            ({"experiment": "ratio", "frames": 1}, "frames"),
+            ({"path_loss_exponent": 1000.0}, "path loss"),  # 4.5**1000 overflows
+            ({"distances": (1e-200, 1.0)}, "path loss"),  # 1/d^3 divides by 0
         ],
     )
     def test_validation_names_the_field(self, changes, fragment):
@@ -136,6 +149,15 @@ class TestParseConfig:
     def test_invariant_violation_named(self):
         with pytest.raises(ConfigError, match="frames"):
             parse_config_text("frames = 0\n")
+
+
+class TestResultRow:
+    @pytest.mark.parametrize(
+        "value,stderr", [(math.nan, 0.1), (math.inf, 0.1), (0.5, math.nan), (0.5, math.inf)]
+    )
+    def test_rejects_non_finite(self, value, stderr):
+        with pytest.raises(ValidationError, match="finite"):
+            ResultRow(10.0, "1", "rate", value, 5, stderr)
 
 
 class TestEmitCsv:
@@ -289,6 +311,14 @@ class TestSingleUserExperiment:
         with pytest.raises(ConfigError):
             run_single_user_experiment(TINY_BER)
 
+    def test_worker_count_does_not_change_bytes(self, monkeypatch):
+        config = replace(TINY_BER, experiment="ber_single_user", snr_grid_db=(10.0, 20.0, 30.0))
+        monkeypatch.setenv(WORKERS_ENV, "1")
+        serial = csv_bytes(run_single_user_experiment(config))
+        monkeypatch.setenv(WORKERS_ENV, "2")
+        parallel = csv_bytes(run_single_user_experiment(config))
+        assert serial == parallel
+
 
 class TestRateExperiment:
     RATE_CONFIG = SimConfig(frames=4000, snr_grid_db=(0.0, 20.0), experiment="rate")
@@ -372,3 +402,45 @@ class TestTransmitEnergyAudit:
             x = mix @ qpsk_modulate(bits)
             energies.append(np.mean(np.sum(np.abs(x) ** 2, axis=0)))
         assert np.mean(energies) == pytest.approx(40.0, rel=0.01)
+
+
+class TestPinnedBerBytes:
+    """SHA-256 of small BER CSVs, recorded before the per-user decode loop
+    became one vectorized receiver bank. Any change to the RNG stream, the
+    decoding order or the detector's tie rule changes these bytes."""
+
+    BASE = SimConfig(frames=3, bits_per_frame=192, snr_grid_db=(10.0, 25.0, 40.0))
+    CASES = {
+        **{
+            f"{order}-{fading}": {"decoding_order_mode": order, "fading_mode": fading}
+            for order in ("distance", "instantaneous")
+            for fading in ("block", "frame")
+        },
+        "one-user": {"distances": (1.0,), "group_count": 1},
+        "three-groups": {
+            "distances": (0.4, 0.9, 1.5, 2.2, 3.0, 3.9, 4.8),
+            "group_count": 3,
+            "decoding_order_mode": "instantaneous",
+        },
+    }
+    SHA256 = {
+        ("distance-block", "ber"): "770ed79a59493a79e2529e3b7bdc85ccec5bd6afda40dafd3bdcb20aad338bf2",
+        ("distance-block", "ber_single_user"): "faa8889aa6489da6b892adc9701a4c77248af2456794d7488872a2434254c3aa",
+        ("distance-frame", "ber"): "15df75abee1fc587ab5fee5cd67863536193cffd7daf25aba414d446ae2ecd39",
+        ("distance-frame", "ber_single_user"): "6f9c8bac8e30fd32f67a7dd0b915e431e269ca13f6ea6fde96b6b833ebca996a",
+        ("instantaneous-block", "ber"): "6373e6ee9fd59ba468d27a8009c72c81af93650e29d3ae79ba5fd77c91b8005f",
+        ("instantaneous-block", "ber_single_user"): "faa8889aa6489da6b892adc9701a4c77248af2456794d7488872a2434254c3aa",
+        ("instantaneous-frame", "ber"): "8c4f286d92d569157c0a77a76ad173f24d0806703122286e19bf744033c345e4",
+        ("instantaneous-frame", "ber_single_user"): "6f9c8bac8e30fd32f67a7dd0b915e431e269ca13f6ea6fde96b6b833ebca996a",
+        ("one-user", "ber"): "8b29123a91bf7af42f86c4e67c22644034356fdc63fa49071f9c65155c8dba66",
+        ("one-user", "ber_single_user"): "ec3f88d449648e9197b44bb81b8a46ecdcbd3a793cf1519b3ea5d743302d8eab",
+        ("three-groups", "ber"): "d0a6c810788455df0c15ccbec5a89616ee9f134d320a06dbf0122e24181139e8",
+        ("three-groups", "ber_single_user"): "ab1fa0ece6abc646464d120426bbe299a7e82029b040c818f13348887b22e408",
+    }
+
+    @pytest.mark.parametrize("case,experiment", sorted(SHA256))
+    def test_csv_bytes_unchanged(self, case, experiment, monkeypatch):
+        monkeypatch.setenv(WORKERS_ENV, "1")
+        config = dataclasses.replace(self.BASE, experiment=experiment, **self.CASES[case])
+        digest = hashlib.sha256(csv_bytes(run_experiment(config.validated()))).hexdigest()
+        assert digest == self.SHA256[(case, experiment)]

@@ -5,24 +5,58 @@ import pytest
 
 from timnoma import (
     CONSTELLATION,
+    GroupAssignment,
     NoiseModel,
-    ProjectedSignal,
     ValidationError,
     add_noise,
+    allocate_power,
     assemble_transmit,
-    build_sic_plan,
-    decoding_order,
+    assign_groups,
+    build_topology,
+    cancel_mask,
+    decode,
     draw_fading,
+    make_basis,
     ml_detect,
+    path_loss,
     project,
-    qpsk_modulate,
-    sic_decode,
-    sic_decode_per_block,
+    qpsk_demodulate,
 )
+
+from helpers import minimum_distance_detect, reference_sic_bits
 
 
 def random_symbols(rng, shape):
     return CONSTELLATION[rng.integers(0, 4, size=shape)]
+
+
+def one_group(count):
+    return GroupAssignment(tuple([0] * count), (tuple(range(count)),))
+
+
+def cancel_sets(mask):
+    """Users each receiver cancels, in sweep order (descending power)."""
+    return tuple(tuple(int(j) for j in np.flatnonzero(row[:, 0])[::-1]) for row in mask)
+
+
+def noise_sets(mask):
+    """Same-group users ranked before each receiver: never cancelled."""
+    return tuple(tuple(int(j) for j in np.flatnonzero(mask[:, k, 0])) for k in range(len(mask)))
+
+
+def amplitudes(power):
+    return np.sqrt(np.asarray(power.per_user))
+
+
+def bank_signal(topology, power, groups, basis, symbols, fading, noise=None):
+    """Every receiver's projected signal and effective channel, (K, S) each."""
+    count = topology.user_count
+    gamma = np.array([path_loss(topology, k) for k in range(count)])
+    channels = np.sqrt(gamma)[:, None] * np.reshape(fading, (count, -1))
+    received = channels[:, None, :] * assemble_transmit(symbols, power, groups, basis)
+    if noise is not None:
+        received = received + noise
+    return project(received, basis, np.asarray(groups.group_of)), channels
 
 
 class TestProject:
@@ -43,18 +77,33 @@ class TestProject:
     def test_dimension_mismatch(self, ref_basis):
         with pytest.raises(ValidationError):
             project(np.zeros(3, dtype=complex), ref_basis, 0)
+        with pytest.raises(ValidationError):
+            project(np.zeros((5, 3, 4), dtype=complex), ref_basis, [0, 1, 0, 1, 0])
+
+    def test_bank_projects_each_receiver_on_its_own_group(self, ref_basis, ref_groups, rng):
+        received = rng.standard_normal((5, 2, 40)) + 1j * rng.standard_normal((5, 2, 40))
+        bank = project(received, ref_basis, np.asarray(ref_groups.group_of))
+        assert bank.shape == (5, 40)
+        for k, group in enumerate(ref_groups.group_of):
+            np.testing.assert_allclose(bank[k], ref_basis.vectors[group] @ received[k], rtol=1e-14)
 
 
 class TestDecodingOrder:
+    # one group of users, so the mask is the decoding order itself:
+    # mask[k, j] says j ranks after k
+
     def test_reference_gains(self):
         gains = [8.0, 0.29630, 0.064, 0.02332, 0.01097]
-        assert decoding_order(gains) == (0, 1, 2, 3, 4)
+        mask = cancel_mask(one_group(5), gains)[:, :, 0]
+        np.testing.assert_array_equal(mask, np.triu(np.ones((5, 5), dtype=bool), k=1))
 
     def test_ties_break_by_index(self):
-        assert decoding_order([1.0, 1.0, 1.0]) == (0, 1, 2)
+        mask = cancel_mask(one_group(3), [1.0, 1.0, 1.0])[:, :, 0]
+        np.testing.assert_array_equal(mask, np.triu(np.ones((3, 3), dtype=bool), k=1))
 
     def test_fading_can_flip_the_order(self):
-        assert decoding_order([1.0, 5.0]) == (1, 0)
+        mask = cancel_mask(one_group(2), [1.0, 5.0])[:, :, 0]
+        np.testing.assert_array_equal(mask, [[False, False], [True, False]])
 
 
 class TestMlDetect:
@@ -90,121 +139,133 @@ class TestMlDetect:
         with pytest.raises(ValidationError):
             ml_detect(1 + 0j, 1 + 0j, 0.0)
 
+    def test_sign_test_matches_minimum_distance_search(self, rng):
+        n = 3072
+        residual = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        channel = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        np.testing.assert_array_equal(
+            ml_detect(residual, channel, 0.8), minimum_distance_detect(residual, channel, 0.8)
+        )
+        # exact ties on one or both axes go to bit 0 in both
+        ties = np.array([0j, 0.5j, -0.5j, 0.5 + 0j, -0.5 + 0j])
+        np.testing.assert_array_equal(
+            ml_detect(ties, 1.0 + 0j, 1.0), minimum_distance_detect(ties, 1.0, 1.0)
+        )
+
 
 class TestSicPlan:
     def test_distance_order_reference_cell(self, ref_groups):
-        plan = build_sic_plan(range(5), ref_groups)
-        assert plan.cancel_sets == ((4, 2), (3,), (4,), (), ())
-        assert plan.noise_sets == ((), (), (0,), (1,), (0, 2))
+        mask = cancel_mask(ref_groups)
+        assert mask.shape == (5, 5, 1)
+        assert cancel_sets(mask) == ((4, 2), (3,), (4,), (), ())
+        assert noise_sets(mask) == ((), (), (0,), (1,), (0, 2))
 
     def test_sets_partition_the_group(self, ref_groups):
-        plan = build_sic_plan(range(5), ref_groups)
+        mask = cancel_mask(ref_groups)
+        cancels, noises = cancel_sets(mask), noise_sets(mask)
         for user in range(5):
-            combined = set(plan.cancel_sets[user]) | set(plan.noise_sets[user]) | {user}
+            combined = set(cancels[user]) | set(noises[user]) | {user}
             assert combined == set(ref_groups.members[ref_groups.group_of[user]])
-            assert not set(plan.cancel_sets[user]) & set(plan.noise_sets[user])
+            assert not set(cancels[user]) & set(noises[user])
 
     def test_flipped_order_swaps_sets(self, ref_groups):
-        plan = build_sic_plan((4, 3, 2, 1, 0), ref_groups)
-        assert plan.cancel_sets[4] == (2, 0)
-        assert plan.noise_sets[0] == (2, 4)
+        # gains rising with index reverse the order to (4, 3, 2, 1, 0)
+        mask = cancel_mask(ref_groups, [1.0, 2.0, 3.0, 4.0, 5.0])
+        assert cancel_sets(mask)[4] == (2, 0)
+        assert noise_sets(mask)[0] == (2, 4)
 
-    def test_cancellation_runs_strongest_power_first(self, ref_groups):
-        plan = build_sic_plan(range(5), ref_groups)
-        for seq in plan.cancel_sets:
-            assert list(seq) == sorted(seq, reverse=True)
+    def test_cancellation_runs_strongest_power_first(
+        self, ref_topology, ref_power, ref_groups, ref_basis
+    ):
+        # receiver 0 must cancel user 4 before user 2: detecting user 2
+        # first, under user 4's stronger opposite-sign signal, would flip it
+        # and then every later decision on that axis
+        symbols = CONSTELLATION[[0, 0, 0, 0, 3]][:, None]
+        fading = np.ones(5, dtype=complex)
+        signal, channels = bank_signal(
+            ref_topology, ref_power, ref_groups, ref_basis, symbols, fading
+        )
+        bits = decode(signal, channels, amplitudes(ref_power), cancel_mask(ref_groups))
+        np.testing.assert_array_equal(bits[0], [False, False])
+        own = channels[0] * math.sqrt(ref_power.per_user[0]) * symbols[0]
+        np.testing.assert_allclose(signal[0], own, rtol=1e-12)
 
 
 class TestSicDecode:
-    def _projected(self, topology, power, groups, basis, symbols, fading, user, noise=None):
-        x = assemble_transmit(symbols, power, groups, basis)
-        gamma = 1.0 / topology.distances[user] ** topology.path_loss_exponent
-        channel = math.sqrt(gamma) * fading[user]
-        y = channel * x
-        if noise is not None:
-            y = y + noise
-        return ProjectedSignal(project(y, basis, groups.group_of[user]), channel)
-
     def test_noiseless_chain_recovers_every_user(
         self, ref_topology, ref_power, ref_groups, ref_basis, rng
     ):
-        plan = build_sic_plan(range(5), ref_groups)
-        for _ in range(50):
-            symbols = random_symbols(rng, 5)
-            fading = draw_fading(rng, 5)
-            for user in range(5):
-                projected = self._projected(
-                    ref_topology, ref_power, ref_groups, ref_basis, symbols, fading, user
-                )
-                result = sic_decode(user, projected, plan, ref_power)
-                assert result.estimate == symbols[user]
+        symbols = random_symbols(rng, (5, 50))
+        fading = draw_fading(rng, 5, blocks=50)
+        signal, channels = bank_signal(
+            ref_topology, ref_power, ref_groups, ref_basis, symbols, fading
+        )
+        bits = decode(signal, channels, amplitudes(ref_power), cancel_mask(ref_groups))
+        np.testing.assert_array_equal(bits, qpsk_demodulate(symbols))
 
     def test_strongest_power_user_detects_without_cancelling(
         self, ref_topology, ref_power, ref_groups, ref_basis, rng
     ):
-        plan = build_sic_plan(range(5), ref_groups)
-        symbols = random_symbols(rng, 5)
+        symbols = random_symbols(rng, (5, 1))
         fading = draw_fading(rng, 5)
-        projected = self._projected(
-            ref_topology, ref_power, ref_groups, ref_basis, symbols, fading, 4
+        signal, channels = bank_signal(
+            ref_topology, ref_power, ref_groups, ref_basis, symbols, fading
         )
-        result = sic_decode(4, projected, plan, ref_power)
-        assert result.cancelled == ()
-        assert result.residual == projected.value
+        projected = signal.copy()
+        mask = cancel_mask(ref_groups)
+        decode(signal, channels, amplitudes(ref_power), mask)
+        assert cancel_sets(mask)[4] == ()
+        assert signal[4, 0] == projected[4, 0]
 
     def test_middle_user_cancels_exactly_one(
         self, ref_topology, ref_power, ref_groups, ref_basis, rng
     ):
         # user 2 subtracts only the strongest group member, absorbs user 0
-        plan = build_sic_plan(range(5), ref_groups)
-        symbols = random_symbols(rng, 5)
+        symbols = random_symbols(rng, (5, 1))
         fading = draw_fading(rng, 5)
-        projected = self._projected(
-            ref_topology, ref_power, ref_groups, ref_basis, symbols, fading, 2
+        signal, channels = bank_signal(
+            ref_topology, ref_power, ref_groups, ref_basis, symbols, fading
         )
-        result = sic_decode(2, projected, plan, ref_power)
-        assert [user for user, _ in result.cancelled] == [4]
+        mask = cancel_mask(ref_groups)
+        decode(signal, channels, amplitudes(ref_power), mask)
+        assert cancel_sets(mask)[2] == (4,)
         # the residual still carries user 0's signal (treated as noise)
-        channel = projected.effective_channel
-        leftover = channel * (
-            math.sqrt(ref_power.per_user[0]) * symbols[0]
-            + math.sqrt(ref_power.per_user[2]) * symbols[2]
+        leftover = channels[2, 0] * (
+            math.sqrt(ref_power.per_user[0]) * symbols[0, 0]
+            + math.sqrt(ref_power.per_user[2]) * symbols[2, 0]
         )
-        assert result.residual == pytest.approx(leftover, rel=1e-12)
+        assert signal[2, 0] == pytest.approx(leftover, rel=1e-12)
 
     def test_genie_cancellation_leaves_own_signal_plus_noise(
         self, ref_topology, ref_power, ref_groups, ref_basis
     ):
         rng = np.random.default_rng(5)
-        plan = build_sic_plan(range(5), ref_groups)
-        noise_model = NoiseModel(0.3)
-        for _ in range(200):
-            symbols = random_symbols(rng, 5)
-            fading = draw_fading(rng, 5)
-            noise = add_noise(rng, np.zeros(2), noise_model)
-            projected = self._projected(
-                ref_topology, ref_power, ref_groups, ref_basis, symbols, fading, 0, noise
-            )
-            result = sic_decode(0, projected, plan, ref_power, genie_symbols=symbols)
-            channel = projected.effective_channel
-            expected = (
-                channel * math.sqrt(ref_power.per_user[0]) * symbols[0]
-                + ref_basis.vectors[0] @ noise
-            )
-            assert abs(result.residual - expected) <= 1e-12 * abs(expected)
+        symbols = random_symbols(rng, (5, 200))
+        fading = draw_fading(rng, 5, blocks=200)
+        noise = add_noise(rng, np.zeros((5, 2, 200)), NoiseModel(0.3))
+        signal, channels = bank_signal(
+            ref_topology, ref_power, ref_groups, ref_basis, symbols, fading, noise
+        )
+        decode(signal, channels, amplitudes(ref_power), cancel_mask(ref_groups), genie_symbols=symbols)
+        expected = (
+            channels[0] * math.sqrt(ref_power.per_user[0]) * symbols[0]
+            + ref_basis.vectors[0] @ noise[0]
+        )
+        assert np.all(np.abs(signal[0] - expected) <= 1e-12 * np.abs(expected))
 
     def test_intermediate_estimates_run_high_power_first(
         self, ref_topology, ref_power, ref_groups, ref_basis, rng
     ):
-        plan = build_sic_plan(range(5), ref_groups)
-        symbols = random_symbols(rng, 5)
-        fading = draw_fading(rng, 5)
-        projected = self._projected(
-            ref_topology, ref_power, ref_groups, ref_basis, symbols, fading, 0
+        # noiseless: receiver 0 ends with its own signal alone only if it
+        # detected user 4, then user 2, exactly right and subtracted both
+        symbols = random_symbols(rng, (5, 50))
+        fading = draw_fading(rng, 5, blocks=50)
+        signal, channels = bank_signal(
+            ref_topology, ref_power, ref_groups, ref_basis, symbols, fading
         )
-        result = sic_decode(0, projected, plan, ref_power)
-        assert [user for user, _ in result.cancelled] == [4, 2]
-        assert [est for _, est in result.cancelled] == [symbols[4], symbols[2]]
+        decode(signal, channels, amplitudes(ref_power), cancel_mask(ref_groups))
+        own = channels[0] * math.sqrt(ref_power.per_user[0]) * symbols[0]
+        np.testing.assert_allclose(signal[0], own, rtol=1e-12)
 
 
 class TestProjectionEquivalence:
@@ -236,20 +297,17 @@ class TestPerBlockSic:
         fading = draw_fading(rng, 5)  # one draw, constant over the blocks
         gamma = np.array([1.0 / d**3 for d in ref_topology.distances])
         gains = gamma * np.abs(fading) ** 2
-        plan = build_sic_plan(decoding_order(gains), ref_groups)
-        x = assemble_transmit(symbols, ref_power, ref_groups, ref_basis)
-        for user in range(5):
-            channel = np.sqrt(gamma[user]) * fading[user]
-            noisy = channel * x + 0.05 * (rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n)))
-            projected = ProjectedSignal(project(noisy, ref_basis, ref_groups.group_of[user]), channel)
-            static = sic_decode(user, projected, plan, ref_power).estimate
-            dynamic = sic_decode_per_block(
-                user, projected, np.repeat(gains[:, None], n, axis=1), ref_groups, ref_power
-            )
-            np.testing.assert_array_equal(static, dynamic)
+        noise = 0.05 * (rng.standard_normal((5, 2, n)) + 1j * rng.standard_normal((5, 2, n)))
+        signal, channels = bank_signal(
+            ref_topology, ref_power, ref_groups, ref_basis, symbols, fading, noise
+        )
+        static = decode(signal.copy(), channels, amplitudes(ref_power), cancel_mask(ref_groups, gains))
+        per_block = cancel_mask(ref_groups, np.repeat(gains[:, None], n, axis=1))
+        dynamic = decode(signal, channels, amplitudes(ref_power), per_block)
+        np.testing.assert_array_equal(static, dynamic)
 
     def test_blocks_where_user_ranks_last_skip_cancellation(
-        self, ref_power, ref_groups, ref_basis
+        self, ref_topology, ref_power, ref_groups, ref_basis
     ):
         # gains put user 0 first inside its group on block 0, last on block 1
         gains = np.array(
@@ -258,10 +316,53 @@ class TestPerBlockSic:
         symbols = CONSTELLATION[np.zeros((5, 2), dtype=int)]
         symbols[4] = CONSTELLATION[3]  # strongest-power signal points the other way
         x = assemble_transmit(symbols, ref_power, ref_groups, ref_basis)
-        channel = np.ones(2, dtype=complex)
-        projected = ProjectedSignal(project(x, ref_basis, 0), channel)
-        estimates = sic_decode_per_block(0, projected, gains, ref_groups, ref_power)
+        channels = np.ones((5, 1), dtype=complex)
+        signal = project(np.broadcast_to(x, (5,) + x.shape), ref_basis, np.asarray(ref_groups.group_of))
+        bits = decode(signal, channels, amplitudes(ref_power), cancel_mask(ref_groups, gains))
         # block 0 cancels users 4 and 2, leaving the clean own symbol;
         # block 1 cancels nothing, so user 4's stronger signal dominates
-        assert estimates[0] == CONSTELLATION[0]
-        assert estimates[1] == CONSTELLATION[3]
+        np.testing.assert_array_equal(bits[0], qpsk_demodulate(CONSTELLATION[[0, 3]]))
+
+
+class TestDecodeBank:
+    @pytest.mark.parametrize("order_mode", ["distance", "instantaneous"])
+    @pytest.mark.parametrize("fading_mode", ["block", "frame"])
+    @pytest.mark.parametrize(
+        "distances, group_count",
+        [((0.5, 1.5, 2.5, 3.5, 4.5), 2), ((0.4, 0.9, 1.5, 2.2, 3.0, 3.9, 4.8), 3)],
+    )
+    def test_matches_per_receiver_reference_loop(self, distances, group_count, order_mode, fading_mode):
+        rng = np.random.default_rng(31)
+        topology = build_topology(distances, 5.0, 3.0, group_count)
+        groups, power = assign_groups(topology), allocate_power(topology, 40.0)
+        basis = make_basis(group_count)
+        count, n = len(distances), 600
+        symbols = random_symbols(rng, (count, n))
+        fading = draw_fading(rng, count, blocks=n if fading_mode == "block" else 1)
+        noise = add_noise(rng, np.zeros((count, group_count, n)), NoiseModel(0.004))
+        signal, channels = bank_signal(topology, power, groups, basis, symbols, fading, noise)
+        gamma = np.array([path_loss(topology, k) for k in range(count)])
+        if order_mode == "distance":
+            gains, mask = np.repeat(gamma[:, None], n, axis=1), cancel_mask(groups)
+        else:
+            gains = gamma[:, None] * np.abs(fading) ** 2
+            mask = cancel_mask(groups, gains)
+        expected = reference_sic_bits(signal, channels, power.per_user, groups.group_of, gains)
+        bits = decode(signal, channels, amplitudes(power), mask)
+        np.testing.assert_array_equal(bits, expected)
+        # the run is noisy enough that SIC errors are exercised
+        assert 0 < np.count_nonzero(bits != qpsk_demodulate(symbols)) < bits.size // 4
+
+    def test_empty_mask_detects_own_signal_only(self, ref_power, rng):
+        signal = rng.standard_normal((5, 30)) + 1j * rng.standard_normal((5, 30))
+        channels = rng.standard_normal((5, 1)) + 1j * rng.standard_normal((5, 1))
+        projected = signal.copy()
+        bits = decode(signal, channels, amplitudes(ref_power), np.zeros((5, 5, 1), dtype=bool))
+        np.testing.assert_array_equal(signal, projected)
+        own = minimum_distance_detect(projected, channels, 1.0)
+        np.testing.assert_array_equal(bits, qpsk_demodulate(own))
+
+    def test_rejects_mismatched_shapes(self, ref_power, ref_groups):
+        with pytest.raises(ValidationError):
+            decode(np.zeros((4, 8), dtype=complex), np.ones((4, 1)), amplitudes(ref_power),
+                   cancel_mask(ref_groups))

@@ -45,6 +45,8 @@ class TestBuildTopology:
             ([1.0, 2.0], 5.0, 3, 3, "group_count"),
             ([1.0, 2.0], -5.0, 3, 1, "cell_radius"),
             ([1.0, 2.0], 5.0, 0.0, 1, "path_loss_exponent"),
+            ([1.0, 4.5], 5.0, 1000.0, 1, "path loss"),  # d^n overflows
+            ([1e-200, 1.0], 5.0, 3, 1, "path loss"),  # d^n underflows to 0
         ],
     )
     def test_rejects_invalid_parameters(self, distances, radius, exponent, groups, fragment):
