@@ -9,7 +9,6 @@ achievable-rate tables as CSV.
 """
 
 from .analytics import (
-    RateRecord,
     dof_total,
     hybrid_rate_table,
     rate_ratio,
@@ -19,7 +18,14 @@ from .analytics import (
     tdma_sum_rate,
     user_rate,
 )
-from .channel import NoiseModel, add_noise, channel_matrix, draw_fading, effective_gain
+from .channel import (
+    NoiseModel,
+    add_noise,
+    channel_matrix,
+    draw_fading,
+    draw_fading_power,
+    effective_gain,
+)
 from .errors import ConfigError, ValidationError
 from .harness import (
     ExperimentResult,
@@ -58,7 +64,6 @@ __all__ = [
     "NoiseModel",
     "PowerAllocation",
     "PrecodingBasis",
-    "RateRecord",
     "ResultRow",
     "SimConfig",
     "Topology",
@@ -73,6 +78,7 @@ __all__ = [
     "decode",
     "dof_total",
     "draw_fading",
+    "draw_fading_power",
     "effective_gain",
     "emit_csv",
     "hybrid_rate_table",

@@ -10,7 +10,6 @@ every other group exactly, so no inter-group term ever appears.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -21,21 +20,6 @@ from .receiver import cancel_mask
 from .topology import GroupAssignment, PowerAllocation, Topology, path_loss
 
 ORDER_MODES = ("distance", "instantaneous")
-
-
-@dataclass(frozen=True)
-class RateRecord:
-    """Per-user rates at one SNR point plus their sum, in bits/slot."""
-
-    per_user: tuple[float, ...]
-    sum_rate: float
-    snr_db: float
-    scheme: str
-
-    def __post_init__(self) -> None:
-        total = sum(self.per_user)
-        if abs(self.sum_rate - total) > 1e-12 * max(1.0, abs(total)):
-            raise ValidationError("sum_rate must equal the sum of per-user rates")
 
 
 def squared_channel_gain(topology: Topology, fading: np.ndarray, user: int) -> float:
@@ -132,51 +116,70 @@ def rate_ratio(hybrid_sum: float, tdma_sum: float) -> float:
     return hybrid_sum / tdma_sum
 
 
+def _channel_gains(topology: Topology, fading_power) -> np.ndarray:
+    """gamma_k |h_k|^2 for an (N, K) array of |h|^2, in a new buffer."""
+    if np.iscomplexobj(fading_power):
+        raise ValidationError("fading_power must be the real |h|^2, not complex fading")
+    gamma = np.array([path_loss(topology, k) for k in range(topology.user_count)])
+    return np.multiply(fading_power, gamma)
+
+
 def hybrid_rate_table(
     topology: Topology,
     power: PowerAllocation,
     groups: GroupAssignment,
-    fading: np.ndarray,
+    fading_power: np.ndarray,
     noise: NoiseModel,
     order_mode: str = "distance",
 ) -> np.ndarray:
     """Vectorized per-user hybrid rates for a batch of fading realizations.
 
-    ``fading`` has shape (N, K); returns (N, K) rates. Matches user_rate
-    realization by realization.
+    ``fading_power`` is the real (N, K) array of |h|^2; returns (N, K)
+    rates, matching user_rate realization by realization. One new (N, K)
+    buffer goes from channel gains to rates in place, beside one
+    interference array; the caller's array is never written. Every sum
+    over users is a broadcast sum, so no BLAS call runs.
     """
     if order_mode not in ORDER_MODES:
         raise ValidationError(f"unknown order mode {order_mode!r}")
-    fading = np.asarray(fading)
     count = topology.user_count
-    gamma = np.array([path_loss(topology, k) for k in range(count)])
     p = np.asarray(power.per_user)
-    gains = gamma * np.abs(fading) ** 2  # (N, K)
+    out = _channel_gains(topology, fading_power)
     group_of = np.asarray(groups.group_of)
     same_group = (group_of[:, None] == group_of[None, :]) & ~np.eye(count, dtype=bool)
     if order_mode == "distance":
         ahead = same_group & (np.arange(count)[None, :] < np.arange(count)[:, None])
-        interference = gains * (ahead @ p)
+        interference = out * np.sum(ahead * p, axis=1)
     else:
-        # rank by descending gain, stable sort keeps index order on ties
-        order = np.argsort(-gains, axis=1, kind="stable")
-        position = np.argsort(order, axis=1, kind="stable")
-        ahead = position[:, None, :] < position[:, :, None]  # (N, K, K): j before k
-        interference = gains * np.einsum(
-            "nkj,kj,j->nk", ahead, same_group.astype(float), p
-        )
-    sinr = p * gains / (interference + noise.variance)
-    return np.log2(1.0 + sinr) / topology.group_count
+        # j is decoded before k where its gain is larger; ties go to the
+        # smaller index, as a stable sort by descending gain would rank them
+        interference = np.zeros_like(out)
+        for k in range(count):
+            for j in np.flatnonzero(same_group[k]):
+                ahead = out[:, j] >= out[:, k] if j < k else out[:, j] > out[:, k]
+                np.add(interference[:, k], p[j], out=interference[:, k], where=ahead)
+        interference *= out
+    interference += noise.variance
+    out *= p
+    out /= interference  # SINR
+    out += 1.0
+    np.log2(out, out=out)
+    out /= topology.group_count
+    return out
 
 
 def single_user_rate_table(
     topology: Topology,
-    fading: np.ndarray,
+    fading_power: np.ndarray,
     noise: NoiseModel,
     total_power: float,
 ) -> np.ndarray:
-    """Vectorized single-user-active rates, shape (N, K)."""
-    fading = np.asarray(fading)
-    gamma = np.array([path_loss(topology, k) for k in range(topology.user_count)])
-    gains = gamma * np.abs(fading) ** 2
-    return np.log2(1.0 + total_power * gains / noise.variance) / topology.group_count
+    """Vectorized single-user-active rates from the real (N, K) array of
+    |h|^2, computed in one new (N, K) buffer."""
+    out = _channel_gains(topology, fading_power)
+    out *= total_power
+    out /= noise.variance
+    out += 1.0
+    np.log2(out, out=out)
+    out /= topology.group_count
+    return out

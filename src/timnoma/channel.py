@@ -45,6 +45,22 @@ def draw_fading(rng: np.random.Generator, user_count: int, blocks: int | None = 
     return (re + 1j * im) * _SQRT_HALF
 
 
+def draw_fading_power(rng: np.random.Generator, user_count: int, blocks: int) -> np.ndarray:
+    """Draw i.i.d. Rayleigh power gains |h|^2, shape (user_count, blocks).
+
+    ``draw_fading`` gives h = (X + jY)/sqrt(2) with X, Y ~ N(0, 1)
+    independent, so |h|^2 = (X^2 + Y^2)/2. X^2 + Y^2 is chi-squared with two
+    degrees of freedom, which is exponential with mean 2, so |h|^2 ~ Exp(1)
+    in distribution. One ``standard_exponential`` call draws all samples in
+    C order: user by user, each user's blocks in a row. Consumers that read
+    only |h|^2 (the rate formulas) need neither the phase nor a complex
+    array; detection still needs ``draw_fading``.
+    """
+    if user_count < 1:
+        raise ValidationError("user_count must be at least 1")
+    return rng.standard_exponential((user_count, int(blocks)))
+
+
 def channel_matrix(topology: Topology, fading: np.ndarray, user: int) -> np.ndarray:
     """T x T channel matrix sqrt(gamma_k) * h_k * I for one coherence block."""
     gain = math.sqrt(path_loss(topology, user))

@@ -37,8 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytics import RateRecord, hybrid_rate_table, single_user_rate_table
-from .channel import NoiseModel, draw_fading
+from .analytics import ORDER_MODES, hybrid_rate_table, single_user_rate_table
+from .channel import NoiseModel, draw_fading, draw_fading_power
 from .errors import ConfigError, ValidationError
 from .modem import qpsk_modulate
 from .precoding import make_basis, mixing_matrix
@@ -49,7 +49,6 @@ WORKERS_ENV = "TIMNOMA_WORKERS"
 
 EXPERIMENTS = ("ber", "ber_single_user", "rate", "rate_single_user", "ratio")
 RATE_EXPERIMENTS = ("rate", "rate_single_user", "ratio")
-ORDER_MODES = ("distance", "instantaneous")
 FADING_MODES = ("block", "frame")
 TDMA_BASELINES = ("full_power_time_share",)
 
@@ -420,29 +419,36 @@ def run_single_user_experiment(config: SimConfig) -> ExperimentResult:
 
 
 def _rate_point(config: SimConfig, snr_index: int, snr_db: float) -> dict:
-    """Fading-averaged rate statistics at one SNR point."""
+    """Fading-averaged rate statistics at one SNR point: only those the
+    experiment writes."""
     topo, groups, power, _basis = _scene(config)
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, snr_index)))
-    fading = draw_fading(rng, topo.user_count, blocks=config.frames).T  # (N, K)
+    # drawn (K, N) and viewed as (N, K): each user's realizations stay
+    # contiguous, which keeps the reductions over realizations fast
+    fading_power = draw_fading_power(rng, topo.user_count, config.frames).T
     noise = NoiseModel(config.noise_variance(snr_db))
     out: dict = {}
-    if config.experiment in ("rate", "ratio"):
-        table = hybrid_rate_table(
-            topo, power, groups, fading, noise, config.decoding_order_mode
-        )
-        out["hybrid_mean"] = table.mean(axis=0)
-        out["hybrid_std"] = table.std(axis=0, ddof=1)
-        hybrid_sums = table.sum(axis=1)
-        out["hybrid_sum_std"] = float(hybrid_sums.std(ddof=1))
     if config.experiment == "rate_single_user":
-        table = single_user_rate_table(topo, fading, noise, config.total_power)
+        table = single_user_rate_table(topo, fading_power, noise, config.total_power)
         out["single_mean"] = table.mean(axis=0)
         out["single_std"] = table.std(axis=0, ddof=1)
+        return out
+    table = hybrid_rate_table(topo, power, groups, fading_power, noise, config.decoding_order_mode)
+    out["hybrid_mean"] = table.mean(axis=0)
+    if config.experiment == "rate":
+        out["hybrid_std"] = table.std(axis=0, ddof=1)
+    hybrid_sums = table.sum(axis=1)
+    del table  # freed before the baseline allocates its own (N, K) table
+    out["hybrid_sum_std"] = float(hybrid_sums.std(ddof=1))
     if config.experiment == "ratio":
-        baseline = single_user_rate_table(topo, fading, noise, config.total_power).mean(axis=1)
+        baseline = single_user_rate_table(topo, fading_power, noise, config.total_power).mean(axis=1)
         out["tdma_mean"] = float(baseline.mean())
         out["tdma_std"] = float(baseline.std(ddof=1))
-        out["hybrid_tdma_cov"] = float(np.cov(hybrid_sums, baseline)[0, 1])
+        # a sum of products, not np.cov, whose dot product would call BLAS
+        hybrid_sums -= hybrid_sums.mean()
+        baseline -= out["tdma_mean"]
+        hybrid_sums *= baseline
+        out["hybrid_tdma_cov"] = float(hybrid_sums.sum() / (config.frames - 1))
     return out
 
 
@@ -453,19 +459,13 @@ def _rate_rows(config: SimConfig, stats: list) -> tuple:
     for index, snr in enumerate(config.snr_grid_db):
         point = stats[index]
         if config.experiment == "rate":
-            record = RateRecord(
-                tuple(float(v) for v in point["hybrid_mean"]),
-                float(np.sum(point["hybrid_mean"])),
-                snr,
-                "hybrid",
-            )
             for k in range(user_count):
                 rows.append(
-                    ResultRow(snr, str(k + 1), "rate", record.per_user[k], n,
+                    ResultRow(snr, str(k + 1), "rate", float(point["hybrid_mean"][k]), n,
                               float(point["hybrid_std"][k]) / math.sqrt(n))
                 )
             rows.append(
-                ResultRow(snr, "sum", "rate", record.sum_rate, n,
+                ResultRow(snr, "sum", "rate", float(np.sum(point["hybrid_mean"])), n,
                           float(point["hybrid_sum_std"]) / math.sqrt(n))
             )
         elif config.experiment == "rate_single_user":

@@ -6,7 +6,6 @@ import pytest
 
 from timnoma import (
     NoiseModel,
-    RateRecord,
     ValidationError,
     dof_total,
     draw_fading,
@@ -219,7 +218,9 @@ class TestRateTables:
         rng = np.random.default_rng(7)
         fading = draw_fading(rng, 5, blocks=64).T
         noise = NoiseModel(0.37)
-        table = hybrid_rate_table(ref_topology, ref_power, ref_groups, fading, noise, order_mode)
+        table = hybrid_rate_table(
+            ref_topology, ref_power, ref_groups, np.abs(fading) ** 2, noise, order_mode
+        )
         for n in range(0, 64, 7):
             for k in range(5):
                 scalar = user_rate(
@@ -231,11 +232,58 @@ class TestRateTables:
         rng = np.random.default_rng(8)
         fading = draw_fading(rng, 5, blocks=32).T
         noise = NoiseModel(1.3)
-        table = single_user_rate_table(ref_topology, fading, noise, 40.0)
+        table = single_user_rate_table(ref_topology, np.abs(fading) ** 2, noise, 40.0)
         for n in range(0, 32, 5):
             for k in range(5):
                 scalar = single_user_rate(k, ref_topology, fading[n], noise, 40.0)
                 assert table[n, k] == pytest.approx(scalar, rel=1e-12)
+
+    @pytest.mark.parametrize("order_mode", ["distance", "instantaneous"])
+    def test_leaves_input_unwritten_and_ignores_layout(
+        self, ref_topology, ref_power, ref_groups, order_mode
+    ):
+        user_major = np.abs(draw_fading(np.random.default_rng(10), 5, blocks=50)) ** 2
+        fading_power = user_major.T  # (N, K), each user's realizations contiguous
+        before = fading_power.copy()
+        noise = NoiseModel(0.8)
+        tables = [
+            (
+                hybrid_rate_table(ref_topology, ref_power, ref_groups, gains, noise, order_mode),
+                single_user_rate_table(ref_topology, gains, noise, 40.0),
+            )
+            for gains in (fading_power, np.ascontiguousarray(fading_power))
+        ]
+        np.testing.assert_array_equal(fading_power, before)
+        for strided, contiguous in zip(*tables):
+            np.testing.assert_array_equal(strided, contiguous)
+
+    def test_instantaneous_ties_rank_the_smaller_index_first(self):
+        from timnoma import allocate_power, assign_groups, build_topology
+
+        topo = build_topology([1.0, 2.0], 5.0, 3.0, 1)  # gamma = 1 and 1/8
+        groups = assign_groups(topo)
+        power = allocate_power(topo, 10.0)
+        p0, p1 = power.per_user
+        log2 = math.log2
+        # gamma |h|^2 = 1 for both users: user 0 decodes first, user 1 absorbs it
+        tied = hybrid_rate_table(
+            topo, power, groups, np.array([[1.0, 8.0]]), UNIT_NOISE, "instantaneous"
+        )
+        assert tied[0, 0] == pytest.approx(log2(1 + p0), rel=1e-12)
+        assert tied[0, 1] == pytest.approx(log2(1 + p1 / (p0 + 1)), rel=1e-12)
+        # user 1 ahead with gain 1.0625 against 1: user 0 (gain 1) absorbs it
+        ahead = hybrid_rate_table(
+            topo, power, groups, np.array([[1.0, 8.5]]), UNIT_NOISE, "instantaneous"
+        )
+        assert ahead[0, 0] == pytest.approx(log2(1 + p0 / (p1 + 1)), rel=1e-12)
+        assert ahead[0, 1] == pytest.approx(log2(1 + p1 * 1.0625), rel=1e-12)
+
+    def test_rejects_complex_fading(self, ref_topology, ref_power, ref_groups):
+        fading = draw_fading(np.random.default_rng(12), 5, blocks=4).T
+        with pytest.raises(ValidationError, match="real"):
+            hybrid_rate_table(ref_topology, ref_power, ref_groups, fading, UNIT_NOISE)
+        with pytest.raises(ValidationError, match="real"):
+            single_user_rate_table(ref_topology, fading, UNIT_NOISE, 40.0)
 
     def test_ratio_approaches_two_from_above_at_high_snr(
         self, ref_topology, ref_power, ref_groups
@@ -244,24 +292,16 @@ class TestRateTables:
         # at finite SNR the ratio sits above 2 and decays toward it
         rng = np.random.default_rng(9)
         fading = draw_fading(rng, 5, blocks=40_000).T
+        fading_power = np.abs(fading) ** 2
         deviations = []
         for snr_db in (60.0, 70.0, 80.0):
             noise = NoiseModel(40.0 * 10 ** (-snr_db / 10))
             hybrid = hybrid_rate_table(
-                ref_topology, ref_power, ref_groups, fading, noise
+                ref_topology, ref_power, ref_groups, fading_power, noise
             ).sum(axis=1).mean()
-            baseline = single_user_rate_table(ref_topology, fading, noise, 40.0).mean()
+            baseline = single_user_rate_table(ref_topology, fading_power, noise, 40.0).mean()
             ratio = rate_ratio(float(hybrid), float(baseline))
             assert 1.9 < ratio < 2.5
             deviations.append(abs(ratio - 2.0))
         assert deviations[0] > deviations[1] > deviations[2]
 
-
-class TestRateRecord:
-    def test_consistent_sum_accepted(self):
-        record = RateRecord((0.5, 0.25), 0.75, 10.0, "hybrid")
-        assert record.sum_rate == 0.75
-
-    def test_inconsistent_sum_rejected(self):
-        with pytest.raises(ValidationError):
-            RateRecord((0.5, 0.25), 0.8, 10.0, "hybrid")

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from timnoma import (
     build_topology,
     channel_matrix,
     draw_fading,
+    draw_fading_power,
     effective_gain,
 )
 
@@ -33,6 +36,44 @@ class TestDrawFading:
     def test_rejects_empty(self, rng):
         with pytest.raises(ValidationError):
             draw_fading(rng, 0)
+
+
+class TestDrawFadingPower:
+    def test_shape_and_dtype(self, rng):
+        power = draw_fading_power(rng, 3, 10)
+        assert power.shape == (3, 10)
+        assert power.dtype == np.float64
+
+    def test_deterministic_given_seed(self):
+        a = draw_fading_power(np.random.default_rng(7), 5, 20)
+        b = draw_fading_power(np.random.default_rng(7), 5, 20)
+        np.testing.assert_array_equal(a, b)
+
+    def test_unit_mean_and_variance(self):
+        n = 200_000
+        power = draw_fading_power(np.random.default_rng(19), 1, n).ravel()
+        # Exp(1): the mean has variance 1/n, the sample variance about
+        # (mu4 - 1)/n with fourth central moment mu4 = 9
+        assert abs(power.mean() - 1.0) < 4.0 / math.sqrt(n)
+        assert abs(power.var(ddof=1) - 1.0) < 4.0 * math.sqrt(8.0 / n)
+
+    @pytest.mark.parametrize("x", [0.05, 0.5, 1.0, 2.0, 4.0])
+    def test_distribution_matches_squared_magnitude_of_draw_fading(self, x):
+        # both |h|^2 routes have the Exp(1) CDF 1 - e^-x
+        n = 100_000
+        exact = 1.0 - math.exp(-x)
+        stderr = math.sqrt(exact * (1.0 - exact) / n)
+        samples = {
+            "draw_fading_power": draw_fading_power(np.random.default_rng(29), 1, n),
+            "|draw_fading|^2": np.abs(draw_fading(np.random.default_rng(31), 1, n)) ** 2,
+        }
+        for name, power in samples.items():
+            empirical = np.count_nonzero(power <= x) / n
+            assert abs(empirical - exact) < 4.0 * stderr, name
+
+    def test_rejects_empty(self, rng):
+        with pytest.raises(ValidationError):
+            draw_fading_power(rng, 0, 5)
 
 
 class TestChannelMatrix:

@@ -23,6 +23,8 @@ from timnoma import (
 )
 from timnoma.harness import WORKERS_ENV, replace
 
+from helpers import exact_sum_rates, rayleigh_log_mean, reference_noise_sets
+
 TINY_BER = SimConfig(frames=3, bits_per_frame=128, snr_grid_db=(20.0, 30.0))
 
 
@@ -366,6 +368,33 @@ class TestRateExperiment:
             run_rate_experiment(TINY_BER)
 
 
+class TestRatesAgainstClosedForm:
+    """Monte Carlo rates within 4 stderr of their exact E1 values, distance
+    order, reference cell."""
+
+    CONFIG = SimConfig(frames=10_000, snr_grid_db=tuple(float(s) for s in range(0, 71, 10)))
+
+    def test_hybrid_sum_rate(self):
+        config = replace(self.CONFIG, experiment="rate")
+        result = run_rate_experiment(config)
+        for snr in config.snr_grid_db:
+            exact, _tdma = exact_sum_rates(
+                config.distances, 3.0, 40.0, config.noise_variance(snr), reference_noise_sets(), 2
+            )
+            row = result.row(snr, "sum", "rate")
+            assert abs(row.value - exact) <= 4.0 * row.stderr, (snr, row.value, exact)
+
+    def test_single_user_rates(self):
+        config = replace(self.CONFIG, experiment="rate_single_user")
+        result = run_single_user_experiment(config)
+        for snr in config.snr_grid_db:
+            sigma2 = config.noise_variance(snr)
+            for k, d in enumerate(config.distances):
+                exact = rayleigh_log_mean(40.0, d**-3.0 / sigma2) / (2.0 * math.log(2.0))
+                row = result.row(snr, str(k + 1), "rate_single")
+                assert abs(row.value - exact) <= 4.0 * row.stderr, (snr, k, row.value, exact)
+
+
 class TestRunExperimentDispatch:
     @pytest.mark.parametrize(
         "experiment,metric",
@@ -436,6 +465,42 @@ class TestPinnedBerBytes:
         ("one-user", "ber_single_user"): "ec3f88d449648e9197b44bb81b8a46ecdcbd3a793cf1519b3ea5d743302d8eab",
         ("three-groups", "ber"): "d0a6c810788455df0c15ccbec5a89616ee9f134d320a06dbf0122e24181139e8",
         ("three-groups", "ber_single_user"): "ab1fa0ece6abc646464d120426bbe299a7e82029b040c818f13348887b22e408",
+    }
+
+    @pytest.mark.parametrize("case,experiment", sorted(SHA256))
+    def test_csv_bytes_unchanged(self, case, experiment, monkeypatch):
+        monkeypatch.setenv(WORKERS_ENV, "1")
+        config = dataclasses.replace(self.BASE, experiment=experiment, **self.CASES[case])
+        digest = hashlib.sha256(csv_bytes(run_experiment(config.validated()))).hexdigest()
+        assert digest == self.SHA256[(case, experiment)]
+
+
+class TestPinnedRateBytes:
+    """SHA-256 of small rate CSVs, recorded when the rate path began to draw
+    |h|^2 as Exp(1). The rate path makes no BLAS call, so these bytes do not
+    depend on the BLAS build. Any change to the rate stream, the decoding
+    order, the tie rule or the statistics' arithmetic changes them."""
+
+    BASE = SimConfig(frames=40, snr_grid_db=(0.0, 20.0, 40.0))
+    CASES = {
+        "distance": {"decoding_order_mode": "distance"},
+        "instantaneous": {"decoding_order_mode": "instantaneous"},
+        "three-groups": {
+            "distances": (0.4, 0.9, 1.5, 2.2, 3.0, 3.9, 4.8),
+            "group_count": 3,
+            "decoding_order_mode": "instantaneous",
+        },
+    }
+    SHA256 = {
+        ("distance", "rate"): "f7f4f3b184b94595c33d27e366ada0ca3a891ba82b3d61f3ecd6da853668effb",
+        ("distance", "rate_single_user"): "f8476dab6818573c8263b97ebaa4385cd58a0398273d3af3c8d42a635a210175",
+        ("distance", "ratio"): "9e2d4d3db4b496d076a124949a8491a0c0fa1cb6d51e71d5429e0693788128fb",
+        ("instantaneous", "rate"): "345f97000915abf915de6938462a2f5a4da5a2e11963115e07436299e40e3621",
+        ("instantaneous", "rate_single_user"): "f8476dab6818573c8263b97ebaa4385cd58a0398273d3af3c8d42a635a210175",
+        ("instantaneous", "ratio"): "2e248bcb218f9ef40fce77b45797f4aeb87a06e7c29a9d9413e6277532e1a88e",
+        ("three-groups", "rate"): "1c940910b6a448fb49dd52f0ec2ea4dc889713ec4814c56b356ee260f6995763",
+        ("three-groups", "rate_single_user"): "a369b71a2c7e6d861b1f9a6f8678dd897282f79b1614373dc7a60d6cb3588b05",
+        ("three-groups", "ratio"): "f873fd3e39f195e7c4c4355cef1856977db7e145be5596ddc3c3aaf39f90d6be",
     }
 
     @pytest.mark.parametrize("case,experiment", sorted(SHA256))
