@@ -8,24 +8,8 @@ detection. The harness sweeps transmit SNR and writes per-user BER and
 achievable-rate tables as CSV.
 """
 
-from .analytics import (
-    dof_total,
-    hybrid_rate_table,
-    rate_ratio,
-    single_user_rate,
-    single_user_rate_table,
-    squared_channel_gain,
-    tdma_sum_rate,
-    user_rate,
-)
-from .channel import (
-    NoiseModel,
-    add_noise,
-    channel_matrix,
-    draw_fading,
-    draw_fading_power,
-    effective_gain,
-)
+from .analytics import dof_total, hybrid_rate_table, single_user_rate_table
+from .channel import NoiseModel, draw_fading, draw_fading_power
 from .errors import ConfigError, ValidationError
 from .harness import (
     ExperimentResult,
@@ -35,13 +19,10 @@ from .harness import (
     parse_config,
     parse_config_text,
     parse_snr_grid,
-    run_ber_experiment,
     run_experiment,
-    run_rate_experiment,
-    run_single_user_experiment,
 )
-from .modem import BITS_PER_SYMBOL, CONSTELLATION, qpsk_demodulate, qpsk_modulate
-from .precoding import PrecodingBasis, assemble_transmit, make_basis, mixing_matrix
+from .modem import BITS_PER_SYMBOL, CONSTELLATION, qpsk_modulate
+from .precoding import PrecodingBasis, make_basis, mixing_matrix
 from .receiver import cancel_mask, decode, ml_detect, project
 from .topology import (
     GroupAssignment,
@@ -68,18 +49,14 @@ __all__ = [
     "SimConfig",
     "Topology",
     "ValidationError",
-    "add_noise",
     "allocate_power",
-    "assemble_transmit",
     "assign_groups",
     "build_topology",
     "cancel_mask",
-    "channel_matrix",
     "decode",
     "dof_total",
     "draw_fading",
     "draw_fading_power",
-    "effective_gain",
     "emit_csv",
     "hybrid_rate_table",
     "make_basis",
@@ -90,16 +67,7 @@ __all__ = [
     "parse_snr_grid",
     "path_loss",
     "project",
-    "qpsk_demodulate",
     "qpsk_modulate",
-    "rate_ratio",
-    "run_ber_experiment",
     "run_experiment",
-    "run_rate_experiment",
-    "run_single_user_experiment",
-    "single_user_rate",
     "single_user_rate_table",
-    "squared_channel_gain",
-    "tdma_sum_rate",
-    "user_rate",
 ]

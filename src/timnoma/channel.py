@@ -1,4 +1,4 @@
-"""Rayleigh block fading, per-user channel matrices and complex AWGN.
+"""Rayleigh block fading and the complex AWGN model.
 
 Each user's channel over one coherence block of T slots is a single complex
 scalar h with unit variance, so the T x T channel matrix is sqrt(gamma)*h
@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .topology import Topology, path_loss
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -59,23 +58,3 @@ def draw_fading_power(rng: np.random.Generator, user_count: int, blocks: int) ->
     if user_count < 1:
         raise ValidationError("user_count must be at least 1")
     return rng.standard_exponential((user_count, int(blocks)))
-
-
-def channel_matrix(topology: Topology, fading: np.ndarray, user: int) -> np.ndarray:
-    """T x T channel matrix sqrt(gamma_k) * h_k * I for one coherence block."""
-    gain = math.sqrt(path_loss(topology, user))
-    return gain * fading[user] * np.eye(topology.group_count)
-
-
-def add_noise(rng: np.random.Generator, signal: np.ndarray, noise: NoiseModel) -> np.ndarray:
-    """Add i.i.d. complex Gaussian noise of the model's variance per entry."""
-    signal = np.asarray(signal)
-    scale = math.sqrt(noise.variance / 2.0)
-    re = rng.standard_normal(signal.shape)
-    im = rng.standard_normal(signal.shape)
-    return signal + scale * (re + 1j * im)
-
-
-def effective_gain(topology: Topology, fading: np.ndarray, user: int, noise: NoiseModel) -> float:
-    """Instantaneous channel gain normalized by noise power: gamma|h|^2 / sigma^2."""
-    return path_loss(topology, user) * float(np.abs(fading[user]) ** 2) / noise.variance

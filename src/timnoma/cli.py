@@ -14,12 +14,6 @@ import sys
 from .errors import ConfigError, ValidationError
 from .harness import SimConfig, emit_csv, parse_config, parse_snr_grid, replace, run_experiment
 
-_EXPERIMENT_BY_COMMAND = {
-    "ber": "ber",
-    "rate": "rate",
-    "ratio": "ratio",
-}
-
 
 def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="path to a key = value config file")
@@ -58,7 +52,7 @@ def _config_from_args(args: argparse.Namespace) -> SimConfig:
     if args.command == "single-user":
         experiment = "ber_single_user" if args.metric == "ber" else "rate_single_user"
     else:
-        experiment = _EXPERIMENT_BY_COMMAND[args.command]
+        experiment = args.command  # ber, rate and ratio name their experiment
     overrides: dict = {"experiment": experiment}
     if args.seed is not None:
         overrides["seed"] = args.seed

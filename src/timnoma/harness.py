@@ -16,7 +16,6 @@ reference cell):
     seed                 non-negative 64-bit integer           42
     decoding_order_mode  distance | instantaneous              distance
     fading_mode          block | frame                         block
-    tdma_baseline_mode   full_power_time_share                 full_power_time_share
     experiment           ber | ber_single_user | rate |
                          rate_single_user | ratio              ber
 
@@ -50,7 +49,6 @@ WORKERS_ENV = "TIMNOMA_WORKERS"
 EXPERIMENTS = ("ber", "ber_single_user", "rate", "rate_single_user", "ratio")
 RATE_EXPERIMENTS = ("rate", "rate_single_user", "ratio")
 FADING_MODES = ("block", "frame")
-TDMA_BASELINES = ("full_power_time_share",)
 
 DEFAULT_DISTANCES = (0.5, 1.5, 2.5, 3.5, 4.5)
 DEFAULT_SNR_GRID = tuple(float(s) for s in range(0, 31, 2))
@@ -76,7 +74,6 @@ class SimConfig:
     seed: int = 42
     decoding_order_mode: str = "distance"
     fading_mode: str = "block"
-    tdma_baseline_mode: str = "full_power_time_share"
     experiment: str = "ber"
 
     def __post_init__(self) -> None:
@@ -125,8 +122,6 @@ class SimConfig:
             problems.append(f"decoding_order_mode must be one of {ORDER_MODES}")
         if self.fading_mode not in FADING_MODES:
             problems.append(f"fading_mode must be one of {FADING_MODES}")
-        if self.tdma_baseline_mode not in TDMA_BASELINES:
-            problems.append(f"tdma_baseline_mode must be one of {TDMA_BASELINES}")
         if self.experiment not in EXPERIMENTS:
             problems.append(f"experiment must be one of {EXPERIMENTS}")
         if not problems:
@@ -182,17 +177,13 @@ class ExperimentResult:
                 return row
         raise KeyError((snr_db, entity, metric))
 
-    def series(self, entity: str, metric: str) -> list[tuple[float, float]]:
-        """(snr_db, value) pairs for one entity/metric, in SNR order."""
-        return [(r.snr_db, r.value) for r in self.rows if r.entity == entity and r.metric == metric]
-
 
 # ---------------------------------------------------------------------------
 # config parsing
 
 _INT_KEYS = ("group_count", "frames", "bits_per_frame", "seed")
 _FLOAT_KEYS = ("cell_radius", "path_loss_exponent", "total_power")
-_STR_KEYS = ("decoding_order_mode", "fading_mode", "tdma_baseline_mode", "experiment")
+_STR_KEYS = ("decoding_order_mode", "fading_mode", "experiment")
 
 
 def parse_snr_grid(spec: str) -> tuple[float, ...]:
@@ -319,12 +310,13 @@ def _noiseless_received(out, mix, symbols, channels, single_user: bool) -> None:
         np.multiply(channels[:, np.newaxis, :], transmit, out=out)
 
 
-def _ber_counts(config: SimConfig, snr_index: int, snr_db: float, single_user: bool) -> np.ndarray:
+def _ber_counts(config: SimConfig, snr_index: int, snr_db: float) -> np.ndarray:
     """Per-user bit error counts accumulated over all frames of one point.
 
-    Every frame decodes all K receivers at once. The transmit sum, the
-    solo transmits and the projection are broadcast sums over axes of
-    length at most K, so no BLAS call runs per frame.
+    Every frame decodes all K receivers at once; in a single-user run each
+    receiver hears only its own signal. The transmit sum, the solo
+    transmits and the projection are broadcast sums over axes of length at
+    most K, so no BLAS call runs per frame.
     """
     topo, groups, power, basis = _scene(config)
     count = topo.user_count
@@ -335,6 +327,7 @@ def _ber_counts(config: SimConfig, snr_index: int, snr_db: float, single_user: b
     group_of = np.asarray(groups.group_of)
     noise = NoiseModel(config.noise_variance(snr_db))
     scale = math.sqrt(noise.variance / 2.0)
+    single_user = config.experiment == "ber_single_user"
     blocks = symbols_per_frame if config.fading_mode == "block" else None
     per_frame_order = config.decoding_order_mode == "instantaneous" and not single_user
     if single_user:
@@ -364,19 +357,13 @@ def _ber_counts(config: SimConfig, snr_index: int, snr_db: float, single_user: b
     return errors
 
 
-def _hybrid_ber_point(config, snr_index, snr_db):
-    return _ber_counts(config, snr_index, snr_db, single_user=False)
-
-
-def _single_ber_point(config, snr_index, snr_db):
-    return _ber_counts(config, snr_index, snr_db, single_user=True)
-
-
 def _binomial_stderr(p: float, n: int) -> float:
     return math.sqrt(max(p * (1.0 - p), 0.0) / n)
 
 
-def _ber_rows(config: SimConfig, counts: list, metric: str, include_sum: bool) -> tuple:
+def _ber_rows(config: SimConfig, counts: list) -> tuple:
+    hybrid = config.experiment == "ber"
+    metric = "ber" if hybrid else "ber_single"
     user_count = len(config.distances)
     bits_per_user = config.frames * config.bits_per_frame
     rows = []
@@ -387,35 +374,11 @@ def _ber_rows(config: SimConfig, counts: list, metric: str, include_sum: bool) -
             rows.append(
                 ResultRow(snr, str(k + 1), metric, p, bits_per_user, _binomial_stderr(p, bits_per_user))
             )
-        if include_sum:
+        if hybrid:
             total_bits = user_count * bits_per_user
             p = int(errors.sum()) / total_bits
             rows.append(ResultRow(snr, "sum", metric, p, total_bits, _binomial_stderr(p, total_bits)))
     return tuple(rows)
-
-
-def run_ber_experiment(config: SimConfig) -> ExperimentResult:
-    """Framed link-level BER of the hybrid scheme, per user and pooled."""
-    config = config.validated()
-    if config.experiment != "ber":
-        raise ConfigError(f"experiment must be 'ber', got {config.experiment!r}")
-    counts = _map_points(_hybrid_ber_point, config)
-    return ExperimentResult(_ber_rows(config, counts, "ber", include_sum=True))
-
-
-def run_single_user_experiment(config: SimConfig) -> ExperimentResult:
-    """One-active-user runs: BER at the user's own power share, or the
-    full-power single-user rate."""
-    config = config.validated()
-    if config.experiment == "ber_single_user":
-        counts = _map_points(_single_ber_point, config)
-        return ExperimentResult(_ber_rows(config, counts, "ber_single", include_sum=False))
-    if config.experiment == "rate_single_user":
-        stats = _map_points(_rate_point, config)
-        return ExperimentResult(_rate_rows(config, stats))
-    raise ConfigError(
-        f"experiment must be 'ber_single_user' or 'rate_single_user', got {config.experiment!r}"
-    )
 
 
 def _rate_point(config: SimConfig, snr_index: int, snr_db: float) -> dict:
@@ -496,23 +459,21 @@ def _rate_rows(config: SimConfig, stats: list) -> tuple:
     return tuple(rows)
 
 
-def run_rate_experiment(config: SimConfig) -> ExperimentResult:
-    """Fading-averaged achievable rates, or the hybrid/TDMA sum-rate ratio."""
-    config = config.validated()
-    if config.experiment not in ("rate", "ratio"):
-        raise ConfigError(f"experiment must be 'rate' or 'ratio', got {config.experiment!r}")
-    stats = _map_points(_rate_point, config)
-    return ExperimentResult(_rate_rows(config, stats))
-
-
 def run_experiment(config: SimConfig) -> ExperimentResult:
-    """Dispatch on config.experiment."""
+    """Run the experiment that ``config.experiment`` names.
+
+    ``ber`` is the framed link-level BER of the hybrid scheme, per user and
+    pooled; ``ber_single_user`` the BER of each user alone at its own power
+    share. ``rate`` and ``ratio`` are fading-averaged hybrid rates and the
+    hybrid/TDMA sum-rate ratio; ``rate_single_user`` the full-power rate of
+    each user alone.
+    """
     config = config.validated()
-    if config.experiment == "ber":
-        return run_ber_experiment(config)
-    if config.experiment in ("ber_single_user", "rate_single_user"):
-        return run_single_user_experiment(config)
-    return run_rate_experiment(config)
+    if config.experiment in RATE_EXPERIMENTS:
+        point_fn, rows_fn = _rate_point, _rate_rows
+    else:
+        point_fn, rows_fn = _ber_counts, _ber_rows
+    return ExperimentResult(rows_fn(config, _map_points(point_fn, config)))
 
 
 def emit_csv(result: ExperimentResult, destination) -> None:

@@ -32,16 +32,3 @@ def qpsk_modulate(bits) -> np.ndarray:
         raise ValidationError("bit count must be even (two bits per symbol)")
     pairs = bits.reshape(bits.shape[:-1] + (-1, 2))
     return ((1 - 2 * pairs[..., 0]) + 1j * (1 - 2 * pairs[..., 1])) * _AMP
-
-
-def qpsk_demodulate(symbols) -> np.ndarray:
-    """Hard-decide symbols back to bits (inverse of qpsk_modulate).
-
-    Sign of the real part gives the first bit of each pair, sign of the
-    imaginary part the second; exact zeros decide toward bit 0. A scalar
-    input yields the 2-element bit pair.
-    """
-    symbols = np.atleast_1d(np.asarray(symbols))
-    first = (symbols.real < 0).astype(np.int8)
-    second = (symbols.imag < 0).astype(np.int8)
-    return np.stack([first, second], axis=-1).reshape(symbols.shape[:-1] + (-1,))

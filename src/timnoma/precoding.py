@@ -1,4 +1,4 @@
-"""Orthonormal group precoding vectors and transmit-vector assembly.
+"""Orthonormal group precoding vectors and the transmit mixing matrix.
 
 Every group t gets a real T-dimensional unit vector v_t, pairwise orthogonal
 to the other groups' vectors. The transmitted T-vector for one block
@@ -51,12 +51,11 @@ def make_basis(group_count: int) -> PrecodingBasis:
     cos, sin = math.cos(_ROTATION_ANGLE), math.sin(_ROTATION_ANGLE)
     for i in range(size - 1):
         for j in range(i + 1, size):
-            givens = np.eye(size)
-            givens[i, i] = cos
-            givens[j, j] = cos
-            givens[i, j] = -sin
-            givens[j, i] = sin
-            rotation = rotation @ givens
+            # rotation @ givens touches only columns i and j; updating them
+            # elementwise keeps the bits independent of the BLAS build
+            left, right = rotation[:, i].copy(), rotation[:, j].copy()
+            rotation[:, i] = cos * left + sin * right
+            rotation[:, j] = cos * right - sin * left
     # column t of the rotation is group t's vector; store vectors as rows
     return PrecodingBasis(rotation.T.copy())
 
@@ -69,22 +68,3 @@ def mixing_matrix(power: PowerAllocation, groups: GroupAssignment, basis: Precod
     """
     columns = basis.vectors[list(groups.group_of)].T  # (T, K)
     return columns * np.sqrt(np.asarray(power.per_user))
-
-
-def assemble_transmit(
-    symbols: np.ndarray,
-    power: PowerAllocation,
-    groups: GroupAssignment,
-    basis: PrecodingBasis,
-) -> np.ndarray:
-    """Superimpose all users' symbols into the transmitted T-vector(s).
-
-    ``symbols`` has shape (K,) for one block or (K, S) for S blocks; the
-    result has shape (T,) or (T, S) accordingly.
-    """
-    symbols = np.asarray(symbols)
-    if symbols.shape[0] != len(groups.group_of):
-        raise ValidationError(
-            f"expected {len(groups.group_of)} user symbols, got {symbols.shape[0]}"
-        )
-    return mixing_matrix(power, groups, basis) @ symbols

@@ -51,11 +51,6 @@ class PowerAllocation:
     per_user: tuple[float, ...]
     total: float
 
-    @property
-    def amplitude(self) -> float:
-        """Transmit amplitude constant, sqrt of the total power."""
-        return math.sqrt(self.total)
-
 
 def build_topology(
     distances,

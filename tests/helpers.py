@@ -6,6 +6,7 @@ implementation against a second route.
 """
 
 import math
+import sys
 
 import numpy as np
 
@@ -49,6 +50,44 @@ def reference_group_vectors():
     return {0: V1, 1: V2, 2: V1, 3: V2, 4: V1}
 
 
+def instantaneous_noise_sets(gains, group_of):
+    """Uncancelled users of each receiver under the instantaneous order.
+
+    Written from the rule, not from the package's mask: user j stays as
+    noise at receiver k when j is in k's group and has the larger gain,
+    a tie going to the smaller index (the smaller index decodes first).
+    """
+    count = len(group_of)
+    return {
+        k: [
+            j
+            for j in range(count)
+            if j != k
+            and group_of[j] == group_of[k]
+            and (gains[j] > gains[k] or (gains[j] == gains[k] and j < k))
+        ]
+        for k in range(count)
+    }
+
+
+def givens_basis(size):
+    """Precoding vectors from pi/3 Givens rotations, in plain Python floats.
+
+    Composes the rotation over every coordinate pair (i, j), i < j, in
+    lexicographic order: right-multiplying by a Givens rotation mixes
+    columns i and j only. Returns the columns as rows, one per group.
+    """
+    cos, sin = math.cos(math.pi / 3.0), math.sin(math.pi / 3.0)
+    rotation = [[1.0 if r == c else 0.0 for c in range(size)] for r in range(size)]
+    for i in range(size - 1):
+        for j in range(i + 1, size):
+            for row in rotation:
+                left, right = row[i], row[j]
+                row[i] = cos * left + sin * right
+                row[j] = cos * right - sin * left
+    return [[rotation[r][t] for r in range(size)] for t in range(size)]
+
+
 EULER_GAMMA = 0.57721566490153286061
 
 
@@ -66,6 +105,12 @@ def _scaled_e1_series(z: float) -> float:
     return math.exp(z) * (-EULER_GAMMA - math.log(z) - total)
 
 
+# the Lentz factor settles within an ulp or two of 1, on either side: a
+# bound below one ulp (2.2e-16) never holds for some z above about 5e16
+_CF_TOLERANCE = 4.0 * sys.float_info.epsilon
+_CF_MAX_TERMS = 10_000
+
+
 def _scaled_e1_continued_fraction(z: float) -> float:
     """e^z * E1(z) = 1/(z+1 - 1/(z+3 - 4/(z+5 - ...))), modified Lentz."""
     tiny = 1e-300
@@ -73,17 +118,16 @@ def _scaled_e1_continued_fraction(z: float) -> float:
     c = 1.0 / tiny
     d = 1.0 / b
     result = d
-    i = 0
-    while True:
-        i += 1
+    for i in range(1, _CF_MAX_TERMS + 1):
         a = -float(i * i)
         b += 2.0
         d = 1.0 / (a * d + b)
         c = b + a / c
         delta = c * d
         result *= delta
-        if abs(delta - 1.0) < 1e-16:
+        if abs(delta - 1.0) <= _CF_TOLERANCE:
             return result
+    raise ArithmeticError(f"e^z E1(z) continued fraction did not converge at z = {z!r}")
 
 
 def scaled_e1(z: float) -> float:
@@ -118,6 +162,29 @@ def exact_sum_rates(distances, exponent, total_power, sigma2, noise_sets, slots)
         )
         tdma += scale * rayleigh_log_mean(total_power, mean) / len(distances)
     return hybrid, tdma
+
+
+def add_noise(rng, signal, noise):
+    """Add i.i.d. complex Gaussian noise of variance ``noise.variance`` per
+    entry: sigma^2/2 on each real axis, real parts drawn before imaginary."""
+    signal = np.asarray(signal)
+    scale = math.sqrt(noise.variance / 2.0)
+    re = rng.standard_normal(signal.shape)
+    im = rng.standard_normal(signal.shape)
+    return signal + scale * (re + 1j * im)
+
+
+def qpsk_demodulate(symbols):
+    """Hard-decide Gray QPSK symbols back to bits.
+
+    Sign of the real part gives the first bit of each pair, sign of the
+    imaginary part the second; exact zeros decide toward bit 0. A scalar
+    input yields the 2-element bit pair.
+    """
+    symbols = np.atleast_1d(np.asarray(symbols))
+    first = (symbols.real < 0).astype(np.int8)
+    second = (symbols.imag < 0).astype(np.int8)
+    return np.stack([first, second], axis=-1).reshape(symbols.shape[:-1] + (-1,))
 
 
 def qfunc(x: float) -> float:

@@ -16,24 +16,21 @@ import pytest
 from timnoma import (
     NoiseModel,
     SimConfig,
-    add_noise,
-    assemble_transmit,
     cancel_mask,
     decode,
     dof_total,
     draw_fading,
     emit_csv,
-    make_basis,
+    hybrid_rate_table,
+    mixing_matrix,
     project,
-    run_ber_experiment,
-    run_rate_experiment,
-    run_single_user_experiment,
-    user_rate,
+    run_experiment,
 )
 from timnoma.harness import WORKERS_ENV, replace
 from timnoma.modem import CONSTELLATION
 
 from helpers import (
+    add_noise,
     exact_sum_rates,
     matrix_rate_oracle,
     rayleigh_qpsk_ber,
@@ -53,13 +50,13 @@ def report(number: int, name: str, passed: bool, detail: str = "") -> None:
 @pytest.fixture(scope="module")
 def hybrid_ber():
     config = SimConfig(snr_grid_db=BER_GRID, experiment="ber")
-    return run_ber_experiment(config)
+    return run_experiment(config)
 
 
 @pytest.fixture(scope="module")
 def single_ber():
     config = SimConfig(snr_grid_db=BER_GRID, experiment="ber_single_user")
-    return run_single_user_experiment(config)
+    return run_experiment(config)
 
 
 def test_criterion_01_power_conservation(ref_topology, ref_power):
@@ -84,7 +81,7 @@ def test_criterion_02_projection_exactness(ref_topology, ref_power, ref_groups, 
     n = 10_000
     symbols = CONSTELLATION[rng.integers(0, 4, size=(5, n))]
     fading = draw_fading(rng, 5, blocks=n)
-    transmit = assemble_transmit(symbols, ref_power, ref_groups, ref_basis)
+    transmit = mixing_matrix(ref_power, ref_groups, ref_basis) @ symbols
     gamma = np.array([1.0 / d**3 for d in ref_topology.distances])
     roots = np.sqrt(np.asarray(ref_power.per_user))
     worst = 0.0
@@ -117,7 +114,7 @@ def test_criterion_03_genie_sic_cancellation(ref_topology, ref_power, ref_groups
     symbols = CONSTELLATION[rng.integers(0, 4, size=(5, n))]
     fading = draw_fading(rng, 5, blocks=n)
     noise = add_noise(rng, np.zeros((5, 2, n)), NoiseModel(0.5))
-    transmit = assemble_transmit(symbols, ref_power, ref_groups, ref_basis)
+    transmit = mixing_matrix(ref_power, ref_groups, ref_basis) @ symbols
     gamma = np.array([1.0 / d**3 for d in ref_topology.distances])
     channels = np.sqrt(gamma)[:, None] * fading
     received = channels[:, None, :] * transmit + noise
@@ -145,7 +142,7 @@ def test_criterion_04_single_user_rayleigh_oracle():
     config = SimConfig(
         distances=(1.0,), group_count=1, snr_grid_db=grid, experiment="ber"
     )
-    result = run_ber_experiment(config)
+    result = run_experiment(config)
     bits = config.frames * config.bits_per_frame
     assert bits >= 3_000_000
     worst_sigma = 0.0
@@ -236,9 +233,10 @@ def test_criterion_07_rate_golden_values(ref_topology, ref_power, ref_groups):
         0.1324467655631778,
     )
     oracle_consistent = all(abs(o - g) <= 1e-12 for o, g in zip(oracle, golden))
-    rates = [
-        user_rate(k, ref_topology, fading, ref_power, ref_groups, noise) for k in range(5)
-    ]
+    # one realization is the rate table at N = 1
+    rates = hybrid_rate_table(
+        ref_topology, ref_power, ref_groups, np.abs(fading)[None] ** 2, noise
+    )[0]
     within = all(abs(r - g) <= 1e-4 for r, g in zip(rates, golden))
     passed = oracle_consistent and within
     report(
@@ -256,7 +254,7 @@ def test_criterion_08_rate_ordering():
         snr_grid_db=tuple(float(s) for s in range(0, 71, 10)),
         experiment="rate",
     )
-    result = run_rate_experiment(config)
+    result = run_experiment(config)
     passed = True
     for snr in config.snr_grid_db:
         means = [result.row(snr, str(k + 1), "rate").value for k in range(5)]
@@ -277,7 +275,7 @@ def test_criterion_09_sum_rate_ratio_asymptote():
         snr_grid_db=tuple(float(s) for s in range(0, 71, 10)),
         experiment="ratio",
     )
-    result = run_rate_experiment(config)
+    result = run_experiment(config)
     rows = [result.row(snr, "sum", "rate_ratio") for snr in config.snr_grid_db]
     ratios = [row.value for row in rows]
 
@@ -333,10 +331,7 @@ def test_criterion_10_degrees_of_freedom():
 def test_criterion_11_byte_identical_csv(monkeypatch):
     def csv_for(config, workers):
         monkeypatch.setenv(WORKERS_ENV, str(workers))
-        if config.experiment == "ber":
-            result = run_ber_experiment(config)
-        else:
-            result = run_rate_experiment(config)
+        result = run_experiment(config)
         buffer = io.StringIO()
         emit_csv(result, buffer)
         return buffer.getvalue().encode()

@@ -10,15 +10,12 @@ from timnoma import (
     dof_total,
     draw_fading,
     hybrid_rate_table,
-    rate_ratio,
-    single_user_rate,
+    path_loss,
     single_user_rate_table,
-    squared_channel_gain,
-    tdma_sum_rate,
-    user_rate,
 )
 
 from helpers import (
+    instantaneous_noise_sets,
     matrix_rate_oracle,
     reference_group_vectors,
     reference_noise_sets,
@@ -26,6 +23,26 @@ from helpers import (
 
 UNIT_FADING = np.ones(5, dtype=complex)
 UNIT_NOISE = NoiseModel(1.0)
+
+
+def hybrid_rates(topology, power, groups, h, noise, order_mode="distance"):
+    """Per-user hybrid rates of one realization h: the table at N = 1."""
+    return hybrid_rate_table(topology, power, groups, np.abs(h)[None] ** 2, noise, order_mode)[0]
+
+
+def single_user_rates(topology, h, noise, total_power):
+    """Full-power single-user rates of one realization h: the table at N = 1."""
+    return single_user_rate_table(topology, np.abs(h)[None] ** 2, noise, total_power)[0]
+
+
+def tdma_sum(topology, h, noise, total_power):
+    """TDMA baseline sum rate: each user alone at full power for 1/K of the time."""
+    return float(np.mean(single_user_rates(topology, h, noise, total_power)))
+
+
+def channel_gain(topology, h, user):
+    """gamma_k |h_k|^2, computed by hand."""
+    return path_loss(topology, user) * abs(h[user]) ** 2
 
 # frozen from the brute-force matrix oracle below (independent evaluation)
 GOLDEN_RATES = (
@@ -39,31 +56,36 @@ GOLDEN_RATES = (
 
 class TestUserRate:
     def test_reference_cell_golden_values(self, ref_topology, ref_power, ref_groups):
-        for k, want in enumerate(GOLDEN_RATES):
-            got = user_rate(k, ref_topology, UNIT_FADING, ref_power, ref_groups, UNIT_NOISE)
+        rates = hybrid_rates(ref_topology, ref_power, ref_groups, UNIT_FADING, UNIT_NOISE)
+        for got, want in zip(rates, GOLDEN_RATES, strict=True):
             assert got == pytest.approx(want, abs=1e-9)
 
     def test_matches_matrix_oracle(self, ref_topology, ref_power, ref_groups):
+        # both decoding orders; the instantaneous noise sets come from the
+        # ranking rule in helpers, not from the package's cancel mask
         rng = np.random.default_rng(3)
         vectors = reference_group_vectors()
-        sets = reference_noise_sets()
         for _ in range(25):
             h = draw_fading(rng, 5)
             sigma2 = float(rng.uniform(0.01, 10.0))
-            oracle = matrix_rate_oracle(
-                ref_topology.distances, 3.0, 40.0, sigma2, h, sets, vectors
-            )
-            for k in range(5):
-                got = user_rate(
-                    k, ref_topology, h, ref_power, ref_groups, NoiseModel(sigma2)
+            gains = [channel_gain(ref_topology, h, k) for k in range(5)]
+            for order_mode, sets in (
+                ("distance", reference_noise_sets()),
+                ("instantaneous", instantaneous_noise_sets(gains, ref_groups.group_of)),
+            ):
+                oracle = matrix_rate_oracle(
+                    ref_topology.distances, 3.0, 40.0, sigma2, h, sets, vectors
                 )
-                assert got == pytest.approx(oracle[k], rel=1e-12)
+                got = hybrid_rates(
+                    ref_topology, ref_power, ref_groups, h, NoiseModel(sigma2), order_mode
+                )
+                np.testing.assert_allclose(got, oracle, rtol=1e-12, atol=0)
 
     def test_numerator_identity(self, ref_topology, ref_power, ref_groups, rng):
         # total * d^2/D * gain reduces exactly to P_k * gain
         h = draw_fading(rng, 5)
         for k in range(5):
-            gain = squared_channel_gain(ref_topology, h, k)
+            gain = channel_gain(ref_topology, h, k)
             d_sq = ref_topology.distances[k] ** 2
             share = d_sq / sum(d * d for d in ref_topology.distances)
             assert 40.0 * share * gain == pytest.approx(
@@ -73,76 +95,73 @@ class TestUserRate:
     def test_interference_structure(self, ref_topology, ref_power, ref_groups):
         # users 1 and 2 are interference-free; 3 absorbs 1; 4 absorbs 2; 5 absorbs 1 and 3
         sigma2 = 1.0
+        rates = hybrid_rates(ref_topology, ref_power, ref_groups, UNIT_FADING, UNIT_NOISE)
         for k, uncancelled in reference_noise_sets().items():
-            gain = squared_channel_gain(ref_topology, UNIT_FADING, k)
+            gain = channel_gain(ref_topology, UNIT_FADING, k)
             interference = gain * sum(ref_power.per_user[j] for j in uncancelled)
             expected = 0.5 * math.log2(
                 1 + ref_power.per_user[k] * gain / (interference + sigma2)
             )
-            got = user_rate(k, ref_topology, UNIT_FADING, ref_power, ref_groups, UNIT_NOISE)
-            assert got == pytest.approx(expected, rel=1e-14)
+            assert rates[k] == pytest.approx(expected, rel=1e-14)
 
     def test_vanishes_with_infinite_noise(self, ref_topology, ref_power, ref_groups):
         loud = NoiseModel(1e30)
-        for k in range(5):
-            assert user_rate(k, ref_topology, UNIT_FADING, ref_power, ref_groups, loud) < 1e-25
+        rates = hybrid_rates(ref_topology, ref_power, ref_groups, UNIT_FADING, loud)
+        assert np.all(rates < 1e-25)
 
     def test_monotone_in_noise_and_power(self, ref_topology, ref_groups):
         from timnoma import allocate_power
 
-        for k in range(5):
-            rates_in_noise = [
-                user_rate(
-                    k, ref_topology, UNIT_FADING, allocate_power(ref_topology, 40.0),
-                    ref_groups, NoiseModel(s2),
-                )
-                for s2 in (0.1, 1.0, 10.0, 100.0)
-            ]
-            assert all(a > b for a, b in zip(rates_in_noise, rates_in_noise[1:]))
-            rates_in_power = [
-                user_rate(
-                    k, ref_topology, UNIT_FADING, allocate_power(ref_topology, p),
-                    ref_groups, UNIT_NOISE,
-                )
-                for p in (1.0, 10.0, 40.0, 400.0)
-            ]
-            assert all(a < b for a, b in zip(rates_in_power, rates_in_power[1:]))
+        rates_in_noise = [
+            hybrid_rates(
+                ref_topology, allocate_power(ref_topology, 40.0), ref_groups, UNIT_FADING,
+                NoiseModel(s2),
+            )
+            for s2 in (0.1, 1.0, 10.0, 100.0)
+        ]
+        assert all(np.all(a > b) for a, b in zip(rates_in_noise, rates_in_noise[1:]))
+        rates_in_power = [
+            hybrid_rates(
+                ref_topology, allocate_power(ref_topology, p), ref_groups, UNIT_FADING,
+                UNIT_NOISE,
+            )
+            for p in (1.0, 10.0, 40.0, 400.0)
+        ]
+        assert all(np.all(a < b) for a, b in zip(rates_in_power, rates_in_power[1:]))
 
     def test_instantaneous_order_changes_interference(self, ref_topology, ref_power, ref_groups):
         # boost user 4's fading far above user 0 and 2: it becomes interference-free
         h = np.array([0.01 + 0j, 1.0, 0.01, 1.0, 100.0])
-        instant = user_rate(
-            4, ref_topology, h, ref_power, ref_groups, UNIT_NOISE, order_mode="instantaneous"
-        )
-        gain = squared_channel_gain(ref_topology, h, 4)
+        instant = hybrid_rates(
+            ref_topology, ref_power, ref_groups, h, UNIT_NOISE, order_mode="instantaneous"
+        )[4]
+        gain = channel_gain(ref_topology, h, 4)
         assert instant == pytest.approx(0.5 * math.log2(1 + ref_power.per_user[4] * gain), rel=1e-12)
 
     def test_rejects_unknown_order_mode(self, ref_topology, ref_power, ref_groups):
         with pytest.raises(ValidationError):
-            user_rate(
-                0, ref_topology, UNIT_FADING, ref_power, ref_groups, UNIT_NOISE, order_mode="static"
+            hybrid_rates(
+                ref_topology, ref_power, ref_groups, UNIT_FADING, UNIT_NOISE, order_mode="static"
             )
 
 
 class TestSingleUserRate:
     def test_nearest_user(self, ref_topology):
         want = 0.5 * math.log2(321.0)
-        assert single_user_rate(0, ref_topology, UNIT_FADING, UNIT_NOISE, 40.0) == pytest.approx(
-            want, rel=1e-14
-        )
+        got = single_user_rates(ref_topology, UNIT_FADING, UNIT_NOISE, 40.0)[0]
+        assert got == pytest.approx(want, rel=1e-14)
 
     def test_zero_power(self, ref_topology):
-        assert single_user_rate(0, ref_topology, UNIT_FADING, UNIT_NOISE, 0.0) == 0.0
+        assert single_user_rates(ref_topology, UNIT_FADING, UNIT_NOISE, 0.0)[0] == 0.0
 
     def test_dominates_hybrid_rate(self, ref_topology, ref_power, ref_groups, rng):
         for _ in range(50):
             h = draw_fading(rng, 5)
             sigma2 = float(rng.uniform(0.01, 10.0))
             noise = NoiseModel(sigma2)
-            for k in range(5):
-                solo = single_user_rate(k, ref_topology, h, noise, 40.0)
-                hybrid = user_rate(k, ref_topology, h, ref_power, ref_groups, noise)
-                assert solo >= hybrid
+            solo = single_user_rates(ref_topology, h, noise, 40.0)
+            hybrid = hybrid_rates(ref_topology, ref_power, ref_groups, h, noise)
+            assert np.all(solo >= hybrid)
 
 
 class TestTdmaSumRate:
@@ -150,7 +169,7 @@ class TestTdmaSumRate:
         # independent arithmetic: mean of the five full-power rates
         gammas = [1.0 / d**3 for d in ref_topology.distances]
         want = sum(0.5 * math.log2(1 + 40.0 * g) for g in gammas) / 5
-        got = tdma_sum_rate(ref_topology, UNIT_FADING, UNIT_NOISE, 40.0)
+        got = tdma_sum(ref_topology, UNIT_FADING, UNIT_NOISE, 40.0)
         assert got == pytest.approx(want, rel=1e-14)
         assert got == pytest.approx(1.5318035, abs=1e-6)
 
@@ -159,13 +178,13 @@ class TestTdmaSumRate:
 
         topo = build_topology([1.0], 5.0, 3, 1)
         h = np.ones(1, dtype=complex)
-        assert tdma_sum_rate(topo, h, UNIT_NOISE, 40.0) == single_user_rate(
-            0, topo, h, UNIT_NOISE, 40.0
-        )
+        assert tdma_sum(topo, h, UNIT_NOISE, 40.0) == single_user_rates(
+            topo, h, UNIT_NOISE, 40.0
+        )[0]
 
     def test_monotone_in_channel_gain(self, ref_topology):
-        base = tdma_sum_rate(ref_topology, UNIT_FADING, UNIT_NOISE, 40.0)
-        boosted = tdma_sum_rate(ref_topology, np.sqrt(2.0) * UNIT_FADING, UNIT_NOISE, 40.0)
+        base = tdma_sum(ref_topology, UNIT_FADING, UNIT_NOISE, 40.0)
+        boosted = tdma_sum(ref_topology, np.sqrt(2.0) * UNIT_FADING, UNIT_NOISE, 40.0)
         assert boosted > base
 
 
@@ -190,31 +209,19 @@ class TestDofTotal:
 
 
 class TestRateRatio:
-    def test_equal_inputs(self):
-        assert rate_ratio(1.2345, 1.2345) == 1.0
-
-    def test_double(self):
-        assert rate_ratio(4.0, 2.0) == 2.0
-
     def test_reference_composition(self, ref_topology, ref_power, ref_groups):
-        hybrid = sum(
-            user_rate(k, ref_topology, UNIT_FADING, ref_power, ref_groups, UNIT_NOISE)
-            for k in range(5)
+        hybrid = float(
+            np.sum(hybrid_rates(ref_topology, ref_power, ref_groups, UNIT_FADING, UNIT_NOISE))
         )
-        baseline = tdma_sum_rate(ref_topology, UNIT_FADING, UNIT_NOISE, 40.0)
+        baseline = tdma_sum(ref_topology, UNIT_FADING, UNIT_NOISE, 40.0)
         assert hybrid == pytest.approx(1.672039, abs=1e-6)
-        assert rate_ratio(hybrid, baseline) == pytest.approx(1.091549, abs=1e-6)
-
-    def test_rejects_non_positive_baseline(self):
-        with pytest.raises(ValidationError):
-            rate_ratio(1.0, 0.0)
-        with pytest.raises(ValidationError):
-            rate_ratio(1.0, -2.0)
+        assert hybrid / baseline == pytest.approx(1.091549, abs=1e-6)
 
 
 class TestRateTables:
     @pytest.mark.parametrize("order_mode", ["distance", "instantaneous"])
     def test_matches_scalar_rates(self, ref_topology, ref_power, ref_groups, order_mode):
+        # every row of a batch against the matrix oracle for its realization
         rng = np.random.default_rng(7)
         fading = draw_fading(rng, 5, blocks=64).T
         noise = NoiseModel(0.37)
@@ -222,11 +229,16 @@ class TestRateTables:
             ref_topology, ref_power, ref_groups, np.abs(fading) ** 2, noise, order_mode
         )
         for n in range(0, 64, 7):
-            for k in range(5):
-                scalar = user_rate(
-                    k, ref_topology, fading[n], ref_power, ref_groups, noise, order_mode
-                )
-                assert table[n, k] == pytest.approx(scalar, rel=1e-12)
+            if order_mode == "distance":
+                sets = reference_noise_sets()
+            else:
+                gains = [channel_gain(ref_topology, fading[n], k) for k in range(5)]
+                sets = instantaneous_noise_sets(gains, ref_groups.group_of)
+            oracle = matrix_rate_oracle(
+                ref_topology.distances, 3.0, 40.0, noise.variance, fading[n], sets,
+                reference_group_vectors(),
+            )
+            np.testing.assert_allclose(table[n], oracle, rtol=1e-12, atol=0)
 
     def test_single_user_table_matches_scalar(self, ref_topology):
         rng = np.random.default_rng(8)
@@ -235,8 +247,8 @@ class TestRateTables:
         table = single_user_rate_table(ref_topology, np.abs(fading) ** 2, noise, 40.0)
         for n in range(0, 32, 5):
             for k in range(5):
-                scalar = single_user_rate(k, ref_topology, fading[n], noise, 40.0)
-                assert table[n, k] == pytest.approx(scalar, rel=1e-12)
+                snr = 40.0 * channel_gain(ref_topology, fading[n], k) / noise.variance
+                assert table[n, k] == pytest.approx(0.5 * math.log2(1 + snr), rel=1e-12)
 
     @pytest.mark.parametrize("order_mode", ["distance", "instantaneous"])
     def test_leaves_input_unwritten_and_ignores_layout(
@@ -300,7 +312,7 @@ class TestRateTables:
                 ref_topology, ref_power, ref_groups, fading_power, noise
             ).sum(axis=1).mean()
             baseline = single_user_rate_table(ref_topology, fading_power, noise, 40.0).mean()
-            ratio = rate_ratio(float(hybrid), float(baseline))
+            ratio = float(hybrid) / float(baseline)
             assert 1.9 < ratio < 2.5
             deviations.append(abs(ratio - 2.0))
         assert deviations[0] > deviations[1] > deviations[2]

@@ -3,16 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from timnoma import (
-    NoiseModel,
-    ValidationError,
-    add_noise,
-    build_topology,
-    channel_matrix,
-    draw_fading,
-    draw_fading_power,
-    effective_gain,
-)
+from timnoma import NoiseModel, ValidationError, draw_fading, draw_fading_power
+
+from helpers import add_noise
 
 
 class TestDrawFading:
@@ -76,32 +69,6 @@ class TestDrawFadingPower:
             draw_fading_power(rng, 0, 5)
 
 
-class TestChannelMatrix:
-    def test_unit_channel_is_identity(self):
-        topo = build_topology([1.0, 2.0], 5.0, 3, 2)
-        h = np.array([1.0 + 0j, 0.3 + 0.1j])
-        np.testing.assert_allclose(channel_matrix(topo, h, 0), np.eye(2), atol=1e-15)
-
-    def test_scales_with_square_root_path_loss(self, ref_topology):
-        h = np.ones(5, dtype=complex)
-        got = channel_matrix(ref_topology, h, 0)
-        np.testing.assert_allclose(got, np.sqrt(8.0) * np.eye(2), rtol=1e-14)
-
-    def test_acts_as_a_scalar(self, ref_topology, rng):
-        h = draw_fading(rng, 5)
-        matrix = channel_matrix(ref_topology, h, 2)
-        vector = rng.standard_normal(2)
-        vector /= np.linalg.norm(vector)
-        scale = np.sqrt(1.0 / 2.5**3) * h[2]
-        np.testing.assert_allclose(matrix @ vector, scale * vector, rtol=1e-14)
-        other = rng.standard_normal((2, 2))
-        np.testing.assert_allclose(matrix @ other, other @ matrix, rtol=1e-14)
-
-    def test_out_of_range_user(self, ref_topology):
-        with pytest.raises(IndexError):
-            channel_matrix(ref_topology, np.ones(5, dtype=complex), 9)
-
-
 class TestAddNoise:
     def test_noiseless_limit(self, rng):
         signal = np.array([1 + 1j, -2 + 0.5j])
@@ -123,21 +90,6 @@ class TestAddNoise:
             NoiseModel(0.0)
         with pytest.raises(ValidationError):
             NoiseModel(-1.0)
-
-
-class TestEffectiveGain:
-    def test_unit_everything(self):
-        topo = build_topology([1.0], 5.0, 3, 1)
-        assert effective_gain(topo, np.array([1.0 + 0j]), 0, NoiseModel(1.0)) == 1.0
-
-    def test_matches_path_loss_for_unit_fading(self, ref_topology):
-        gain = effective_gain(ref_topology, np.ones(5, dtype=complex), 0, NoiseModel(1.0))
-        assert gain == pytest.approx(8.0, rel=1e-14)
-
-    def test_magnitude_and_noise_scaling(self):
-        topo = build_topology([1.0], 5.0, 3, 1)
-        gain = effective_gain(topo, np.array([2j]), 0, NoiseModel(2.0))
-        assert gain == pytest.approx(2.0, rel=1e-14)
 
 
 class TestProjectionKeepsNoiseWhite:

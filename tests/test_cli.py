@@ -102,6 +102,9 @@ class TestCliErrors:
             (["rate", "--frames", "1", "--snr", "10"], None, "frames"),
             (["ber", "--frames", "1", "--snr", "4000"], None, "snr_grid"),
             (["rate", "--frames", "2", "--snr", "10"], "total_power = inf\n", "total_power"),
+            # the removed single-value knob is an unknown key like any other
+            (["ratio", "--frames", "2", "--snr", "10"],
+             "tdma_baseline_mode = full_power_time_share\n", "tdma_baseline_mode"),
         ],
     )
     def test_unrunnable_config_exits_one(self, argv, config_text, fragment, tmp_path, capsys):

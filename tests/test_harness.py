@@ -16,10 +16,7 @@ from timnoma import (
     parse_config,
     parse_config_text,
     parse_snr_grid,
-    run_ber_experiment,
     run_experiment,
-    run_rate_experiment,
-    run_single_user_experiment,
 )
 from timnoma.harness import WORKERS_ENV, replace
 
@@ -64,7 +61,7 @@ class TestSimConfig:
             ({"seed": -1}, "seed"),
             ({"decoding_order_mode": "sorted"}, "decoding_order_mode"),
             ({"fading_mode": "static"}, "fading_mode"),
-            ({"tdma_baseline_mode": "orthogonal"}, "tdma_baseline_mode"),
+            ({"experiment": "rate_single_user", "frames": 1}, "frames"),
             ({"experiment": "throughput"}, "experiment"),
             ({"distances": (2.0, 1.0)}, "strictly increasing"),
             ({"total_power": -1.0}, "total_power"),
@@ -201,12 +198,12 @@ class TestEmitCsv:
 class TestBerExperiment:
     def test_noiseless_limit_is_error_free(self):
         config = replace(TINY_BER, snr_grid_db=(200.0,))
-        result = run_ber_experiment(config)
+        result = run_experiment(config)
         for row in result.rows:
             assert row.value == 0.0
 
     def test_row_layout_and_pooled_sum(self):
-        result = run_ber_experiment(TINY_BER)
+        result = run_experiment(TINY_BER)
         entities = [row.entity for row in result.rows if row.snr_db == 20.0]
         assert entities == ["1", "2", "3", "4", "5", "sum"]
         per_user = [row.value for row in result.rows if row.snr_db == 20.0][:5]
@@ -217,41 +214,37 @@ class TestBerExperiment:
         assert result.row(20.0, "sum", "ber").samples == 5 * bits
 
     def test_binomial_stderr(self):
-        result = run_ber_experiment(TINY_BER)
+        result = run_experiment(TINY_BER)
         row = result.row(20.0, "1", "ber")
         assert row.stderr == pytest.approx(
             math.sqrt(row.value * (1 - row.value) / row.samples), rel=1e-12
         )
 
     def test_deterministic_given_seed(self):
-        first = run_ber_experiment(TINY_BER)
-        second = run_ber_experiment(TINY_BER)
+        first = run_experiment(TINY_BER)
+        second = run_experiment(TINY_BER)
         assert csv_bytes(first) == csv_bytes(second)
 
     def test_seed_changes_results(self):
         moderate = replace(TINY_BER, snr_grid_db=(20.0,))
-        assert csv_bytes(run_ber_experiment(moderate)) != csv_bytes(
-            run_ber_experiment(replace(moderate, seed=43))
+        assert csv_bytes(run_experiment(moderate)) != csv_bytes(
+            run_experiment(replace(moderate, seed=43))
         )
 
     def test_worker_count_does_not_change_bytes(self, monkeypatch):
         monkeypatch.setenv(WORKERS_ENV, "1")
-        serial = csv_bytes(run_ber_experiment(TINY_BER))
+        serial = csv_bytes(run_experiment(TINY_BER))
         monkeypatch.setenv(WORKERS_ENV, "2")
-        parallel = csv_bytes(run_ber_experiment(TINY_BER))
+        parallel = csv_bytes(run_experiment(TINY_BER))
         assert serial == parallel
 
     def test_invalid_worker_env(self, monkeypatch):
         monkeypatch.setenv(WORKERS_ENV, "many")
         with pytest.raises(ConfigError):
-            run_ber_experiment(TINY_BER)
+            run_experiment(TINY_BER)
         monkeypatch.setenv(WORKERS_ENV, "0")
         with pytest.raises(ConfigError):
-            run_ber_experiment(TINY_BER)
-
-    def test_requires_matching_experiment(self):
-        with pytest.raises(ConfigError):
-            run_ber_experiment(replace(TINY_BER, experiment="rate"))
+            run_experiment(TINY_BER)
 
     @pytest.mark.parametrize("order_mode", ["distance", "instantaneous"])
     @pytest.mark.parametrize("fading_mode", ["block", "frame"])
@@ -262,19 +255,19 @@ class TestBerExperiment:
             decoding_order_mode=order_mode,
             fading_mode=fading_mode,
         )
-        result = run_ber_experiment(config)
+        result = run_experiment(config)
         assert all(0.0 <= row.value <= 1.0 for row in result.rows)
 
     def test_ber_shrinks_with_snr(self):
         config = replace(TINY_BER, frames=12, snr_grid_db=(10.0, 40.0))
-        result = run_ber_experiment(config)
+        result = run_experiment(config)
         assert result.row(40.0, "sum", "ber").value < result.row(10.0, "sum", "ber").value
 
 
 class TestSingleUserExperiment:
     def test_row_layout_has_no_sum(self):
         config = replace(TINY_BER, experiment="ber_single_user")
-        result = run_single_user_experiment(config)
+        result = run_experiment(config)
         entities = {row.entity for row in result.rows}
         assert entities == {"1", "2", "3", "4", "5"}
         assert all(row.metric == "ber_single" for row in result.rows)
@@ -287,8 +280,8 @@ class TestSingleUserExperiment:
             frames=4,
             snr_grid_db=(6.0, 10.0),
         )
-        hybrid = run_ber_experiment(replace(base, experiment="ber"))
-        single = run_single_user_experiment(replace(base, experiment="ber_single_user"))
+        hybrid = run_experiment(replace(base, experiment="ber"))
+        single = run_experiment(replace(base, experiment="ber_single_user"))
         for snr in base.snr_grid_db:
             assert (
                 hybrid.row(snr, "1", "ber").value
@@ -299,26 +292,22 @@ class TestSingleUserExperiment:
         config = replace(
             TINY_BER, experiment="rate_single_user", frames=2000, snr_grid_db=(10.0,)
         )
-        result = run_single_user_experiment(config)
+        result = run_experiment(config)
         assert {row.metric for row in result.rows} == {"rate_single"}
         # full-power single-user rate dominates the hybrid per-user rate
-        hybrid = run_rate_experiment(replace(config, experiment="rate"))
+        hybrid = run_experiment(replace(config, experiment="rate"))
         for k in range(5):
             assert (
                 result.row(10.0, str(k + 1), "rate_single").value
                 > hybrid.row(10.0, str(k + 1), "rate").value
             )
 
-    def test_requires_matching_experiment(self):
-        with pytest.raises(ConfigError):
-            run_single_user_experiment(TINY_BER)
-
     def test_worker_count_does_not_change_bytes(self, monkeypatch):
         config = replace(TINY_BER, experiment="ber_single_user", snr_grid_db=(10.0, 20.0, 30.0))
         monkeypatch.setenv(WORKERS_ENV, "1")
-        serial = csv_bytes(run_single_user_experiment(config))
+        serial = csv_bytes(run_experiment(config))
         monkeypatch.setenv(WORKERS_ENV, "2")
-        parallel = csv_bytes(run_single_user_experiment(config))
+        parallel = csv_bytes(run_experiment(config))
         assert serial == parallel
 
 
@@ -326,14 +315,14 @@ class TestRateExperiment:
     RATE_CONFIG = SimConfig(frames=4000, snr_grid_db=(0.0, 20.0), experiment="rate")
 
     def test_row_layout_and_sum_consistency(self):
-        result = run_rate_experiment(self.RATE_CONFIG)
+        result = run_experiment(self.RATE_CONFIG)
         entities = [row.entity for row in result.rows if row.snr_db == 0.0]
         assert entities == ["1", "2", "3", "4", "5", "sum"]
         per_user = [result.row(0.0, str(k + 1), "rate").value for k in range(5)]
         assert result.row(0.0, "sum", "rate").value == pytest.approx(sum(per_user), rel=1e-12)
 
     def test_rates_grow_with_snr(self):
-        result = run_rate_experiment(self.RATE_CONFIG)
+        result = run_experiment(self.RATE_CONFIG)
         for k in range(5):
             assert (
                 result.row(20.0, str(k + 1), "rate").value
@@ -341,13 +330,13 @@ class TestRateExperiment:
             )
 
     def test_deterministic(self):
-        assert csv_bytes(run_rate_experiment(self.RATE_CONFIG)) == csv_bytes(
-            run_rate_experiment(self.RATE_CONFIG)
+        assert csv_bytes(run_experiment(self.RATE_CONFIG)) == csv_bytes(
+            run_experiment(self.RATE_CONFIG)
         )
 
     def test_ratio_rows_are_consistent(self):
         config = replace(self.RATE_CONFIG, experiment="ratio")
-        result = run_rate_experiment(config)
+        result = run_experiment(config)
         for snr in config.snr_grid_db:
             hybrid = result.row(snr, "sum", "rate_hybrid").value
             baseline = result.row(snr, "sum", "rate_tdma").value
@@ -358,14 +347,10 @@ class TestRateExperiment:
     def test_worker_count_does_not_change_bytes(self, monkeypatch):
         config = replace(self.RATE_CONFIG, experiment="ratio", frames=500)
         monkeypatch.setenv(WORKERS_ENV, "1")
-        serial = csv_bytes(run_rate_experiment(config))
+        serial = csv_bytes(run_experiment(config))
         monkeypatch.setenv(WORKERS_ENV, "3")
-        parallel = csv_bytes(run_rate_experiment(config))
+        parallel = csv_bytes(run_experiment(config))
         assert serial == parallel
-
-    def test_requires_matching_experiment(self):
-        with pytest.raises(ConfigError):
-            run_rate_experiment(TINY_BER)
 
 
 class TestRatesAgainstClosedForm:
@@ -376,7 +361,7 @@ class TestRatesAgainstClosedForm:
 
     def test_hybrid_sum_rate(self):
         config = replace(self.CONFIG, experiment="rate")
-        result = run_rate_experiment(config)
+        result = run_experiment(config)
         for snr in config.snr_grid_db:
             exact, _tdma = exact_sum_rates(
                 config.distances, 3.0, 40.0, config.noise_variance(snr), reference_noise_sets(), 2
@@ -386,7 +371,7 @@ class TestRatesAgainstClosedForm:
 
     def test_single_user_rates(self):
         config = replace(self.CONFIG, experiment="rate_single_user")
-        result = run_single_user_experiment(config)
+        result = run_experiment(config)
         for snr in config.snr_grid_db:
             sigma2 = config.noise_variance(snr)
             for k, d in enumerate(config.distances):

@@ -6,8 +6,12 @@ import numpy as np
 import pytest
 
 from helpers import (
+    V1,
+    V2,
     _scaled_e1_continued_fraction,
     _scaled_e1_series,
+    givens_basis,
+    instantaneous_noise_sets,
     rayleigh_log_mean,
     scaled_e1,
 )
@@ -23,6 +27,14 @@ def test_scaled_e1_standard_values(z, e1):
 
 def test_scaled_e1_large_argument():
     assert scaled_e1(10.0) == pytest.approx(0.09156333393979, rel=1e-12)
+
+
+def test_scaled_e1_returns_and_is_asymptotic_for_huge_arguments():
+    # a stop test tighter than one ulp never holds at 3 of these 97 points
+    for z in np.logspace(8, 20, 97):
+        z = float(z)
+        asymptotic = 1.0 / z - 1.0 / z**2 + 2.0 / z**3 - 6.0 / z**4
+        assert scaled_e1(z) == pytest.approx(asymptotic, rel=1e-14)
 
 
 def test_scaled_e1_continuous_across_branch_point():
@@ -51,3 +63,16 @@ def test_rayleigh_log_mean_matches_quadrature():
     quadrature = float(np.sum((integrand[1:] + integrand[:-1]) * np.diff(x)) / 2.0)
     assert rayleigh_log_mean(a, mean) == pytest.approx(quadrature, rel=1e-8)
     assert rayleigh_log_mean(0.0, mean) == 0.0
+
+
+def test_instantaneous_noise_sets_follow_the_ranking_rule():
+    # one group: user 1 is strongest; users 0 and 2 tie, so 0 decodes first
+    assert instantaneous_noise_sets((2.0, 5.0, 2.0), (0, 0, 0)) == {0: [1], 1: [], 2: [0, 1]}
+    # other groups never enter a noise set
+    assert instantaneous_noise_sets((1.0, 9.0, 3.0), (0, 1, 0)) == {0: [2], 1: [], 2: []}
+
+
+def test_givens_basis_two_groups_is_the_pi_over_3_rotation():
+    np.testing.assert_allclose(givens_basis(2), [V1, V2], atol=1e-15)
+    vectors = np.array(givens_basis(5))
+    np.testing.assert_allclose(vectors @ vectors.T, np.eye(5), atol=1e-14)

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from timnoma import ValidationError, qpsk_demodulate, qpsk_modulate
+from timnoma import ValidationError, qpsk_modulate
 
-from helpers import awgn_qpsk_ber
+from helpers import awgn_qpsk_ber, qpsk_demodulate
 
 AMP = 1.0 / math.sqrt(2.0)
 

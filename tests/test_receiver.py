@@ -8,22 +8,20 @@ from timnoma import (
     GroupAssignment,
     NoiseModel,
     ValidationError,
-    add_noise,
     allocate_power,
-    assemble_transmit,
     assign_groups,
     build_topology,
     cancel_mask,
     decode,
     draw_fading,
     make_basis,
+    mixing_matrix,
     ml_detect,
     path_loss,
     project,
-    qpsk_demodulate,
 )
 
-from helpers import minimum_distance_detect, reference_sic_bits
+from helpers import add_noise, minimum_distance_detect, qpsk_demodulate, reference_sic_bits
 
 
 def random_symbols(rng, shape):
@@ -53,7 +51,7 @@ def bank_signal(topology, power, groups, basis, symbols, fading, noise=None):
     count = topology.user_count
     gamma = np.array([path_loss(topology, k) for k in range(count)])
     channels = np.sqrt(gamma)[:, None] * np.reshape(fading, (count, -1))
-    received = channels[:, None, :] * assemble_transmit(symbols, power, groups, basis)
+    received = channels[:, None, :] * (mixing_matrix(power, groups, basis) @ symbols)
     if noise is not None:
         received = received + noise
     return project(received, basis, np.asarray(groups.group_of)), channels
@@ -276,7 +274,7 @@ class TestProjectionEquivalence:
         n = 10_000
         symbols = random_symbols(rng, (5, n))
         fading = draw_fading(rng, 5, blocks=n)
-        x = assemble_transmit(symbols, ref_power, ref_groups, ref_basis)
+        x = mixing_matrix(ref_power, ref_groups, ref_basis) @ symbols
         gamma = np.array([1.0 / d**3 for d in ref_topology.distances])
         roots = np.sqrt(np.asarray(ref_power.per_user))
         for user in range(5):
@@ -315,7 +313,7 @@ class TestPerBlockSic:
         )
         symbols = CONSTELLATION[np.zeros((5, 2), dtype=int)]
         symbols[4] = CONSTELLATION[3]  # strongest-power signal points the other way
-        x = assemble_transmit(symbols, ref_power, ref_groups, ref_basis)
+        x = mixing_matrix(ref_power, ref_groups, ref_basis) @ symbols
         channels = np.ones((5, 1), dtype=complex)
         signal = project(np.broadcast_to(x, (5,) + x.shape), ref_basis, np.asarray(ref_groups.group_of))
         bits = decode(signal, channels, amplitudes(ref_power), cancel_mask(ref_groups, gains))
