@@ -7,11 +7,14 @@ decoding order (the ones it cannot cancel) plus noise; projection removed
 every other group exactly, so no inter-group term ever appears.
 
 Both rate formulas are (N, K) tables over N fading realizations; the rates
-of one realization are the N = 1 table.
+of one realization are the N = 1 table. Each takes the rate as
+log1p(SINR) / (T ln 2), which keeps an SINR below one ulp of 1 from
+rounding to a zero rate at very low SNR.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -81,9 +84,8 @@ def hybrid_rate_table(
     interference += noise.variance
     out *= p
     out /= interference  # SINR
-    out += 1.0
-    np.log2(out, out=out)
-    out /= topology.group_count
+    np.log1p(out, out=out)
+    out *= 1.0 / (topology.group_count * math.log(2.0))
     return out
 
 
@@ -103,7 +105,6 @@ def single_user_rate_table(
     out = _channel_gains(topology, fading_power)
     out *= total_power
     out /= noise.variance
-    out += 1.0
-    np.log2(out, out=out)
-    out /= topology.group_count
+    np.log1p(out, out=out)
+    out *= 1.0 / (topology.group_count * math.log(2.0))
     return out

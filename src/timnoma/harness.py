@@ -24,6 +24,12 @@ noise variance at fixed transmit power. Every (seed, SNR index, frame)
 triple seeds an independent substream, so results are byte-identical for
 any worker count. The ``TIMNOMA_WORKERS`` environment variable caps the
 process pool; unset means one worker per SNR point up to the CPU count.
+
+A BER frame is simulated on the derotated real baseband (see ``receiver``):
+projection cancels the other groups exactly, so receiver k's signal on
+each real axis is |g_k| times its group's superposed levels plus
+N(0, sigma^2/2) noise. Each frame draws the power gains |h|^2, then the
+bits, then one (K, S, 2) block of standard normals for the noise.
 """
 
 from __future__ import annotations
@@ -31,17 +37,16 @@ from __future__ import annotations
 import dataclasses
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .analytics import ORDER_MODES, hybrid_rate_table, single_user_rate_table
-from .channel import NoiseModel, draw_fading, draw_fading_power
+from .channel import NoiseModel, draw_fading_power
 from .errors import ConfigError, ValidationError
 from .modem import qpsk_modulate
-from .precoding import make_basis, mixing_matrix
-from .receiver import cancel_mask, decode, project
+from .receiver import cancel_mask, decode
 from .topology import allocate_power, assign_groups, build_topology, path_loss
 
 WORKERS_ENV = "TIMNOMA_WORKERS"
@@ -125,16 +130,23 @@ class SimConfig:
         if self.experiment not in EXPERIMENTS:
             problems.append(f"experiment must be one of {EXPERIMENTS}")
         if not problems:
-            try:
-                _scene(self)
-            except ValidationError as exc:
-                problems.append(str(exc))
+            # the fields passed, so the scene's constructors cannot refuse it
+            topo, _groups, power = _scene(self)
             for snr in self.snr_grid_db:
                 try:
-                    NoiseModel(self.noise_variance(snr))
+                    variance = NoiseModel(self.noise_variance(snr)).variance
                 except (ValidationError, OverflowError):
                     problems.append(
                         f"snr_grid value {snr!r} dB gives no positive finite noise variance"
+                    )
+                    continue
+                # a rate, or a ratio of rates, has no value once a user's
+                # mean SNR is 0 or has lost its precision as a subnormal
+                snrs = [p * path_loss(topo, k) / variance for k, p in enumerate(power.per_user)]
+                if min(snrs) < sys.float_info.min:
+                    problems.append(
+                        f"snr_grid value {snr!r} dB gives user {snrs.index(min(snrs)) + 1} "
+                        "a mean SNR P_k*gamma_k/sigma^2 that is 0 or subnormal"
                     )
         if problems:
             raise ConfigError("invalid config: " + "; ".join(problems))
@@ -279,6 +291,9 @@ def _map_points(point_fn, config: SimConfig) -> list:
     workers = _worker_count(len(points))
     if workers == 1:
         return [point_fn(config, index, snr) for index, snr in points]
+    # imported here: a one-worker run never pays for the process machinery
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(point_fn, config, index, snr) for index, snr in points]
         return [future.result() for future in futures]
@@ -290,69 +305,68 @@ def _scene(config: SimConfig):
     )
     groups = assign_groups(topo)
     power = allocate_power(topo, config.total_power)
-    basis = make_basis(topo.group_count)
-    return topo, groups, power, basis
+    return topo, groups, power
 
 
-def _noiseless_received(out, mix, symbols, channels, single_user: bool) -> None:
-    """Fill ``out[k, t, s]`` with receiver k's noiseless signal: its channel
-    times the transmit, or in a single-user run times its own mixing column
-    alone (with one user this is the hybrid transmit itself).
+def _received(symbols, channels, amplitudes, groups, single_user: bool) -> np.ndarray:
+    """Every receiver's noiseless derotated signal, (K, S, 2) real.
 
-    The symbols and the transmit die on return, so they are not alive while
-    the next frame draws its fading and bits.
+    Receiver k sees |g_k| times the superposed levels sqrt(P_j) x_j of its
+    own group, which is what is left of the transmit after projection; in a
+    single-user run it sees its own level alone. ``symbols`` are the (K, S)
+    QPSK symbols, read as their real and imaginary levels.
     """
+    count, symbols_per_user = symbols.shape
+    levels = symbols.view(np.float64).reshape(count, symbols_per_user, 2)
     if single_user:
-        np.multiply(mix.T[:, :, np.newaxis], symbols[:, np.newaxis, :], out=out)
-        out *= channels[:, np.newaxis, :]
+        signal = levels * amplitudes[:, np.newaxis, np.newaxis]
     else:
-        transmit = np.sum(mix[:, :, np.newaxis] * symbols, axis=1)  # (T, S)
-        np.multiply(channels[:, np.newaxis, :], transmit, out=out)
+        totals = np.zeros((groups.group_count, symbols_per_user, 2))
+        for user, group in enumerate(groups.group_of):
+            totals[group] += amplitudes[user] * levels[user]
+        signal = totals[list(groups.group_of)]
+    signal *= channels[:, :, np.newaxis]
+    return signal
 
 
 def _ber_counts(config: SimConfig, snr_index: int, snr_db: float) -> np.ndarray:
     """Per-user bit error counts accumulated over all frames of one point.
 
     Every frame decodes all K receivers at once; in a single-user run each
-    receiver hears only its own signal. The transmit sum, the solo
-    transmits and the projection are broadcast sums over axes of length at
-    most K, so no BLAS call runs per frame.
+    receiver hears only its own signal. The group sums are loops over at
+    most K users and the rest is elementwise, so no BLAS call runs per
+    frame.
     """
-    topo, groups, power, basis = _scene(config)
+    topo, groups, power = _scene(config)
     count = topo.user_count
     symbols_per_frame = config.bits_per_frame // 2
     gamma = np.array([path_loss(topo, k) for k in range(count)])
     amp = np.sqrt(np.asarray(power.per_user))
-    mix = mixing_matrix(power, groups, basis)  # (T, K)
-    group_of = np.asarray(groups.group_of)
     noise = NoiseModel(config.noise_variance(snr_db))
     scale = math.sqrt(noise.variance / 2.0)
     single_user = config.experiment == "ber_single_user"
-    blocks = symbols_per_frame if config.fading_mode == "block" else None
+    blocks = symbols_per_frame if config.fading_mode == "block" else 1
     per_frame_order = config.decoding_order_mode == "instantaneous" and not single_user
     if single_user:
         cancel = np.zeros((count, count, 1), dtype=bool)
     else:
         cancel = cancel_mask(groups)
-    # receiver k's noise is normals[k, 0] + 1j * normals[k, 1]; in C order
-    # one draw is the sequence of per-receiver real, then imaginary, draws
-    normals = np.empty((count, 2, topo.group_count, symbols_per_frame))
-    received = np.empty((count, topo.group_count, symbols_per_frame), dtype=np.complex128)
+    # receiver k's noise on block s is normals[k, s, 0] on the real axis
+    # and normals[k, s, 1] on the imaginary axis
+    normals = np.empty((count, symbols_per_frame, 2))
     errors = np.zeros(count, dtype=np.int64)
     for frame in range(config.frames):
         rng = np.random.default_rng(np.random.SeedSequence((config.seed, snr_index, frame)))
-        fading = draw_fading(rng, count, blocks=blocks).reshape(count, -1)  # (K, S) or (K, 1)
+        gains = gamma[:, np.newaxis] * draw_fading_power(rng, count, blocks)  # (K, S) or (K, 1)
         bits = rng.integers(0, 2, size=(count, config.bits_per_frame))
-        channels = np.sqrt(gamma)[:, np.newaxis] * fading
-        if per_frame_order:
-            gains = gamma[:, np.newaxis] * np.abs(fading) ** 2 / noise.variance
-            cancel = cancel_mask(groups, gains)
-        _noiseless_received(received, mix, qpsk_modulate(bits), channels, single_user)
         rng.standard_normal(out=normals)
+        if per_frame_order:
+            cancel = cancel_mask(groups, gains / noise.variance)
+        channels = np.sqrt(gains)
+        signal = _received(qpsk_modulate(bits), channels, amp, groups, single_user)
         normals *= scale
-        received.real += normals[:, 0]
-        received.imag += normals[:, 1]
-        decided = decode(project(received, basis, group_of), channels, amp, cancel)
+        signal += normals
+        decided = decode(signal, channels, amp, cancel)
         errors += np.count_nonzero(decided != bits, axis=1)
     return errors
 
@@ -384,7 +398,7 @@ def _ber_rows(config: SimConfig, counts: list) -> tuple:
 def _rate_point(config: SimConfig, snr_index: int, snr_db: float) -> dict:
     """Fading-averaged rate statistics at one SNR point: only those the
     experiment writes."""
-    topo, groups, power, _basis = _scene(config)
+    topo, groups, power = _scene(config)
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, snr_index)))
     # drawn (K, N) and viewed as (N, K): each user's realizations stay
     # contiguous, which keeps the reductions over realizations fast
@@ -441,15 +455,14 @@ def _rate_rows(config: SimConfig, stats: list) -> tuple:
             hybrid_sum = float(np.sum(point["hybrid_mean"]))
             tdma_sum = point["tdma_mean"]
             ratio = hybrid_sum / tdma_sum
-            hybrid_var = point["hybrid_sum_std"] ** 2
-            tdma_var = point["tdma_std"] ** 2
-            cov = point["hybrid_tdma_cov"]
-            # delta method for a ratio of two correlated sample means
-            ratio_var = (
-                hybrid_var / tdma_sum**2
-                + hybrid_sum**2 * tdma_var / tdma_sum**4
-                - 2.0 * hybrid_sum * cov / tdma_sum**3
-            ) / n
+            # delta method for a ratio of two correlated sample means, in
+            # relative terms: no power of a sum that can underflow at low SNR
+            relative_var = (
+                (point["hybrid_sum_std"] / hybrid_sum) ** 2
+                + (point["tdma_std"] / tdma_sum) ** 2
+                - 2.0 * (point["hybrid_tdma_cov"] / hybrid_sum) / tdma_sum
+            )
+            ratio_var = ratio**2 * relative_var / n
             rows.append(ResultRow(snr, "sum", "rate_hybrid", hybrid_sum, n,
                                   float(point["hybrid_sum_std"]) / math.sqrt(n)))
             rows.append(ResultRow(snr, "sum", "rate_tdma", tdma_sum, n,

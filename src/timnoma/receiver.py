@@ -1,17 +1,23 @@
-"""Two-stage decoding: projection onto the group precoder, then SIC.
+"""Successive interference cancellation on the derotated real baseband.
 
-Stage 1 projects the received T-vector onto the group's precoding vector
-(plain transpose, the basis is real), which cancels every other group's
-contribution exactly and leaves white noise of unchanged variance.
+Projection onto the group's precoding vector cancels every other group's
+contribution exactly and leaves white noise of unchanged variance, so a
+receiver k sees g_k * sum_{j in its group} sqrt(P_j) s_j + z_k. Derotating
+by conj(g_k)/|g_k| turns this, on each real axis, into
 
-Stage 2 runs successive interference cancellation inside the group: the
-receiver detects and subtracts the same-group signals that rank after it in
-the decoding order, iterating in descending transmit power (the strongest
-uncancelled signal is always detected first), then detects its own symbol.
-Same-group signals ranked before the receiver are absorbed as noise. All
-detections are per-symbol maximum likelihood over the Gray-QPSK points.
+    r = |g_k| * sum_j sqrt(P_j) x_j + w,   w ~ N(0, sigma^2 / 2),
 
-``decode`` runs stage 2 for every receiver of a frame at once. Which user a
+with x_j = +-1/sqrt(2) the symbol's level on that axis. Gray-QPSK maximum
+likelihood with a scalar channel is a sign test per axis, so everything
+here is real and per axis.
+
+The receiver detects and subtracts the same-group signals that rank after
+it in the decoding order, iterating in descending transmit power (the
+strongest uncancelled signal is always detected first), then detects its
+own symbol. Same-group signals ranked before the receiver are absorbed as
+noise.
+
+``decode`` runs this for every receiver of a frame at once. Which user a
 receiver cancels on which block is a boolean (receiver, interferer, block)
 mask from ``cancel_mask``, so the static distance order, the per-block
 instantaneous order and the single-user run (an all-false mask) share one
@@ -26,37 +32,9 @@ import numpy as np
 
 from .errors import ValidationError
 from .modem import CONSTELLATION
-from .precoding import PrecodingBasis
 from .topology import GroupAssignment
 
-_AMP = CONSTELLATION[0].real  # per-axis amplitude of every QPSK point
-
-
-def project(received, basis: PrecodingBasis, group) -> np.ndarray | complex:
-    """Project received T-vectors onto group precoding vectors.
-
-    ``group`` is one group index or an array of them. The slot axis of
-    ``received`` follows the group axes: shape (T,) or (T, S) for a single
-    group gives a complex scalar or an (S,) array, and shape (K, T, S) for
-    K groups gives (K, S). Other groups' signals cancel exactly by
-    orthonormality.
-    """
-    received = np.asarray(received)
-    vectors = basis.vectors[group]  # group's shape + (T,)
-    slot_axis = vectors.ndim - 1
-    if received.ndim <= slot_axis or received.shape[slot_axis] != basis.group_count:
-        raise ValidationError(
-            f"received signal of shape {received.shape} has no axis of "
-            f"{basis.group_count} slots where group {group!r} needs it"
-        )
-    weights = vectors.reshape(vectors.shape + (1,) * (received.ndim - vectors.ndim))
-    # one slot at a time keeps the temporaries at the size of the result
-    weights = np.moveaxis(weights, slot_axis, 0)
-    slots = np.moveaxis(received, slot_axis, 0)
-    out = weights[0] * slots[0]
-    for weight, slot in zip(weights[1:], slots[1:]):
-        out += weight * slot
-    return complex(out) if out.ndim == 0 else out
+_AMP = CONSTELLATION[0].real  # per-axis level of every QPSK point
 
 
 def cancel_mask(groups: GroupAssignment, gains=None) -> np.ndarray:
@@ -82,65 +60,35 @@ def cancel_mask(groups: GroupAssignment, gains=None) -> np.ndarray:
     return same_group & ((other < own) | ((other == own) & later))
 
 
-def _bit_flips(residual, effective_channel) -> np.ndarray:
-    """Per-axis ML bit decisions: true (bit 1) where conj(g) * r < 0.
-
-    Gray QPSK with a scalar channel decides each axis of conj(g) * r on its
-    own sign. An exact zero decides bit 0, the earlier point in
-    constellation order, as the minimum-distance search breaks its ties.
-    The result interleaves real and imaginary decisions along the last
-    axis, which is the ``qpsk_modulate`` bit order.
-    """
-    matched = np.ascontiguousarray(np.conj(effective_channel) * residual, dtype=np.complex128)
-    return matched.view(np.float64) < 0
-
-
-def ml_detect(residual, effective_channel, amplitude: float):
-    """Per-symbol ML detection against the scaled QPSK constellation.
-
-    Minimizes |residual - effective_channel * amplitude * s|^2 over the four
-    points, which for Gray QPSK is a sign test on each axis of
-    conj(effective_channel) * residual; ties resolve to the earliest point
-    in constellation order. Vectorized: ``residual`` (and a broadcastable
-    ``effective_channel``) may be arrays, in which case an array of
-    decisions is returned.
-    """
-    if not amplitude > 0:
-        raise ValidationError("amplitude must be positive")
-    flips = _bit_flips(residual, effective_channel)
-    decided = np.where(flips, -_AMP, _AMP).view(np.complex128)
-    if np.ndim(residual) == 0 and np.ndim(effective_channel) == 0:
-        return complex(decided[0])
-    return decided
-
-
 def decode(signal, channels, amplitudes, cancel, genie_symbols=None) -> np.ndarray:
     """Run every receiver's SIC chain and return the bits it decides.
 
-    ``signal`` is (K, S) complex: receiver k's projected signal on block s.
-    It is overwritten with each receiver's final residual, the one its own
-    symbols were detected from. ``channels`` holds each receiver's
-    effective channel g_k = sqrt(gamma_k) * h_k, shape (K, S), or (K, 1)
-    when it is constant over the frame. ``amplitudes`` are the transmit
-    amplitudes sqrt(P_j). ``cancel`` is a (K, K, S) or (K, K, 1) mask from
+    ``signal`` is (K, S, 2) real: receiver k's derotated signal on block s,
+    real axis then imaginary axis. It is overwritten with each receiver's
+    final residual, the one its own symbols were detected from.
+    ``channels`` holds each receiver's channel magnitude
+    |g_k| = sqrt(gamma_k |h_k|^2), shape (K, S), or (K, 1) when it is
+    constant over the frame. ``amplitudes`` are the transmit amplitudes
+    sqrt(P_j). ``cancel`` is a (K, K, S) or (K, K, 1) mask from
     ``cancel_mask``.
 
     Interferers are swept in descending transmit power. Each one is
-    detected from the running residual of every receiver that cancels it
-    on some block, and its reconstruction g * sqrt(P_j) * estimate is
-    subtracted on the blocks the mask selects, so detection errors
-    propagate exactly as in a real chain. If
-    ``genie_symbols`` ((K, S), the transmitted symbols) is given, the true
-    symbols are subtracted instead, which isolates each receiver's own
+    detected on every axis by the sign of the running residual of every
+    receiver that cancels it on some block, and its reconstruction
+    |g| * sqrt(P_j) * level is subtracted on the blocks the mask selects,
+    so detection errors propagate exactly as in a real chain. If
+    ``genie_symbols`` ((K, S, 2), the transmitted levels) is given, the
+    true levels are subtracted instead, which isolates each receiver's own
     detection from propagation effects.
 
-    Returns (K, 2S) booleans in ``qpsk_modulate`` bit order.
+    Returns (K, 2S) booleans in ``qpsk_modulate`` bit order: a negative
+    residual decides bit 1, and an exact zero decides bit 0.
     """
     residual = signal
     amplitudes = np.asarray(amplitudes, dtype=float)
     count = len(amplitudes)
     cancel = np.asarray(cancel, dtype=bool)
-    if residual.ndim != 2 or residual.shape[0] != count or cancel.shape[:2] != (count, count):
+    if residual.shape[:1] + residual.shape[2:] != (count, 2) or cancel.shape[:2] != (count, count):
         raise ValidationError(
             f"signal {residual.shape} and cancel mask {cancel.shape} do not match {count} users"
         )
@@ -148,12 +96,12 @@ def decode(signal, channels, amplitudes, cancel, genie_symbols=None) -> np.ndarr
         rows = np.flatnonzero(cancel[:, j, :].any(axis=1))
         if rows.size == 0:
             continue
-        running, channel = residual[rows], channels[rows]
+        running = residual[rows]
         if genie_symbols is None:
-            estimate = ml_detect(running, channel, amplitudes[j])
+            estimate = np.where(running < 0, -_AMP, _AMP)
         else:
             estimate = genie_symbols[j]
-        reconstruction = channel * amplitudes[j] * estimate
-        np.subtract(running, reconstruction, out=running, where=cancel[rows, j, :])
+        reconstruction = channels[rows, :, np.newaxis] * amplitudes[j] * estimate
+        np.subtract(running, reconstruction, out=running, where=cancel[rows, j, :, np.newaxis])
         residual[rows] = running
-    return _bit_flips(residual, channels)
+    return (residual < 0).reshape(count, -1)

@@ -1,13 +1,9 @@
 import numpy as np
 import pytest
 
-from timnoma import (
-    SimConfig,
-    allocate_power,
-    assign_groups,
-    build_topology,
-    make_basis,
-)
+from timnoma import SimConfig, allocate_power, assign_groups, build_topology
+
+from helpers import make_basis
 
 REFERENCE_DISTANCES = (0.5, 1.5, 2.5, 3.5, 4.5)
 

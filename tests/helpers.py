@@ -3,8 +3,15 @@
 Everything here is computed from first principles with numpy/stdlib only,
 deliberately NOT reusing the package's formulas, so the tests check the
 implementation against a second route.
+
+The physical chain lives here too: complex fading (``draw_fading``), the
+precoding basis (``make_basis``), the transmit mixing (``mixing_matrix``),
+projection (``project``) and the one-receiver-at-a-time SIC loop
+(``reference_sic_bits``). The package simulates only the derotated real
+baseband that is left after projection; tests hold it to this chain.
 """
 
+import itertools
 import math
 import sys
 
@@ -86,6 +93,86 @@ def givens_basis(size):
                 row[i] = cos * left + sin * right
                 row[j] = cos * right - sin * left
     return [[rotation[r][t] for r in range(size)] for t in range(size)]
+
+
+def make_basis(group_count):
+    """The precoding vectors as a read-only (T, T) array, one row per group.
+
+    Read-only because session fixtures share it between tests.
+    """
+    if group_count < 1:
+        raise ValueError("group_count must be at least 1")
+    vectors = np.array(givens_basis(group_count))
+    vectors.setflags(write=False)
+    return vectors
+
+
+def draw_fading(rng, user_count, blocks=None):
+    """Draw i.i.d. unit-variance circularly-symmetric complex coefficients.
+
+    Returns shape (user_count,) for a single coherence block, or
+    (user_count, blocks) for a run of consecutive blocks. Real parts are
+    drawn first, then imaginary.
+    """
+    if user_count < 1:
+        raise ValueError("user_count must be at least 1")
+    shape = (user_count,) if blocks is None else (user_count, int(blocks))
+    re = rng.standard_normal(shape)
+    im = rng.standard_normal(shape)
+    return (re + 1j * im) * (1.0 / math.sqrt(2.0))
+
+
+def mixing_matrix(power, groups, basis):
+    """(T, K) matrix whose column k is sqrt(P_k) * v_{t(k)}.
+
+    The transmit vector for a block of symbols s (shape (K,) or (K, S)) is
+    ``mixing_matrix(...) @ s``.
+    """
+    columns = basis[list(groups.group_of)].T  # (T, K)
+    return columns * np.sqrt(np.asarray(power.per_user))
+
+
+def project(received, basis, group):
+    """Project received T-vectors onto group precoding vectors.
+
+    ``group`` is one group index or an array of them. The slot axis of
+    ``received`` follows the group axes: shape (T,) or (T, S) for a single
+    group gives a complex scalar or an (S,) array, and shape (K, T, S) for
+    K groups gives (K, S). Other groups' signals cancel exactly by
+    orthonormality.
+    """
+    received = np.asarray(received)
+    vectors = basis[group]  # group's shape + (T,)
+    slot_axis = vectors.ndim - 1
+    if received.ndim <= slot_axis or received.shape[slot_axis] != len(basis):
+        raise ValueError(
+            f"received signal of shape {received.shape} has no axis of "
+            f"{len(basis)} slots where group {group!r} needs it"
+        )
+    weights = vectors.reshape(vectors.shape + (1,) * (received.ndim - vectors.ndim))
+    weights = np.moveaxis(weights, slot_axis, 0)
+    slots = np.moveaxis(received, slot_axis, 0)
+    out = weights[0] * slots[0]
+    for weight, slot in zip(weights[1:], slots[1:]):
+        out += weight * slot
+    return complex(out) if out.ndim == 0 else out
+
+
+def levels(values):
+    """Per-axis levels of complex values: shape + (2,), real then imaginary."""
+    values = np.array(values, dtype=complex)
+    return values.reshape(-1).view(float).reshape(values.shape + (2,))
+
+
+def derotate(projected, channels):
+    """The real per-axis view of projected signals: conj(g)/|g| * r.
+
+    ``projected`` is (K, S) and the complex ``channels`` g broadcast to it.
+    Returns the (K, S, 2) real signal and the channel magnitudes |g|, in
+    the shape of ``channels``, which the package's receiver takes.
+    """
+    magnitudes = np.abs(channels)
+    return levels(np.conj(channels) / magnitudes * projected), magnitudes
 
 
 EULER_GAMMA = 0.57721566490153286061
@@ -243,3 +330,80 @@ def reference_sic_bits(projected, channels, powers, group_of, gains):
         own = minimum_distance_detect(residual, channel, math.sqrt(powers[k]))
         bits.append(np.stack([own.real < 0, own.imag < 0], axis=-1).reshape(-1))
     return np.array(bits)
+
+
+def rayleigh_phi_mean(beta):
+    """E[Phi(beta sqrt(X))] for X ~ Exp(1); Phi is the standard normal CDF.
+
+    The closed form is 1/2 + beta / (2 sqrt(2 + beta^2)), evaluated without
+    cancellation in the tails.
+    """
+    if beta == math.inf:
+        return 1.0
+    if beta == -math.inf:
+        return 0.0
+    root = math.sqrt(2.0 + beta * beta)
+    tail = 1.0 / (root * (root + abs(beta)))  # 1/2 - |beta| / (2 root)
+    return 1.0 - tail if beta > 0 else tail
+
+
+def _own_error_intervals(own, cancel, others):
+    """Intervals (lo, hi) of w / c on which the own decision is wrong.
+
+    On one real axis the receiver sees c * (own + sum(others)) + w. It
+    detects and subtracts the amplitudes in ``cancel`` strongest first,
+    deciding each by the sign of the running residual (an exact zero
+    decides +1), then decides its own +1 level by the sign of what is
+    left. ``others`` holds every other same-group amplitude with the sign
+    of its level. Each decision sequence that ends in a wrong own decision
+    holds on one interval; the chain is odd in (levels, w), so fixing the
+    own level at +1 loses nothing.
+    """
+    total = own + sum(others)
+    out = []
+    for decisions in itertools.product((1, -1), repeat=len(cancel)):
+        lo, hi = -math.inf, math.inf
+        running = total
+        for amp, decided in zip(cancel, decisions):
+            if decided > 0:
+                lo = max(lo, -running)  # running + w >= 0
+            else:
+                hi = min(hi, -running)  # running + w < 0
+            running -= amp * decided
+        hi = min(hi, -running)  # own decision wrong: running + w < 0
+        if lo < hi:
+            out.append((lo, hi))
+    return out
+
+
+def exact_hybrid_ber(distances, exponent, group_count, total_power, sigma2):
+    """Exact per-user BER of projection plus SIC under distance order.
+
+    Written from the scheme, not from the package: users join groups
+    round-robin by distance rank, power is proportional to squared
+    distance, and a receiver cancels its farther (stronger) group members,
+    strongest first. On each real axis of the derotated projected signal
+    it sees c * sum_j a_j b_j + w with c = |g| / sqrt(2), b_j = +-1 and
+    w ~ N(0, sigma^2 / 2). Averaging each decision interval's Gaussian mass
+    over |g|^2 = gamma X, X ~ Exp(1), is ``rayleigh_phi_mean``; the bits
+    of every other group member are averaged over their 2^(g-1) patterns.
+    The BER is the same under block and frame fading.
+    """
+    d_sq_total = sum(d * d for d in distances)
+    amps = [math.sqrt(total_power * d * d / d_sq_total) for d in distances]
+    count = len(distances)
+    result = []
+    for k in range(count):
+        group = [j for j in range(count) if j % group_count == k % group_count]
+        cancel = [amps[j] for j in sorted((j for j in group if j > k), reverse=True)]
+        others = [j for j in group if j != k]
+        # c / (sigma / sqrt(2)) = sqrt(gamma_k / sigma^2) * sqrt(X)
+        kappa = math.sqrt(distances[k] ** -exponent / sigma2)
+        patterns = list(itertools.product((1, -1), repeat=len(others)))
+        ber = 0.0
+        for signs in patterns:
+            signed = [sign * amps[j] for sign, j in zip(signs, others)]
+            for lo, hi in _own_error_intervals(amps[k], cancel, signed):
+                ber += rayleigh_phi_mean(kappa * hi) - rayleigh_phi_mean(kappa * lo)
+        result.append(ber / len(patterns))
+    return result

@@ -8,13 +8,13 @@ from timnoma import (
     NoiseModel,
     ValidationError,
     dof_total,
-    draw_fading,
     hybrid_rate_table,
     path_loss,
     single_user_rate_table,
 )
 
 from helpers import (
+    draw_fading,
     instantaneous_noise_sets,
     matrix_rate_oracle,
     reference_group_vectors,

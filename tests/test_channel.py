@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from timnoma import NoiseModel, ValidationError, draw_fading, draw_fading_power
+from timnoma import NoiseModel, ValidationError, draw_fading_power
 
-from helpers import add_noise
+from helpers import add_noise, draw_fading
 
 
 class TestDrawFading:
+    """The complex draw of the physical chain, kept in helpers.py."""
+
     def test_deterministic_given_seed(self):
         a = draw_fading(np.random.default_rng(7), 5)
         b = draw_fading(np.random.default_rng(7), 5)
@@ -27,7 +29,7 @@ class TestDrawFading:
         assert abs(np.mean(h)) < 0.01
 
     def test_rejects_empty(self, rng):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValueError):
             draw_fading(rng, 0)
 
 
@@ -96,5 +98,5 @@ class TestProjectionKeepsNoiseWhite:
     def test_variance_preserved_along_unit_vector(self, ref_basis):
         rng = np.random.default_rng(23)
         noise = add_noise(rng, np.zeros((2, 100_000)), NoiseModel(0.5))
-        projected = ref_basis.vectors[0] @ noise
+        projected = ref_basis[0] @ noise
         assert np.mean(np.abs(projected) ** 2) == pytest.approx(0.5, rel=0.02)

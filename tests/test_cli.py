@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from timnoma.cli import main
@@ -115,6 +117,25 @@ class TestCliErrors:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and fragment in err
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("snr", ["-200", "-1000"])
+    def test_ratio_at_very_low_snr_is_finite(self, snr, capsys):
+        # log2(1 + x) rounded every TDMA rate to 0 below x ~ 1e-16, and the
+        # delta method squared sums that underflow further down
+        assert main(["ratio", "--frames", "2", f"--snr={snr}"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) == 3
+        for row in rows:
+            value, stderr = (float(field) for field in row.split(",")[3::2])
+            assert math.isfinite(value) and value > 0 and math.isfinite(stderr)
+
+    def test_user_mean_snr_underflow_exits_one(self, tmp_path, capsys):
+        cfg = tmp_path / "faint.cfg"
+        cfg.write_text("distances = 1, 2, 3\ncell_radius = 5\npath_loss_exponent = 300\n")
+        assert main(["ratio", "--frames", "2", "--snr=-2000", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "mean SNR" in err
         assert len(err.splitlines()) == 1
 
     def test_unknown_command_exits_nonzero(self):

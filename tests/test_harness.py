@@ -20,7 +20,14 @@ from timnoma import (
 )
 from timnoma.harness import WORKERS_ENV, replace
 
-from helpers import exact_sum_rates, rayleigh_log_mean, reference_noise_sets
+from helpers import (
+    exact_hybrid_ber,
+    exact_sum_rates,
+    make_basis,
+    mixing_matrix,
+    rayleigh_log_mean,
+    reference_noise_sets,
+)
 
 TINY_BER = SimConfig(frames=3, bits_per_frame=128, snr_grid_db=(20.0, 30.0))
 
@@ -75,6 +82,9 @@ class TestSimConfig:
             ({"experiment": "ratio", "frames": 1}, "frames"),
             ({"path_loss_exponent": 1000.0}, "path loss"),  # 4.5**1000 overflows
             ({"distances": (1e-200, 1.0)}, "path loss"),  # 1/d^3 divides by 0
+            # user 3's mean SNR P*gamma/sigma^2 underflows to 0
+            ({"distances": (1.0, 2.0, 3.0), "path_loss_exponent": 300.0,
+              "snr_grid_db": (-2000.0,)}, "user 3 a mean SNR"),
         ],
     )
     def test_validation_names_the_field(self, changes, fragment):
@@ -357,7 +367,9 @@ class TestRatesAgainstClosedForm:
     """Monte Carlo rates within 4 stderr of their exact E1 values, distance
     order, reference cell."""
 
-    CONFIG = SimConfig(frames=10_000, snr_grid_db=tuple(float(s) for s in range(0, 71, 10)))
+    CONFIG = SimConfig(
+        frames=10_000, snr_grid_db=(-150.0, -100.0) + tuple(float(s) for s in range(0, 71, 10))
+    )
 
     def test_hybrid_sum_rate(self):
         config = replace(self.CONFIG, experiment="rate")
@@ -378,6 +390,30 @@ class TestRatesAgainstClosedForm:
                 exact = rayleigh_log_mean(40.0, d**-3.0 / sigma2) / (2.0 * math.log(2.0))
                 row = result.row(snr, str(k + 1), "rate_single")
                 assert abs(row.value - exact) <= 4.0 * row.stderr, (snr, k, row.value, exact)
+
+
+class TestBerAgainstExact:
+    """Per-user hybrid BER within 4 sigma of the exact SIC-chain BER, block
+    fading, distance order. The two bits of a symbol share one fading draw,
+    so sigma = sqrt(2 p (1 - p) / n) bounds the spread of n bits."""
+
+    @pytest.mark.parametrize(
+        "cell",
+        [{}, {"distances": (0.4, 0.9, 1.5, 2.2, 3.0, 3.9, 4.8), "group_count": 3}],
+        ids=["reference", "seven-users-three-groups"],
+    )
+    def test_per_user_ber(self, cell):
+        config = SimConfig(frames=20, snr_grid_db=(10.0, 20.0, 30.0), **cell)
+        result = run_experiment(config)
+        for snr in config.snr_grid_db:
+            exact = exact_hybrid_ber(
+                config.distances, config.path_loss_exponent, config.group_count,
+                config.total_power, config.noise_variance(snr),
+            )
+            for k, p in enumerate(exact):
+                row = result.row(snr, str(k + 1), "ber")
+                sigma = math.sqrt(2.0 * p * (1.0 - p) / row.samples)
+                assert abs(row.value - p) <= 4.0 * sigma, (snr, k, row.value, p)
 
 
 class TestRunExperimentDispatch:
@@ -404,11 +440,10 @@ class TestTransmitEnergyAudit:
         # links the power constraint to the symbol pipeline end to end
         from timnoma import qpsk_modulate
         from timnoma.harness import _scene
-        from timnoma.precoding import mixing_matrix
 
         config = SimConfig(frames=50, bits_per_frame=6144).validated()
-        _topo, groups, power, basis = _scene(config)
-        mix = mixing_matrix(power, groups, basis)
+        _topo, groups, power = _scene(config)
+        mix = mixing_matrix(power, groups, make_basis(config.group_count))
         rng = np.random.default_rng(77)
         energies = []
         for _ in range(config.frames):
@@ -419,8 +454,10 @@ class TestTransmitEnergyAudit:
 
 
 class TestPinnedBerBytes:
-    """SHA-256 of small BER CSVs, recorded before the per-user decode loop
-    became one vectorized receiver bank. Any change to the RNG stream, the
+    """SHA-256 of small BER CSVs, recorded when the BER frame moved to the
+    derotated real baseband (power gains, bits, then (K, S, 2) normals per
+    frame), after that kernel was shown to decide what the physical chain
+    decides and to match the exact BER. Any change to the RNG stream, the
     decoding order or the detector's tie rule changes these bytes."""
 
     BASE = SimConfig(frames=3, bits_per_frame=192, snr_grid_db=(10.0, 25.0, 40.0))
@@ -438,18 +475,18 @@ class TestPinnedBerBytes:
         },
     }
     SHA256 = {
-        ("distance-block", "ber"): "770ed79a59493a79e2529e3b7bdc85ccec5bd6afda40dafd3bdcb20aad338bf2",
-        ("distance-block", "ber_single_user"): "faa8889aa6489da6b892adc9701a4c77248af2456794d7488872a2434254c3aa",
-        ("distance-frame", "ber"): "15df75abee1fc587ab5fee5cd67863536193cffd7daf25aba414d446ae2ecd39",
-        ("distance-frame", "ber_single_user"): "6f9c8bac8e30fd32f67a7dd0b915e431e269ca13f6ea6fde96b6b833ebca996a",
-        ("instantaneous-block", "ber"): "6373e6ee9fd59ba468d27a8009c72c81af93650e29d3ae79ba5fd77c91b8005f",
-        ("instantaneous-block", "ber_single_user"): "faa8889aa6489da6b892adc9701a4c77248af2456794d7488872a2434254c3aa",
-        ("instantaneous-frame", "ber"): "8c4f286d92d569157c0a77a76ad173f24d0806703122286e19bf744033c345e4",
-        ("instantaneous-frame", "ber_single_user"): "6f9c8bac8e30fd32f67a7dd0b915e431e269ca13f6ea6fde96b6b833ebca996a",
-        ("one-user", "ber"): "8b29123a91bf7af42f86c4e67c22644034356fdc63fa49071f9c65155c8dba66",
-        ("one-user", "ber_single_user"): "ec3f88d449648e9197b44bb81b8a46ecdcbd3a793cf1519b3ea5d743302d8eab",
-        ("three-groups", "ber"): "d0a6c810788455df0c15ccbec5a89616ee9f134d320a06dbf0122e24181139e8",
-        ("three-groups", "ber_single_user"): "ab1fa0ece6abc646464d120426bbe299a7e82029b040c818f13348887b22e408",
+        ("distance-block", "ber"): "25789e6a027d1eaac759df325755584bcebd80110ab136f6335a18b878515e73",
+        ("distance-block", "ber_single_user"): "e41abeb9fab0ff86a397b15aec2eecd01a2d450fd9f1c09de3c120c7426af3aa",
+        ("distance-frame", "ber"): "29833de1193ed81cfbd93bded821a120fdff1f19f609b369d9689cf41bea200c",
+        ("distance-frame", "ber_single_user"): "248c195aeb6bfe641b93eb6f46dadf10785d71649eb8de6fbea2c09794b9bd41",
+        ("instantaneous-block", "ber"): "8010b8c9eb3a8d202222ce4a5eda2126a689376a805d3362c62133dc6a3941e5",
+        ("instantaneous-block", "ber_single_user"): "e41abeb9fab0ff86a397b15aec2eecd01a2d450fd9f1c09de3c120c7426af3aa",
+        ("instantaneous-frame", "ber"): "36c992d81c5ca9506cc04f4d98706552162855bad2e6cbf1919d985c18181ddd",
+        ("instantaneous-frame", "ber_single_user"): "248c195aeb6bfe641b93eb6f46dadf10785d71649eb8de6fbea2c09794b9bd41",
+        ("one-user", "ber"): "5d927b517a9d757f03f8a21ded1c84760027d3608e7a26e9accd25d573c77e38",
+        ("one-user", "ber_single_user"): "3e328dd2f27bcfe059d6c0c673b84478490c9f3b68d48c5339319a76d7601cc9",
+        ("three-groups", "ber"): "329e9b8066cf5fa39c8ca427ac799c98653e1f80e1c0f7734e97258b146893e6",
+        ("three-groups", "ber_single_user"): "0e24318a45739b4146302370fc64a0eb13f84a892bc26b79dbd2426826aff54f",
     }
 
     @pytest.mark.parametrize("case,experiment", sorted(SHA256))
@@ -461,10 +498,11 @@ class TestPinnedBerBytes:
 
 
 class TestPinnedRateBytes:
-    """SHA-256 of small rate CSVs, recorded when the rate path began to draw
-    |h|^2 as Exp(1). The rate path makes no BLAS call, so these bytes do not
-    depend on the BLAS build. Any change to the rate stream, the decoding
-    order, the tie rule or the statistics' arithmetic changes them."""
+    """SHA-256 of small rate CSVs, recorded when the rate tables moved to
+    log1p and the ratio's delta method to relative terms. The rate path
+    makes no BLAS call, so these bytes do not depend on the BLAS build. Any
+    change to the rate stream, the decoding order, the tie rule or the
+    statistics' arithmetic changes them."""
 
     BASE = SimConfig(frames=40, snr_grid_db=(0.0, 20.0, 40.0))
     CASES = {
@@ -477,15 +515,15 @@ class TestPinnedRateBytes:
         },
     }
     SHA256 = {
-        ("distance", "rate"): "f7f4f3b184b94595c33d27e366ada0ca3a891ba82b3d61f3ecd6da853668effb",
-        ("distance", "rate_single_user"): "f8476dab6818573c8263b97ebaa4385cd58a0398273d3af3c8d42a635a210175",
-        ("distance", "ratio"): "9e2d4d3db4b496d076a124949a8491a0c0fa1cb6d51e71d5429e0693788128fb",
-        ("instantaneous", "rate"): "345f97000915abf915de6938462a2f5a4da5a2e11963115e07436299e40e3621",
-        ("instantaneous", "rate_single_user"): "f8476dab6818573c8263b97ebaa4385cd58a0398273d3af3c8d42a635a210175",
-        ("instantaneous", "ratio"): "2e248bcb218f9ef40fce77b45797f4aeb87a06e7c29a9d9413e6277532e1a88e",
-        ("three-groups", "rate"): "1c940910b6a448fb49dd52f0ec2ea4dc889713ec4814c56b356ee260f6995763",
-        ("three-groups", "rate_single_user"): "a369b71a2c7e6d861b1f9a6f8678dd897282f79b1614373dc7a60d6cb3588b05",
-        ("three-groups", "ratio"): "f873fd3e39f195e7c4c4355cef1856977db7e145be5596ddc3c3aaf39f90d6be",
+        ("distance", "rate"): "f5de9e3bde402fdd7a297db3dceaf94fc531ce40a0949c8389cae6b3160f82bb",
+        ("distance", "rate_single_user"): "e69abb5d18277e155fc9ede123feaeaf9aad07b37d2c681f52e84ddb57617646",
+        ("distance", "ratio"): "3f5c807f9dbcf5b7d6c5abc45dc1fa6cc131dd800266085f32b962b45748e8d7",
+        ("instantaneous", "rate"): "1b8a156d1ae5e88d80f8f23cd1ef0815f4713b38631c72a3cb98393e0eeafbe8",
+        ("instantaneous", "rate_single_user"): "e69abb5d18277e155fc9ede123feaeaf9aad07b37d2c681f52e84ddb57617646",
+        ("instantaneous", "ratio"): "7236e54701d740be080269dd6e0a3360f816c64f85f910424b655d1e644a8794",
+        ("three-groups", "rate"): "1655187ea0af650cf5211b754a617145960cd2c6189e682b80233041961cd4b9",
+        ("three-groups", "rate_single_user"): "084f1b28cef6e9b122dd18268739e972b31b1735b4da00c0d98b90b4d6e55078",
+        ("three-groups", "ratio"): "8951152ddda3c14a0521181e24ebca270bb1c7298346c55b63a569a2df8b5414",
     }
 
     @pytest.mark.parametrize("case,experiment", sorted(SHA256))

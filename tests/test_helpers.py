@@ -10,9 +10,12 @@ from helpers import (
     V2,
     _scaled_e1_continued_fraction,
     _scaled_e1_series,
+    exact_hybrid_ber,
     givens_basis,
     instantaneous_noise_sets,
     rayleigh_log_mean,
+    rayleigh_phi_mean,
+    rayleigh_qpsk_ber,
     scaled_e1,
 )
 
@@ -76,3 +79,43 @@ def test_givens_basis_two_groups_is_the_pi_over_3_rotation():
     np.testing.assert_allclose(givens_basis(2), [V1, V2], atol=1e-15)
     vectors = np.array(givens_basis(5))
     np.testing.assert_allclose(vectors @ vectors.T, np.eye(5), atol=1e-14)
+
+
+def test_rayleigh_phi_mean_matches_quadrature():
+    # E[Phi(beta sqrt(X))], X ~ Exp(1), integrated over u = sqrt(X), whose
+    # density 2u e^(-u^2) keeps the integrand smooth at 0
+    u = np.linspace(0.0, 8.0, 200_001)
+    erf = np.vectorize(math.erf)
+    for beta in (-3.0, -0.4, 0.0, 0.7, 5.0):
+        integrand = 0.5 * (1.0 + erf(beta * u / math.sqrt(2.0))) * 2.0 * u * np.exp(-u * u)
+        quadrature = float(np.sum((integrand[1:] + integrand[:-1]) * np.diff(u)) / 2.0)
+        assert rayleigh_phi_mean(beta) == pytest.approx(quadrature, abs=1e-9)
+
+
+def test_exact_hybrid_ber_of_singleton_groups_is_rayleigh_qpsk():
+    # with one user per group nothing is cancelled or absorbed: each user is
+    # Gray QPSK on Rayleigh fading at mean bit SNR P_k gamma_k / (2 sigma^2)
+    distances, sigma2 = (0.5, 1.5, 2.5, 3.5), 0.3
+    d_sq_total = sum(d * d for d in distances)
+    expected = [
+        rayleigh_qpsk_ber(40.0 * d * d / d_sq_total * d**-3.0 / (2.0 * sigma2)) for d in distances
+    ]
+    got = exact_hybrid_ber(distances, 3.0, len(distances), 40.0, sigma2)
+    np.testing.assert_allclose(got, expected, rtol=1e-12)
+
+
+def test_exact_hybrid_ber_two_user_group_by_hand():
+    # one group, users at amplitudes a0 < a1, per-axis levels b = +-1:
+    # user 1 decides alone and absorbs user 0, so with v = kappa sqrt(X) its
+    # BER is the mean over b0 of Phi(-(a1 + b0 a0) v); averaged over fading
+    # that is 1/2 - (a1 + b0 a0) kappa / (2 sqrt(2 + ((a1 + b0 a0) kappa)^2))
+    distances, sigma2 = (1.0, 2.0), 0.5
+    a0, a1 = math.sqrt(40.0 / 5.0), math.sqrt(160.0 / 5.0)
+    kappa = math.sqrt(2.0**-3.0 / sigma2)
+
+    def miss(amplitude):
+        beta = amplitude * kappa
+        return 0.5 - beta / (2.0 * math.sqrt(2.0 + beta * beta))
+
+    expected = 0.5 * (miss(a1 + a0) + miss(a1 - a0))
+    assert exact_hybrid_ber(distances, 3.0, 1, 40.0, sigma2)[1] == pytest.approx(expected, rel=1e-12)

@@ -1,6 +1,9 @@
 """The package's public surface: exactly these names, and no others."""
 
 import importlib
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -14,7 +17,6 @@ PUBLIC = [
     "GroupAssignment",
     "NoiseModel",
     "PowerAllocation",
-    "PrecodingBasis",
     "ResultRow",
     "SimConfig",
     "Topology",
@@ -25,31 +27,33 @@ PUBLIC = [
     "cancel_mask",
     "decode",
     "dof_total",
-    "draw_fading",
     "draw_fading_power",
     "emit_csv",
     "hybrid_rate_table",
-    "make_basis",
-    "mixing_matrix",
-    "ml_detect",
     "parse_config",
     "parse_config_text",
     "parse_snr_grid",
     "path_loss",
-    "project",
     "qpsk_modulate",
     "run_experiment",
     "single_user_rate_table",
 ]
 
-# scalar copies of the rate tables, per-experiment runners and functions
-# only tests called; the tests keep add_noise and qpsk_demodulate as
-# references in helpers.py
+# scalar copies of the rate tables, per-experiment runners, functions only
+# tests called, and the physical chain the BER path no longer simulates;
+# the tests keep add_noise, qpsk_demodulate, draw_fading, make_basis,
+# mixing_matrix and project as references in helpers.py
 REMOVED = [
+    "PrecodingBasis",
     "add_noise",
     "assemble_transmit",
     "channel_matrix",
+    "draw_fading",
     "effective_gain",
+    "make_basis",
+    "mixing_matrix",
+    "ml_detect",
+    "project",
     "qpsk_demodulate",
     "rate_ratio",
     "run_ber_experiment",
@@ -61,7 +65,7 @@ REMOVED = [
     "user_rate",
 ]
 
-MODULES = ["analytics", "channel", "cli", "harness", "modem", "precoding", "receiver", "topology"]
+MODULES = ["analytics", "channel", "cli", "harness", "modem", "receiver", "topology"]
 
 
 def test_public_names_are_exactly_these():
@@ -79,3 +83,20 @@ def test_removed_name_is_not_importable(name):
         exec(f"from timnoma import {name}", {})
     for module in MODULES:
         assert not hasattr(importlib.import_module(f"timnoma.{module}"), name), module
+
+
+def test_precoding_module_is_gone():
+    with pytest.raises(ImportError):
+        importlib.import_module("timnoma.precoding")
+
+
+def test_import_does_not_load_the_process_pool():
+    # a one-worker run never starts a pool, so importing the package must
+    # not pay for concurrent.futures.process
+    src = os.path.dirname(os.path.dirname(timnoma.__file__))
+    code = "import sys, timnoma, timnoma.cli; print('concurrent.futures.process' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60
+    )
+    assert out.stdout.strip() == "False"
