@@ -30,6 +30,14 @@ projection cancels the other groups exactly, so receiver k's signal on
 each real axis is |g_k| times its group's superposed levels plus
 N(0, sigma^2/2) noise. Each frame draws the power gains |h|^2, then the
 bits, then one (K, S, 2) block of standard normals for the noise.
+
+A rate point runs over chunks of ``_RATE_CHUNK`` (16 384) realizations,
+chunk c drawn from its own (seed, SNR index, c) substream, so its memory is
+O(chunk * K) whatever the realization count. Each chunk reduces the columns
+the experiment writes to a count, a mean and centred second moments, and
+the chunks merge in chunk order. SeedSequence pads its entropy with zero
+words, so chunk 0 draws what the (seed, SNR index) stream drew before
+points were chunked: a point of at most one chunk keeps its bytes.
 """
 
 from __future__ import annotations
@@ -53,10 +61,15 @@ WORKERS_ENV = "TIMNOMA_WORKERS"
 
 EXPERIMENTS = ("ber", "ber_single_user", "rate", "rate_single_user", "ratio")
 RATE_EXPERIMENTS = ("rate", "rate_single_user", "ratio")
+# realizations per rate chunk: a constant, so a point's bytes never depend
+# on a setting (see the module docstring for why chunk 0 kept the old bytes)
+_RATE_CHUNK = 1 << 14
 FADING_MODES = ("block", "frame")
 
 DEFAULT_DISTANCES = (0.5, 1.5, 2.5, 3.5, 4.5)
 DEFAULT_SNR_GRID = tuple(float(s) for s in range(0, 31, 2))
+# largest accepted full-power mean SNR, 2**-64 of the largest float
+_MEAN_SNR_CEILING = math.ldexp(sys.float_info.max, -64)
 
 
 def _is_int(value) -> bool:
@@ -132,6 +145,7 @@ class SimConfig:
         if not problems:
             # the fields passed, so the scene's constructors cannot refuse it
             topo, _groups, power = _scene(self)
+            gammas = [path_loss(topo, k) for k in range(topo.user_count)]
             for snr in self.snr_grid_db:
                 try:
                     variance = NoiseModel(self.noise_variance(snr)).variance
@@ -142,11 +156,19 @@ class SimConfig:
                     continue
                 # a rate, or a ratio of rates, has no value once a user's
                 # mean SNR is 0 or has lost its precision as a subnormal
-                snrs = [p * path_loss(topo, k) / variance for k, p in enumerate(power.per_user)]
+                snrs = [p * g / variance for p, g in zip(power.per_user, gammas)]
                 if min(snrs) < sys.float_info.min:
                     problems.append(
                         f"snr_grid value {snr!r} dB gives user {snrs.index(min(snrs)) + 1} "
                         "a mean SNR P_k*gamma_k/sigma^2 that is 0 or subnormal"
+                    )
+                # below this ceiling an Exp(1) gain would have to exceed
+                # 2**64 before any SINR overflowed
+                peaks = [self.total_power * g / variance for g in gammas]
+                if max(peaks) > _MEAN_SNR_CEILING:
+                    problems.append(
+                        f"snr_grid value {snr!r} dB gives user {peaks.index(max(peaks)) + 1} "
+                        "a mean SNR total_power*gamma_k/sigma^2 above 2**-64 of the largest float"
                     )
         if problems:
             raise ConfigError("invalid config: " + "; ".join(problems))
@@ -395,37 +417,96 @@ def _ber_rows(config: SimConfig, counts: list) -> tuple:
     return tuple(rows)
 
 
+class _Moments:
+    """Count, mean and centred second moment of each column, merged over
+    chunks in chunk order by the pairwise update of Chan, Golub & LeVeque
+    (1979); running sums of x and x**2 would cancel catastrophically.
+
+    Deviations are divided by ``scale``, a power of two near the first
+    chunk's column mean, before they are squared, so rates near the
+    smallest normal float keep a nonzero spread. Scaling by a power of two
+    is exact: a single chunk gives numpy's ``mean`` and ``std(ddof=1)`` bit
+    for bit.
+    """
+
+    def __init__(self, spread: bool = True) -> None:
+        self.spread = spread  # False keeps the mean alone
+        # merging a chunk into this empty state adds exact zeros to its own
+        # moments, so the first chunk's statistics pass through unchanged
+        self.count, self.mean, self.m2 = 0, 0.0, 0.0
+
+    def add(self, values: np.ndarray):
+        """Merge one chunk, realizations along axis 0. Returns the chunk's
+        deviations from its own mean over ``scale`` (None without spread).
+        ``shift`` is then the chunk's mean minus the earlier chunks' mean
+        over ``scale``, and ``weight`` the product of their counts over the
+        sum, the terms a cross moment's merge needs."""
+        count = len(values)
+        mean = values.mean(axis=0)
+        if not self.count:
+            # mean = f * 2**e with 0.5 <= f < 1; the floor keeps 1/scale finite
+            self.scale = np.ldexp(1.0, np.maximum(np.frexp(mean)[1], -1021))
+        total = self.count + count
+        delta = mean - self.mean
+        self.shift = delta / self.scale
+        self.weight = self.count * count / total
+        self.mean = self.mean + delta * (count / total)
+        self.count = total
+        if not self.spread:
+            return None
+        deviations = values - mean
+        deviations *= 1.0 / self.scale
+        self.m2 = self.m2 + (deviations * deviations).sum(axis=0) + self.shift**2 * self.weight
+        return deviations
+
+    def std(self):
+        """Sample standard deviation of each column (ddof=1)."""
+        return np.sqrt(self.m2 / (self.count - 1)) * self.scale
+
+
 def _rate_point(config: SimConfig, snr_index: int, snr_db: float) -> dict:
     """Fading-averaged rate statistics at one SNR point: only those the
-    experiment writes."""
+    experiment writes.
+
+    Realizations run in chunks of ``_RATE_CHUNK``, chunk c drawn from
+    ``SeedSequence((seed, snr_index, c))``, so memory is O(chunk * K)
+    whatever the realization count.
+    """
     topo, groups, power = _scene(config)
-    rng = np.random.default_rng(np.random.SeedSequence((config.seed, snr_index)))
-    # drawn (K, N) and viewed as (N, K): each user's realizations stay
-    # contiguous, which keeps the reductions over realizations fast
-    fading_power = draw_fading_power(rng, topo.user_count, config.frames).T
     noise = NoiseModel(config.noise_variance(snr_db))
-    out: dict = {}
-    if config.experiment == "rate_single_user":
-        table = single_user_rate_table(topo, fading_power, noise, config.total_power)
-        out["single_mean"] = table.mean(axis=0)
-        out["single_std"] = table.std(axis=0, ddof=1)
-        return out
-    table = hybrid_rate_table(topo, power, groups, fading_power, noise, config.decoding_order_mode)
-    out["hybrid_mean"] = table.mean(axis=0)
-    if config.experiment == "rate":
-        out["hybrid_std"] = table.std(axis=0, ddof=1)
-    hybrid_sums = table.sum(axis=1)
-    del table  # freed before the baseline allocates its own (N, K) table
-    out["hybrid_sum_std"] = float(hybrid_sums.std(ddof=1))
-    if config.experiment == "ratio":
-        baseline = single_user_rate_table(topo, fading_power, noise, config.total_power).mean(axis=1)
-        out["tdma_mean"] = float(baseline.mean())
-        out["tdma_std"] = float(baseline.std(ddof=1))
-        # a sum of products, not np.cov, whose dot product would call BLAS
-        hybrid_sums -= hybrid_sums.mean()
-        baseline -= out["tdma_mean"]
-        hybrid_sums *= baseline
-        out["hybrid_tdma_cov"] = float(hybrid_sums.sum() / (config.frames - 1))
+    experiment = config.experiment
+    per_user = _Moments(spread=experiment != "ratio")
+    sums, tdma = _Moments(), _Moments()
+    cross = 0.0  # sum of products of the hybrid sum's and TDMA's deviations
+    for chunk, start in enumerate(range(0, config.frames, _RATE_CHUNK)):
+        rng = np.random.default_rng(np.random.SeedSequence((config.seed, snr_index, chunk)))
+        # drawn (K, n) and viewed as (n, K): each user's realizations stay
+        # contiguous, which keeps the reductions over realizations fast
+        fading_power = draw_fading_power(
+            rng, topo.user_count, min(_RATE_CHUNK, config.frames - start)
+        ).T
+        if experiment == "rate_single_user":
+            per_user.add(single_user_rate_table(topo, fading_power, noise, config.total_power))
+            continue
+        table = hybrid_rate_table(topo, power, groups, fading_power, noise, config.decoding_order_mode)
+        per_user.add(table)
+        sum_deviations = sums.add(table.sum(axis=1))
+        del table  # freed before the baseline allocates its own (n, K) table
+        if experiment == "ratio":
+            baseline = single_user_rate_table(topo, fading_power, noise, config.total_power).mean(axis=1)
+            tdma_deviations = tdma.add(baseline)
+            # a sum of products, not np.cov, whose dot product would call BLAS
+            sum_deviations *= tdma_deviations
+            cross += sum_deviations.sum() + sums.shift * tdma.shift * sums.weight
+    if experiment == "rate_single_user":
+        return {"single_mean": per_user.mean, "single_std": per_user.std()}
+    out = {"hybrid_mean": per_user.mean, "hybrid_sum_std": float(sums.std())}
+    if experiment == "rate":
+        out["hybrid_std"] = per_user.std()
+    elif experiment == "ratio":
+        out["tdma_mean"] = float(tdma.mean)
+        out["tdma_std"] = float(tdma.std())
+        out["hybrid_tdma_cov"] = float(cross / (config.frames - 1) * sums.scale * tdma.scale)
     return out
 
 

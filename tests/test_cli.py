@@ -107,6 +107,9 @@ class TestCliErrors:
             # the removed single-value knob is an unknown key like any other
             (["ratio", "--frames", "2", "--snr", "10"],
              "tdma_baseline_mode = full_power_time_share\n", "tdma_baseline_mode"),
+            # a SINR of this cell overflows: refused before the run starts
+            (["rate", "--frames", "2", "--snr", "3000"],
+             "distances = 0.001, 0.002\ngroup_count = 1\n", "user 1 a mean SNR"),
         ],
     )
     def test_unrunnable_config_exits_one(self, argv, config_text, fragment, tmp_path, capsys):

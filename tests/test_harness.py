@@ -2,23 +2,34 @@ import dataclasses
 import hashlib
 import io
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import timnoma
 from timnoma import (
     ConfigError,
     ExperimentResult,
+    NoiseModel,
     ResultRow,
     SimConfig,
     ValidationError,
+    allocate_power,
+    assign_groups,
+    build_topology,
+    draw_fading_power,
     emit_csv,
+    hybrid_rate_table,
     parse_config,
     parse_config_text,
     parse_snr_grid,
     run_experiment,
+    single_user_rate_table,
 )
-from timnoma.harness import WORKERS_ENV, replace
+from timnoma.harness import _RATE_CHUNK, WORKERS_ENV, replace
 
 from helpers import (
     exact_hybrid_ber,
@@ -85,6 +96,9 @@ class TestSimConfig:
             # user 3's mean SNR P*gamma/sigma^2 underflows to 0
             ({"distances": (1.0, 2.0, 3.0), "path_loss_exponent": 300.0,
               "snr_grid_db": (-2000.0,)}, "user 3 a mean SNR"),
+            # user 1's full-power mean SNR is 1e309: a SINR would overflow
+            ({"distances": (0.001, 0.002), "group_count": 1,
+              "snr_grid_db": (3000.0,)}, "user 1 a mean SNR total_power"),
         ],
     )
     def test_validation_names_the_field(self, changes, fragment):
@@ -363,6 +377,132 @@ class TestRateExperiment:
         assert serial == parallel
 
 
+    def test_stderr_survives_the_bottom_of_the_snr_range(self):
+        # squared deviations of rates near 1e-302 used to underflow to 0;
+        # both points are in the linear regime and draw the same fading, so
+        # every row keeps the same stderr/value
+        low, mid = (
+            run_experiment(replace(self.RATE_CONFIG, frames=50, snr_grid_db=(snr,)))
+            for snr in (-3000.0, -1000.0)
+        )
+        assert len(low.rows) == len(mid.rows) == 6
+        for a, b in zip(low.rows, mid.rows):
+            assert a.stderr > 0.0, a
+            assert a.stderr / a.value == pytest.approx(b.stderr / b.value, rel=1e-9), (a, b)
+
+
+class TestChunkedRatePoints:
+    """A rate point runs over chunks of _RATE_CHUNK realizations, chunk c
+    drawn from SeedSequence((seed, snr_index, c)), and merges the chunks'
+    moments in chunk order."""
+
+    FRAMES = 2 * _RATE_CHUNK + 7  # two full chunks and a ragged one
+    CONFIG = SimConfig(frames=FRAMES, snr_grid_db=(0.0, 30.0))
+
+    @pytest.mark.parametrize("seed", [0, 42, 2**32 - 1, 2**32, 2**63 + 5, 2**64 - 1])
+    def test_chunk_zero_draws_the_unchunked_stream(self, seed):
+        # SeedSequence pads its entropy with zero words, so a point of at
+        # most one chunk draws what it drew before points were chunked
+        for index in (0, 7):
+            whole = np.random.default_rng(np.random.SeedSequence((seed, index)))
+            chunk = np.random.default_rng(np.random.SeedSequence((seed, index, 0)))
+            assert np.array_equal(whole.standard_exponential(64), chunk.standard_exponential(64))
+
+    def reference_tables(self, config, snr_index, snr):
+        """Every chunk's substream redrawn and concatenated: the whole
+        point's (hybrid, single-user) rate tables in one piece."""
+        topo = build_topology(
+            config.distances, config.cell_radius, config.path_loss_exponent, config.group_count
+        )
+        draws = [
+            draw_fading_power(
+                np.random.default_rng(np.random.SeedSequence((config.seed, snr_index, chunk))),
+                topo.user_count,
+                min(_RATE_CHUNK, config.frames - start),
+            )
+            for chunk, start in enumerate(range(0, config.frames, _RATE_CHUNK))
+        ]
+        fading_power = np.concatenate(draws, axis=1).T
+        noise = NoiseModel(config.noise_variance(snr))
+        hybrid = hybrid_rate_table(
+            topo, allocate_power(topo, config.total_power), assign_groups(topo), fading_power, noise
+        )
+        return hybrid, single_user_rate_table(topo, fading_power, noise, config.total_power)
+
+    @pytest.mark.parametrize("experiment", ["rate", "rate_single_user", "ratio"])
+    def test_matches_the_unchunked_statistics(self, experiment):
+        config = replace(self.CONFIG, experiment=experiment)
+        result = run_experiment(config)
+        n = config.frames
+        root_n = math.sqrt(n)
+        for index, snr in enumerate(config.snr_grid_db):
+            hybrid, single = self.reference_tables(config, index, snr)
+            expected = []  # (entity, metric, value, stderr)
+            if experiment == "rate_single_user":
+                for k in range(len(config.distances)):
+                    column = single[:, k]
+                    expected.append((str(k + 1), "rate_single", column.mean(), column.std(ddof=1) / root_n))
+            elif experiment == "rate":
+                for k in range(len(config.distances)):
+                    column = hybrid[:, k]
+                    expected.append((str(k + 1), "rate", column.mean(), column.std(ddof=1) / root_n))
+                sums = hybrid.sum(axis=1)
+                expected.append(("sum", "rate", sums.mean(), sums.std(ddof=1) / root_n))
+            else:
+                sums, baseline = hybrid.sum(axis=1), single.mean(axis=1)
+                h, t = sums.mean(), baseline.mean()
+                sh, st = sums.std(ddof=1), baseline.std(ddof=1)
+                cov = np.sum((sums - h) * (baseline - t)) / (n - 1)
+                ratio = h / t
+                var = ratio**2 * ((sh / h) ** 2 + (st / t) ** 2 - 2.0 * cov / (h * t)) / n
+                expected += [
+                    ("sum", "rate_hybrid", h, sh / root_n),
+                    ("sum", "rate_tdma", t, st / root_n),
+                    ("sum", "rate_ratio", ratio, math.sqrt(var)),
+                ]
+            for entity, metric, value, stderr in expected:
+                row = result.row(snr, entity, metric)
+                assert row.samples == n
+                assert row.value == pytest.approx(value, rel=1e-12), (snr, entity, metric)
+                assert row.stderr == pytest.approx(stderr, rel=1e-12), (snr, entity, metric)
+
+    @pytest.mark.parametrize("experiment", ["rate", "rate_single_user", "ratio"])
+    def test_worker_count_does_not_change_bytes(self, experiment, monkeypatch):
+        config = replace(self.CONFIG, experiment=experiment)
+        monkeypatch.setenv(WORKERS_ENV, "1")
+        serial = csv_bytes(run_experiment(config))
+        monkeypatch.setenv(WORKERS_ENV, "2")
+        assert csv_bytes(run_experiment(config)) == serial
+
+
+# Runs argv in a child and prints its exit code and peak RSS in KiB from
+# wait4. The launcher is a small interpreter of its own: a child's peak RSS
+# counts the image it was forked from, and pytest's is large.
+_PEAK_RSS_PROBE = """
+import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+_pid, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def test_rate_point_memory_does_not_grow_with_realizations():
+    src = os.path.dirname(os.path.dirname(timnoma.__file__))
+    env = {**os.environ, "PYTHONPATH": src, WORKERS_ENV: "1"}
+    peaks = {}
+    for frames in (2, 1_000_000):
+        argv = [sys.executable, "-m", "timnoma.cli", "ratio", "--frames", str(frames), "--snr", "10"]
+        out = subprocess.run(
+            [sys.executable, "-c", _PEAK_RSS_PROBE, *argv],
+            env=env, capture_output=True, text=True, check=True, timeout=120,
+        )
+        code, peak_kib = (int(field) for field in out.stdout.split())
+        assert code == 0, out.stderr
+        peaks[frames] = peak_kib / 1024.0
+    # one (N, K) table at N = 10**6 alone is 40 MB
+    assert peaks[1_000_000] - peaks[2] < 10.0, peaks
+
+
 class TestRatesAgainstClosedForm:
     """Monte Carlo rates within 4 stderr of their exact E1 values, distance
     order, reference cell."""
@@ -502,7 +642,10 @@ class TestPinnedRateBytes:
     log1p and the ratio's delta method to relative terms. The rate path
     makes no BLAS call, so these bytes do not depend on the BLAS build. Any
     change to the rate stream, the decoding order, the tie rule or the
-    statistics' arithmetic changes them."""
+    statistics' arithmetic changes them. The multi-chunk case (two full
+    chunks of 16 384 realizations and a ragged one) was recorded when rate
+    points moved to chunked draws and merged moments; every other case has
+    a single chunk and kept its bytes."""
 
     BASE = SimConfig(frames=40, snr_grid_db=(0.0, 20.0, 40.0))
     CASES = {
@@ -513,6 +656,7 @@ class TestPinnedRateBytes:
             "group_count": 3,
             "decoding_order_mode": "instantaneous",
         },
+        "multi-chunk": {"frames": 2 * 16384 + 7},
     }
     SHA256 = {
         ("distance", "rate"): "f5de9e3bde402fdd7a297db3dceaf94fc531ce40a0949c8389cae6b3160f82bb",
@@ -524,6 +668,7 @@ class TestPinnedRateBytes:
         ("three-groups", "rate"): "1655187ea0af650cf5211b754a617145960cd2c6189e682b80233041961cd4b9",
         ("three-groups", "rate_single_user"): "084f1b28cef6e9b122dd18268739e972b31b1735b4da00c0d98b90b4d6e55078",
         ("three-groups", "ratio"): "8951152ddda3c14a0521181e24ebca270bb1c7298346c55b63a569a2df8b5414",
+        ("multi-chunk", "ratio"): "44efd7e4f78daac489a1b29d4845bab6bf2d24898727c985518b5443584b1de4",
     }
 
     @pytest.mark.parametrize("case,experiment", sorted(SHA256))
