@@ -3,8 +3,9 @@
 Rates are in bits per time slot, log base 2, with the 1/T prefactor that
 accounts for each user receiving one symbol per T-slot block. A user's
 denominator collects the same-group signals ranked before it in the
-decoding order (the ones it cannot cancel) plus noise; projection removed
-every other group exactly, so no inter-group term ever appears.
+decoding order of ``receiver.cancel_mask`` (the ones it cannot cancel)
+plus noise; projection removed every other group exactly, so no
+inter-group term ever appears.
 
 Both rate formulas are (N, K) tables over N fading realizations; the rates
 of one realization are the N = 1 table. Each takes the rate as
@@ -21,6 +22,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .channel import NoiseModel
+from .receiver import cancel_mask
 from .topology import GroupAssignment, PowerAllocation, Topology, path_loss
 
 ORDER_MODES = ("distance", "instantaneous")
@@ -56,31 +58,21 @@ def hybrid_rate_table(
     ``fading_power`` is the real (N, K) array of |h|^2; returns (N, K)
     rates. Entry (n, k) is user k's log2(1 + SINR) / T in realization n, the
     numerator being P_k gamma_k |h_k|^2 and the denominator the powers of
-    its uncancelled same-group users times the same gain, plus noise.
-    One new (N, K)
-    buffer goes from channel gains to rates in place, beside one
-    interference array; the caller's array is never written. Every sum
-    over users is a broadcast sum, so no BLAS call runs.
+    its uncancelled same-group users times the same gain, plus noise. The
+    decoding order is ``cancel_mask``'s: by distance, or by gamma |h|^2 in
+    each realization. One new (N, K) buffer goes from channel gains to
+    rates in place, beside one interference array, the (K, K, N) mask and
+    its power-weighted copy; the caller's array is never written. Every
+    sum over users is a broadcast sum, so no BLAS call runs.
     """
     if order_mode not in ORDER_MODES:
         raise ValidationError(f"unknown order mode {order_mode!r}")
-    count = topology.user_count
     p = np.asarray(power.per_user)
     out = _channel_gains(topology, fading_power)
-    group_of = np.asarray(groups.group_of)
-    same_group = (group_of[:, None] == group_of[None, :]) & ~np.eye(count, dtype=bool)
-    if order_mode == "distance":
-        ahead = same_group & (np.arange(count)[None, :] < np.arange(count)[:, None])
-        interference = out * np.sum(ahead * p, axis=1)
-    else:
-        # j is decoded before k where its gain is larger; ties go to the
-        # smaller index, as a stable sort by descending gain would rank them
-        interference = np.zeros_like(out)
-        for k in range(count):
-            for j in np.flatnonzero(same_group[k]):
-                ahead = out[:, j] >= out[:, k] if j < k else out[:, j] > out[:, k]
-                np.add(interference[:, k], p[j], out=interference[:, k], where=ahead)
-        interference *= out
+    cancel = cancel_mask(groups) if order_mode == "distance" else cancel_mask(groups, out.T)
+    # user k cannot cancel user j exactly when receiver j cancels k, so
+    # k's interference is sum_j cancel[j, k] * P_j times its own gain
+    interference = out * np.sum(cancel * p[:, np.newaxis, np.newaxis], axis=0).T
     interference += noise.variance
     out *= p
     out /= interference  # SINR

@@ -24,12 +24,16 @@ noise variance at fixed transmit power. Every (seed, SNR index, frame)
 triple seeds an independent substream, so results are byte-identical for
 any worker count. The ``TIMNOMA_WORKERS`` environment variable caps the
 process pool; unset means one worker per SNR point up to the CPU count.
+Each SNR point returns its own result rows, concatenated in grid order.
 
 A BER frame is simulated on the derotated real baseband (see ``receiver``):
 projection cancels the other groups exactly, so receiver k's signal on
 each real axis is |g_k| times its group's superposed levels plus
 N(0, sigma^2/2) noise. Each frame draws the power gains |h|^2, then the
-bits, then one (K, S, 2) block of standard normals for the noise.
+bits, then one (K, S, 2) block of standard normals for the noise. A
+single-user BER run is the same simulation on a scene where every user is
+a group of one, so nothing is cancelled or absorbed; it differs from the
+hybrid run only by that scene and by having no ``sum`` row.
 
 A rate point runs over chunks of ``_RATE_CHUNK`` (16 384) realizations,
 chunk c drawn from its own (seed, SNR index, c) substream, so its memory is
@@ -37,7 +41,9 @@ O(chunk * K) whatever the realization count. Each chunk reduces the columns
 the experiment writes to a count, a mean and centred second moments, and
 the chunks merge in chunk order. SeedSequence pads its entropy with zero
 words, so chunk 0 draws what the (seed, SNR index) stream drew before
-points were chunked: a point of at most one chunk keeps its bytes.
+points were chunked: a point of at most one chunk keeps its bytes. The
+ratio's hybrid x TDMA covariance stays scaled until it has been divided
+by the hybrid sum, so it never underflows at the bottom of the SNR range.
 """
 
 from __future__ import annotations
@@ -55,7 +61,7 @@ from .channel import NoiseModel, draw_fading_power
 from .errors import ConfigError, ValidationError
 from .modem import qpsk_modulate
 from .receiver import cancel_mask, decode
-from .topology import allocate_power, assign_groups, build_topology, path_loss
+from .topology import GroupAssignment, allocate_power, assign_groups, build_topology, path_loss
 
 WORKERS_ENV = "TIMNOMA_WORKERS"
 
@@ -325,54 +331,55 @@ def _scene(config: SimConfig):
     topo = build_topology(
         config.distances, config.cell_radius, config.path_loss_exponent, config.group_count
     )
-    groups = assign_groups(topo)
+    if config.experiment == "ber_single_user":
+        # a user alone is a group of one: nothing to cancel, nothing absorbed
+        users = range(topo.user_count)
+        groups = GroupAssignment(tuple(users), tuple((k,) for k in users))
+    else:
+        groups = assign_groups(topo)
     power = allocate_power(topo, config.total_power)
     return topo, groups, power
 
 
-def _received(symbols, channels, amplitudes, groups, single_user: bool) -> np.ndarray:
+def _received(symbols, channels, amplitudes, groups) -> np.ndarray:
     """Every receiver's noiseless derotated signal, (K, S, 2) real.
 
     Receiver k sees |g_k| times the superposed levels sqrt(P_j) x_j of its
-    own group, which is what is left of the transmit after projection; in a
-    single-user run it sees its own level alone. ``symbols`` are the (K, S)
-    QPSK symbols, read as their real and imaginary levels.
+    own group, which is what is left of the transmit after projection.
+    ``symbols`` are the (K, S) QPSK symbols, read as their real and
+    imaginary levels.
     """
     count, symbols_per_user = symbols.shape
     levels = symbols.view(np.float64).reshape(count, symbols_per_user, 2)
-    if single_user:
-        signal = levels * amplitudes[:, np.newaxis, np.newaxis]
-    else:
-        totals = np.zeros((groups.group_count, symbols_per_user, 2))
-        for user, group in enumerate(groups.group_of):
-            totals[group] += amplitudes[user] * levels[user]
-        signal = totals[list(groups.group_of)]
+    totals = np.zeros((groups.group_count, symbols_per_user, 2))
+    for user, group in enumerate(groups.group_of):
+        totals[group] += amplitudes[user] * levels[user]
+    signal = totals[list(groups.group_of)]
     signal *= channels[:, :, np.newaxis]
     return signal
 
 
-def _ber_counts(config: SimConfig, snr_index: int, snr_db: float) -> np.ndarray:
-    """Per-user bit error counts accumulated over all frames of one point.
+def _binomial_stderr(p: float, n: int) -> float:
+    return math.sqrt(max(p * (1.0 - p), 0.0) / n)
 
-    Every frame decodes all K receivers at once; in a single-user run each
-    receiver hears only its own signal. The group sums are loops over at
-    most K users and the rest is elementwise, so no BLAS call runs per
-    frame.
+
+def _ber_point(config: SimConfig, snr_index: int, snr_db: float) -> list:
+    """BER rows of one SNR point: each user's and, for the hybrid scheme,
+    the pooled ``sum`` row.
+
+    Every frame decodes all K receivers at once. The group sums are loops
+    over at most K users and the rest is elementwise, so no BLAS call runs
+    per frame.
     """
     topo, groups, power = _scene(config)
     count = topo.user_count
     symbols_per_frame = config.bits_per_frame // 2
     gamma = np.array([path_loss(topo, k) for k in range(count)])
     amp = np.sqrt(np.asarray(power.per_user))
-    noise = NoiseModel(config.noise_variance(snr_db))
-    scale = math.sqrt(noise.variance / 2.0)
-    single_user = config.experiment == "ber_single_user"
+    scale = math.sqrt(NoiseModel(config.noise_variance(snr_db)).variance / 2.0)
     blocks = symbols_per_frame if config.fading_mode == "block" else 1
-    per_frame_order = config.decoding_order_mode == "instantaneous" and not single_user
-    if single_user:
-        cancel = np.zeros((count, count, 1), dtype=bool)
-    else:
-        cancel = cancel_mask(groups)
+    per_frame_order = config.decoding_order_mode == "instantaneous"
+    cancel = cancel_mask(groups)
     # receiver k's noise on block s is normals[k, s, 0] on the real axis
     # and normals[k, s, 1] on the imaginary axis
     normals = np.empty((count, symbols_per_frame, 2))
@@ -383,38 +390,26 @@ def _ber_counts(config: SimConfig, snr_index: int, snr_db: float) -> np.ndarray:
         bits = rng.integers(0, 2, size=(count, config.bits_per_frame))
         rng.standard_normal(out=normals)
         if per_frame_order:
-            cancel = cancel_mask(groups, gains / noise.variance)
+            cancel = cancel_mask(groups, gains)
         channels = np.sqrt(gains)
-        signal = _received(qpsk_modulate(bits), channels, amp, groups, single_user)
+        signal = _received(qpsk_modulate(bits), channels, amp, groups)
         normals *= scale
         signal += normals
         decided = decode(signal, channels, amp, cancel)
         errors += np.count_nonzero(decided != bits, axis=1)
-    return errors
-
-
-def _binomial_stderr(p: float, n: int) -> float:
-    return math.sqrt(max(p * (1.0 - p), 0.0) / n)
-
-
-def _ber_rows(config: SimConfig, counts: list) -> tuple:
-    hybrid = config.experiment == "ber"
-    metric = "ber" if hybrid else "ber_single"
-    user_count = len(config.distances)
+    metric = "ber" if config.experiment == "ber" else "ber_single"
     bits_per_user = config.frames * config.bits_per_frame
     rows = []
-    for index, snr in enumerate(config.snr_grid_db):
-        errors = counts[index]
-        for k in range(user_count):
-            p = int(errors[k]) / bits_per_user
-            rows.append(
-                ResultRow(snr, str(k + 1), metric, p, bits_per_user, _binomial_stderr(p, bits_per_user))
-            )
-        if hybrid:
-            total_bits = user_count * bits_per_user
-            p = int(errors.sum()) / total_bits
-            rows.append(ResultRow(snr, "sum", metric, p, total_bits, _binomial_stderr(p, total_bits)))
-    return tuple(rows)
+    for k in range(count):
+        p = int(errors[k]) / bits_per_user
+        rows.append(
+            ResultRow(snr_db, str(k + 1), metric, p, bits_per_user, _binomial_stderr(p, bits_per_user))
+        )
+    if config.experiment == "ber":
+        total_bits = count * bits_per_user
+        p = int(errors.sum()) / total_bits
+        rows.append(ResultRow(snr_db, "sum", metric, p, total_bits, _binomial_stderr(p, total_bits)))
+    return rows
 
 
 class _Moments:
@@ -464,9 +459,9 @@ class _Moments:
         return np.sqrt(self.m2 / (self.count - 1)) * self.scale
 
 
-def _rate_point(config: SimConfig, snr_index: int, snr_db: float) -> dict:
-    """Fading-averaged rate statistics at one SNR point: only those the
-    experiment writes.
+def _rate_point(config: SimConfig, snr_index: int, snr_db: float) -> list:
+    """Rate rows of one SNR point, from fading-averaged statistics of only
+    the columns the experiment writes.
 
     Realizations run in chunks of ``_RATE_CHUNK``, chunk c drawn from
     ``SeedSequence((seed, snr_index, c))``, so memory is O(chunk * K)
@@ -475,16 +470,15 @@ def _rate_point(config: SimConfig, snr_index: int, snr_db: float) -> dict:
     topo, groups, power = _scene(config)
     noise = NoiseModel(config.noise_variance(snr_db))
     experiment = config.experiment
+    n = config.frames
     per_user = _Moments(spread=experiment != "ratio")
     sums, tdma = _Moments(), _Moments()
-    cross = 0.0  # sum of products of the hybrid sum's and TDMA's deviations
-    for chunk, start in enumerate(range(0, config.frames, _RATE_CHUNK)):
+    cross = 0.0  # sum of products of the hybrid sum's and TDMA's scaled deviations
+    for chunk, start in enumerate(range(0, n, _RATE_CHUNK)):
         rng = np.random.default_rng(np.random.SeedSequence((config.seed, snr_index, chunk)))
         # drawn (K, n) and viewed as (n, K): each user's realizations stay
         # contiguous, which keeps the reductions over realizations fast
-        fading_power = draw_fading_power(
-            rng, topo.user_count, min(_RATE_CHUNK, config.frames - start)
-        ).T
+        fading_power = draw_fading_power(rng, topo.user_count, min(_RATE_CHUNK, n - start)).T
         if experiment == "rate_single_user":
             per_user.add(single_user_rate_table(topo, fading_power, noise, config.total_power))
             continue
@@ -498,59 +492,32 @@ def _rate_point(config: SimConfig, snr_index: int, snr_db: float) -> dict:
             # a sum of products, not np.cov, whose dot product would call BLAS
             sum_deviations *= tdma_deviations
             cross += sum_deviations.sum() + sums.shift * tdma.shift * sums.weight
-    if experiment == "rate_single_user":
-        return {"single_mean": per_user.mean, "single_std": per_user.std()}
-    out = {"hybrid_mean": per_user.mean, "hybrid_sum_std": float(sums.std())}
-    if experiment == "rate":
-        out["hybrid_std"] = per_user.std()
-    elif experiment == "ratio":
-        out["tdma_mean"] = float(tdma.mean)
-        out["tdma_std"] = float(tdma.std())
-        out["hybrid_tdma_cov"] = float(cross / (config.frames - 1) * sums.scale * tdma.scale)
-    return out
-
-
-def _rate_rows(config: SimConfig, stats: list) -> tuple:
-    user_count = len(config.distances)
-    n = config.frames
-    rows = []
-    for index, snr in enumerate(config.snr_grid_db):
-        point = stats[index]
-        if config.experiment == "rate":
-            for k in range(user_count):
-                rows.append(
-                    ResultRow(snr, str(k + 1), "rate", float(point["hybrid_mean"][k]), n,
-                              float(point["hybrid_std"][k]) / math.sqrt(n))
-                )
-            rows.append(
-                ResultRow(snr, "sum", "rate", float(np.sum(point["hybrid_mean"])), n,
-                          float(point["hybrid_sum_std"]) / math.sqrt(n))
-            )
-        elif config.experiment == "rate_single_user":
-            for k in range(user_count):
-                rows.append(
-                    ResultRow(snr, str(k + 1), "rate_single", float(point["single_mean"][k]), n,
-                              float(point["single_std"][k]) / math.sqrt(n))
-                )
-        else:  # ratio
-            hybrid_sum = float(np.sum(point["hybrid_mean"]))
-            tdma_sum = point["tdma_mean"]
-            ratio = hybrid_sum / tdma_sum
-            # delta method for a ratio of two correlated sample means, in
-            # relative terms: no power of a sum that can underflow at low SNR
-            relative_var = (
-                (point["hybrid_sum_std"] / hybrid_sum) ** 2
-                + (point["tdma_std"] / tdma_sum) ** 2
-                - 2.0 * (point["hybrid_tdma_cov"] / hybrid_sum) / tdma_sum
-            )
-            ratio_var = ratio**2 * relative_var / n
-            rows.append(ResultRow(snr, "sum", "rate_hybrid", hybrid_sum, n,
-                                  float(point["hybrid_sum_std"]) / math.sqrt(n)))
-            rows.append(ResultRow(snr, "sum", "rate_tdma", tdma_sum, n,
-                                  float(point["tdma_std"]) / math.sqrt(n)))
-            rows.append(ResultRow(snr, "sum", "rate_ratio", ratio, n,
-                                  math.sqrt(max(ratio_var, 0.0))))
-    return tuple(rows)
+    root_n = math.sqrt(n)
+    if experiment != "ratio":
+        metric = "rate_single" if experiment == "rate_single_user" else "rate"
+        means, stds = per_user.mean, per_user.std()
+        rows = [
+            ResultRow(snr_db, str(k + 1), metric, float(means[k]), n, float(stds[k]) / root_n)
+            for k in range(topo.user_count)
+        ]
+        if experiment == "rate":
+            rows.append(ResultRow(snr_db, "sum", metric, float(np.sum(means)), n,
+                                  float(sums.std()) / root_n))
+        return rows
+    hybrid_sum, hybrid_std = float(np.sum(per_user.mean)), float(sums.std())
+    tdma_sum, tdma_std = float(tdma.mean), float(tdma.std())
+    ratio = hybrid_sum / tdma_sum
+    # delta method for a ratio of two correlated sample means, in relative
+    # terms. The covariance is divided by the hybrid sum before the scales
+    # restore it, so no absolute product of tiny rates is ever formed.
+    relative_cov = (cross / (n - 1)) / hybrid_sum * sums.scale * tdma.scale / tdma_sum
+    relative_var = (hybrid_std / hybrid_sum) ** 2 + (tdma_std / tdma_sum) ** 2 - 2.0 * relative_cov
+    return [
+        ResultRow(snr_db, "sum", "rate_hybrid", hybrid_sum, n, hybrid_std / root_n),
+        ResultRow(snr_db, "sum", "rate_tdma", tdma_sum, n, tdma_std / root_n),
+        ResultRow(snr_db, "sum", "rate_ratio", ratio, n,
+                  math.sqrt(max(ratio**2 * relative_var / n, 0.0))),
+    ]
 
 
 def run_experiment(config: SimConfig) -> ExperimentResult:
@@ -563,11 +530,9 @@ def run_experiment(config: SimConfig) -> ExperimentResult:
     each user alone.
     """
     config = config.validated()
-    if config.experiment in RATE_EXPERIMENTS:
-        point_fn, rows_fn = _rate_point, _rate_rows
-    else:
-        point_fn, rows_fn = _ber_counts, _ber_rows
-    return ExperimentResult(rows_fn(config, _map_points(point_fn, config)))
+    point_fn = _rate_point if config.experiment in RATE_EXPERIMENTS else _ber_point
+    points = _map_points(point_fn, config)
+    return ExperimentResult(tuple(row for rows in points for row in rows))
 
 
 def emit_csv(result: ExperimentResult, destination) -> None:

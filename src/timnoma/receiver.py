@@ -19,11 +19,14 @@ noise.
 
 ``decode`` runs this for every receiver of a frame at once. Which user a
 receiver cancels on which block is a boolean (receiver, interferer, block)
-mask from ``cancel_mask``, so the static distance order, the per-block
-instantaneous order and the single-user run (an all-false mask) share one
-kernel. Nothing here calls BLAS: every sum runs over an axis of length at
-most K, where a broadcast is cheaper than a BLAS call and never starts
-BLAS threads inside a pool worker.
+mask from ``cancel_mask``, so the static distance order and the per-block
+instantaneous order share one kernel; a single-user run is a cell of
+one-user groups, whose mask is all false. ``cancel_mask`` is the only
+statement of the decoding order: the rate tables read it too.
+
+Nothing here calls BLAS: every sum runs over an axis of length at most K,
+where a broadcast is cheaper than a BLAS call and never starts BLAS
+threads inside a pool worker.
 """
 
 from __future__ import annotations
@@ -44,9 +47,11 @@ def cancel_mask(groups: GroupAssignment, gains=None) -> np.ndarray:
     on block s: j shares k's group and ranks after k in the decoding order.
     Without ``gains`` the order is by distance (user index), so the mask is
     ``same_group & (j > k)`` with a single block axis entry. With ``gains``
-    of shape (K,) or (K, S), the instantaneous noise-normalized gains, the
-    order is by decreasing gain, block by block: j ranks after k where its
-    gain is smaller, ties going to the larger index.
+    of shape (K,) or (K, S), the instantaneous channel gains gamma |h|^2,
+    the order is by decreasing gain, block by block: j ranks after k where
+    its gain is smaller, ties going to the larger index. The gains are
+    taken unscaled: dividing them by sigma^2 cannot change the order, only
+    add ties by rounding.
     """
     users = np.arange(len(groups.group_of))
     group_of = np.asarray(groups.group_of)

@@ -297,20 +297,25 @@ class TestSingleUserExperiment:
         assert all(row.metric == "ber_single" for row in result.rows)
 
     def test_single_user_cell_matches_hybrid_bit_for_bit(self):
-        base = SimConfig(
-            distances=(1.0,),
-            group_count=1,
-            bits_per_frame=128,
-            frames=4,
-            snr_grid_db=(6.0, 10.0),
-        )
-        hybrid = run_experiment(replace(base, experiment="ber"))
-        single = run_experiment(replace(base, experiment="ber_single_user"))
-        for snr in base.snr_grid_db:
-            assert (
-                hybrid.row(snr, "1", "ber").value
-                == single.row(snr, "1", "ber_single").value
-            )
+        # a single-user run is the hybrid run of the same users, each in a
+        # group of its own: one user in one group, and the reference cell
+        # (single-user at T = 2 against hybrid at T = 5) in both orders and
+        # both fading modes
+        cells = [(SimConfig(distances=(1.0,), group_count=1, bits_per_frame=128), 1)]
+        for order in ("distance", "instantaneous"):
+            for fading in ("block", "frame"):
+                cell = SimConfig(bits_per_frame=120, decoding_order_mode=order, fading_mode=fading)
+                cells.append((cell, 5))
+        for base, hybrid_group_count in cells:
+            base = replace(base, frames=4, snr_grid_db=(6.0, 10.0))
+            hybrid = run_experiment(replace(base, experiment="ber", group_count=hybrid_group_count))
+            single = run_experiment(replace(base, experiment="ber_single_user"))
+            for snr in base.snr_grid_db:
+                for k in range(len(base.distances)):
+                    assert (
+                        hybrid.row(snr, str(k + 1), "ber").value
+                        == single.row(snr, str(k + 1), "ber_single").value
+                    ), (base, snr, k)
 
     def test_rate_variant_uses_full_power(self):
         config = replace(
@@ -378,17 +383,22 @@ class TestRateExperiment:
 
 
     def test_stderr_survives_the_bottom_of_the_snr_range(self):
-        # squared deviations of rates near 1e-302 used to underflow to 0;
-        # both points are in the linear regime and draw the same fading, so
-        # every row keeps the same stderr/value
-        low, mid = (
-            run_experiment(replace(self.RATE_CONFIG, frames=50, snr_grid_db=(snr,)))
-            for snr in (-3000.0, -1000.0)
-        )
-        assert len(low.rows) == len(mid.rows) == 6
-        for a, b in zip(low.rows, mid.rows):
-            assert a.stderr > 0.0, a
-            assert a.stderr / a.value == pytest.approx(b.stderr / b.value, rel=1e-9), (a, b)
+        # squared deviations of rates near 1e-302 used to underflow to 0,
+        # and so did ratio's absolute hybrid x TDMA covariance below about
+        # -1550 dB; every point is in the linear regime and draws the same
+        # fading, so every row keeps the same stderr/value
+        for experiment, row_count in (("rate", 6), ("ratio", 3)):
+            mid, *lows = (
+                run_experiment(
+                    replace(self.RATE_CONFIG, experiment=experiment, frames=50, snr_grid_db=(snr,))
+                )
+                for snr in (-1000.0, -2000.0, -3000.0)
+            )
+            for low in lows:
+                assert len(low.rows) == len(mid.rows) == row_count
+                for a, b in zip(low.rows, mid.rows):
+                    assert a.stderr > 0.0, a
+                    assert a.stderr / a.value == pytest.approx(b.stderr / b.value, rel=1e-9), (a, b)
 
 
 class TestChunkedRatePoints:

@@ -19,7 +19,7 @@ from timnoma import (
     path_loss,
     qpsk_modulate,
 )
-from timnoma.harness import _received
+from timnoma.harness import _received, _scene
 
 from helpers import (
     add_noise,
@@ -440,7 +440,7 @@ class TestRealBasebandMatchesPhysicalChain:
         symbols = qpsk_modulate(rng.integers(0, 2, size=(count, 2 * n)))
         z = add_noise(rng, np.zeros((count, n)), NoiseModel(sigma2))
         gamma = np.array([path_loss(topology, k) for k in range(count)])
-        gains = gamma[:, None] * np.abs(h) ** 2 / sigma2
+        gains = gamma[:, None] * np.abs(h) ** 2
 
         # physical chain: mix, fade, project, add projected noise, SIC
         basis = make_basis(config.group_count)
@@ -462,15 +462,15 @@ class TestRealBasebandMatchesPhysicalChain:
             projected, np.broadcast_to(channels, (count, n)), power.per_user, group_of, order
         )
 
-        # real per-axis kernel, as the harness builds it
-        magnitudes = np.sqrt(gamma[:, None] * np.abs(h) ** 2)
+        # real per-axis kernel, as the harness builds it: a single-user
+        # run's scene puts every user in a group of its own
+        _topology, kernel_groups, _power = _scene(config)
+        magnitudes = np.sqrt(gains)
         w = levels(np.conj(h) / np.abs(h) * z)
-        signal = _received(symbols, magnitudes, amplitudes(power), groups, single_user) + w
-        if single_user:
-            mask = np.zeros((count, count, 1), dtype=bool)
-        elif config.decoding_order_mode == "distance":
-            mask = cancel_mask(groups)
+        signal = _received(symbols, magnitudes, amplitudes(power), kernel_groups) + w
+        if config.decoding_order_mode == "distance":
+            mask = cancel_mask(kernel_groups)
         else:
-            mask = cancel_mask(groups, gains)
+            mask = cancel_mask(kernel_groups, gains)
         bits = decode(signal, magnitudes, amplitudes(power), mask)
         np.testing.assert_array_equal(bits, expected)
