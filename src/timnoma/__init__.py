@@ -9,11 +9,10 @@ derotated real baseband that is left after it. The harness sweeps transmit
 SNR and writes per-user BER and achievable-rate tables as CSV.
 """
 
-from .analytics import dof_total, hybrid_rate_table, single_user_rate_table
+from .analytics import hybrid_rate_table, single_user_rate_table
 from .channel import NoiseModel, draw_fading_power
 from .errors import ConfigError, ValidationError
 from .harness import (
-    ExperimentResult,
     ResultRow,
     SimConfig,
     emit_csv,
@@ -22,7 +21,7 @@ from .harness import (
     parse_snr_grid,
     run_experiment,
 )
-from .modem import BITS_PER_SYMBOL, CONSTELLATION, qpsk_modulate
+from .modem import qpsk_levels
 from .receiver import cancel_mask, decode
 from .topology import (
     GroupAssignment,
@@ -37,10 +36,7 @@ from .topology import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BITS_PER_SYMBOL",
-    "CONSTELLATION",
     "ConfigError",
-    "ExperimentResult",
     "GroupAssignment",
     "NoiseModel",
     "PowerAllocation",
@@ -53,7 +49,6 @@ __all__ = [
     "build_topology",
     "cancel_mask",
     "decode",
-    "dof_total",
     "draw_fading_power",
     "emit_csv",
     "hybrid_rate_table",
@@ -61,7 +56,7 @@ __all__ = [
     "parse_config_text",
     "parse_snr_grid",
     "path_loss",
-    "qpsk_modulate",
+    "qpsk_levels",
     "run_experiment",
     "single_user_rate_table",
 ]

@@ -1,4 +1,4 @@
-"""Closed-form performance: per-user achievable rates, baselines, DoF.
+"""Closed-form performance: per-user achievable rates and the TDMA baseline.
 
 Rates are in bits per time slot, log base 2, with the 1/T prefactor that
 accounts for each user receiving one symbol per T-slot block. A user's
@@ -16,7 +16,6 @@ rounding to a zero rate at very low SNR.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import numpy as np
 
@@ -28,21 +27,11 @@ from .topology import GroupAssignment, PowerAllocation, Topology, path_loss
 ORDER_MODES = ("distance", "instantaneous")
 
 
-def dof_total(user_count: int, group_count: int) -> Fraction:
-    """Total degrees of freedom: K/T, exact."""
-    if user_count < 1:
-        raise ValidationError("user_count must be at least 1")
-    if not 1 <= group_count <= user_count:
-        raise ValidationError("group_count must be between 1 and user_count")
-    return Fraction(user_count, group_count)
-
-
 def _channel_gains(topology: Topology, fading_power) -> np.ndarray:
     """gamma_k |h_k|^2 for an (N, K) array of |h|^2, in a new buffer."""
     if np.iscomplexobj(fading_power):
         raise ValidationError("fading_power must be the real |h|^2, not complex fading")
-    gamma = np.array([path_loss(topology, k) for k in range(topology.user_count)])
-    return np.multiply(fading_power, gamma)
+    return np.multiply(fading_power, path_loss(topology))
 
 
 def hybrid_rate_table(

@@ -67,7 +67,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         # the run itself can still refuse its environment (TIMNOMA_WORKERS)
-        result = run_experiment(_config_from_args(args))
+        rows = run_experiment(_config_from_args(args))
     except (ConfigError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -76,9 +76,9 @@ def main(argv=None) -> int:
         return 2
     try:
         if args.out == "-":
-            emit_csv(result, sys.stdout)
+            emit_csv(rows, sys.stdout)
         else:
-            emit_csv(result, args.out)
+            emit_csv(rows, args.out)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -59,7 +59,7 @@ import numpy as np
 from .analytics import ORDER_MODES, hybrid_rate_table, single_user_rate_table
 from .channel import NoiseModel, draw_fading_power
 from .errors import ConfigError, ValidationError
-from .modem import qpsk_modulate
+from .modem import qpsk_levels
 from .receiver import cancel_mask, decode
 from .topology import GroupAssignment, allocate_power, assign_groups, build_topology, path_loss
 
@@ -151,7 +151,7 @@ class SimConfig:
         if not problems:
             # the fields passed, so the scene's constructors cannot refuse it
             topo, _groups, power = _scene(self)
-            gammas = [path_loss(topo, k) for k in range(topo.user_count)]
+            gammas = path_loss(topo).tolist()  # Python floats: an overflow is inf, not a warning
             for snr in self.snr_grid_db:
                 try:
                     variance = NoiseModel(self.noise_variance(snr)).variance
@@ -205,19 +205,6 @@ class ResultRow:
             raise ValidationError("samples must be positive")
 
 
-@dataclass(frozen=True)
-class ExperimentResult:
-    """Flat result table, ordered by SNR, then user entity, then "sum"."""
-
-    rows: tuple[ResultRow, ...]
-
-    def row(self, snr_db: float, entity: str, metric: str) -> ResultRow:
-        for row in self.rows:
-            if row.snr_db == snr_db and row.entity == entity and row.metric == metric:
-                return row
-        raise KeyError((snr_db, entity, metric))
-
-
 # ---------------------------------------------------------------------------
 # config parsing
 
@@ -237,6 +224,8 @@ def parse_snr_grid(spec: str) -> tuple[float, ...]:
             start, step, stop = (float(p) for p in parts)
         except ValueError as exc:
             raise ConfigError(f"bad snr range {spec!r}: {exc}") from exc
+        if not all(math.isfinite(v) for v in (start, step, stop)):
+            raise ConfigError(f"snr range {spec!r} must have a finite start, step and stop")
         if step <= 0:
             raise ConfigError("snr range step must be positive")
         count = int(math.floor((stop - start) / step + 1e-9)) + 1
@@ -333,25 +322,21 @@ def _scene(config: SimConfig):
     )
     if config.experiment == "ber_single_user":
         # a user alone is a group of one: nothing to cancel, nothing absorbed
-        users = range(topo.user_count)
-        groups = GroupAssignment(tuple(users), tuple((k,) for k in users))
+        groups = GroupAssignment(tuple(range(topo.user_count)))
     else:
         groups = assign_groups(topo)
     power = allocate_power(topo, config.total_power)
     return topo, groups, power
 
 
-def _received(symbols, channels, amplitudes, groups) -> np.ndarray:
+def _received(levels, channels, amplitudes, groups) -> np.ndarray:
     """Every receiver's noiseless derotated signal, (K, S, 2) real.
 
     Receiver k sees |g_k| times the superposed levels sqrt(P_j) x_j of its
     own group, which is what is left of the transmit after projection.
-    ``symbols`` are the (K, S) QPSK symbols, read as their real and
-    imaginary levels.
+    ``levels`` are the (K, S, 2) QPSK levels of ``qpsk_levels``.
     """
-    count, symbols_per_user = symbols.shape
-    levels = symbols.view(np.float64).reshape(count, symbols_per_user, 2)
-    totals = np.zeros((groups.group_count, symbols_per_user, 2))
+    totals = np.zeros((groups.group_count,) + levels.shape[1:])
     for user, group in enumerate(groups.group_of):
         totals[group] += amplitudes[user] * levels[user]
     signal = totals[list(groups.group_of)]
@@ -374,7 +359,7 @@ def _ber_point(config: SimConfig, snr_index: int, snr_db: float) -> list:
     topo, groups, power = _scene(config)
     count = topo.user_count
     symbols_per_frame = config.bits_per_frame // 2
-    gamma = np.array([path_loss(topo, k) for k in range(count)])
+    gamma = path_loss(topo)
     amp = np.sqrt(np.asarray(power.per_user))
     scale = math.sqrt(NoiseModel(config.noise_variance(snr_db)).variance / 2.0)
     blocks = symbols_per_frame if config.fading_mode == "block" else 1
@@ -392,7 +377,7 @@ def _ber_point(config: SimConfig, snr_index: int, snr_db: float) -> list:
         if per_frame_order:
             cancel = cancel_mask(groups, gains)
         channels = np.sqrt(gains)
-        signal = _received(qpsk_modulate(bits), channels, amp, groups)
+        signal = _received(qpsk_levels(bits), channels, amp, groups)
         normals *= scale
         signal += normals
         decided = decode(signal, channels, amp, cancel)
@@ -520,8 +505,9 @@ def _rate_point(config: SimConfig, snr_index: int, snr_db: float) -> list:
     ]
 
 
-def run_experiment(config: SimConfig) -> ExperimentResult:
-    """Run the experiment that ``config.experiment`` names.
+def run_experiment(config: SimConfig) -> tuple[ResultRow, ...]:
+    """Run the experiment that ``config.experiment`` names and return its
+    rows, ordered by SNR, then user entity, then "sum".
 
     ``ber`` is the framed link-level BER of the hybrid scheme, per user and
     pooled; ``ber_single_user`` the BER of each user alone at its own power
@@ -532,11 +518,11 @@ def run_experiment(config: SimConfig) -> ExperimentResult:
     config = config.validated()
     point_fn = _rate_point if config.experiment in RATE_EXPERIMENTS else _ber_point
     points = _map_points(point_fn, config)
-    return ExperimentResult(tuple(row for rows in points for row in rows))
+    return tuple(row for rows in points for row in rows)
 
 
-def emit_csv(result: ExperimentResult, destination) -> None:
-    """Write the result table as CSV.
+def emit_csv(rows, destination) -> None:
+    """Write result rows as CSV.
 
     ``destination`` is a path or a writable text file object. Floats are
     rendered with repr (shortest round-trip), so identical results yield
@@ -544,7 +530,7 @@ def emit_csv(result: ExperimentResult, destination) -> None:
     """
     def _write(handle) -> None:
         handle.write("snr_db,entity,metric,value,samples,stderr\n")
-        for row in result.rows:
+        for row in rows:
             handle.write(
                 f"{row.snr_db!r},{row.entity},{row.metric},{row.value!r},{row.samples},{row.stderr!r}\n"
             )

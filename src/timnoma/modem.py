@@ -1,9 +1,9 @@
-"""Gray-mapped QPSK with unit symbol energy.
+"""Gray-mapped QPSK with unit symbol energy, as real per-axis levels.
 
-Bit pairs map to quadrants: the first bit sets the sign of the real part,
-the second the sign of the imaginary part (0 -> +). CONSTELLATION is indexed
-by the bit pair read as an integer, so index order is 00, 01, 10, 11; this
-order is also the tie-break order for detection.
+A bit pair maps to one level on each real axis: the first bit sets the sign
+of the in-phase level, the second the sign of the quadrature level (0 -> +,
+1 -> -), each of magnitude LEVEL = 1/sqrt(2). The derotated receiver of
+``receiver`` works on these levels directly, so no complex symbol is built.
 """
 
 from __future__ import annotations
@@ -12,23 +12,18 @@ import numpy as np
 
 from .errors import ValidationError
 
-BITS_PER_SYMBOL = 2
-
-_AMP = 1.0 / np.sqrt(2.0)
-CONSTELLATION = np.array(
-    [1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j], dtype=np.complex128
-) * _AMP
+LEVEL = 1.0 / np.sqrt(2.0)
 
 
-def qpsk_modulate(bits) -> np.ndarray:
-    """Map a flat sequence of bits (even length) to QPSK symbols.
+def qpsk_levels(bits) -> np.ndarray:
+    """Map bits to per-axis QPSK levels, two bits per symbol.
 
     Accepts any array-like of 0/1 whose last axis has even length; returns
-    a complex array with the last axis halved. Bits are consumed in order,
-    two per symbol.
+    float64 of shape (..., S, 2), the last axis holding the in-phase then
+    the quadrature level of each symbol. Bits are consumed in order.
     """
     bits = np.asarray(bits)
     if bits.shape[-1] % 2 != 0:
         raise ValidationError("bit count must be even (two bits per symbol)")
     pairs = bits.reshape(bits.shape[:-1] + (-1, 2))
-    return ((1 - 2 * pairs[..., 0]) + 1j * (1 - 2 * pairs[..., 1])) * _AMP
+    return (1 - 2 * pairs) * LEVEL

@@ -34,10 +34,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ValidationError
-from .modem import CONSTELLATION
+from .modem import LEVEL
 from .topology import GroupAssignment
-
-_AMP = CONSTELLATION[0].real  # per-axis level of every QPSK point
 
 
 def cancel_mask(groups: GroupAssignment, gains=None) -> np.ndarray:
@@ -86,8 +84,8 @@ def decode(signal, channels, amplitudes, cancel, genie_symbols=None) -> np.ndarr
     true levels are subtracted instead, which isolates each receiver's own
     detection from propagation effects.
 
-    Returns (K, 2S) booleans in ``qpsk_modulate`` bit order: a negative
-    residual decides bit 1, and an exact zero decides bit 0.
+    Returns (K, 2S) booleans in the bit order ``qpsk_levels`` reads: a
+    negative residual decides bit 1, and an exact zero decides bit 0.
     """
     residual = signal
     amplitudes = np.asarray(amplitudes, dtype=float)
@@ -103,7 +101,7 @@ def decode(signal, channels, amplitudes, cancel, genie_symbols=None) -> np.ndarr
             continue
         running = residual[rows]
         if genie_symbols is None:
-            estimate = np.where(running < 0, -_AMP, _AMP)
+            estimate = np.where(running < 0, -LEVEL, LEVEL)
         else:
             estimate = genie_symbols[j]
         reconstruction = channels[rows, :, np.newaxis] * amplitudes[j] * estimate

@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ValidationError
 
 
@@ -30,18 +32,13 @@ class Topology:
 
 @dataclass(frozen=True)
 class GroupAssignment:
-    """Mapping user -> group plus the per-group member lists.
-
-    ``members[t]`` is ordered by increasing distance (user index), so the
-    last member of each group carries the most transmit power.
-    """
+    """Mapping user -> group, groups numbered from 0."""
 
     group_of: tuple[int, ...]
-    members: tuple[tuple[int, ...], ...]
 
     @property
     def group_count(self) -> int:
-        return len(self.members)
+        return max(self.group_of) + 1
 
 
 @dataclass(frozen=True)
@@ -49,7 +46,6 @@ class PowerAllocation:
     """Per-user transmit powers in watts. Strictly increasing in user index."""
 
     per_user: tuple[float, ...]
-    total: float
 
 
 def build_topology(
@@ -77,23 +73,25 @@ def build_topology(
         )
     if distances[-1] > cell_radius:
         raise ValidationError("distances must not exceed the cell radius")
-    try:
-        finite = all(0 < 1.0 / d**path_loss_exponent < math.inf for d in distances)
-    except (OverflowError, ZeroDivisionError):
-        finite = False
-    if not finite:
-        raise ValidationError("path loss 1/d^n must be a positive finite number for every user")
     if not (1 <= int(group_count) <= len(distances)):
         raise ValidationError(
             "group_count must be between 1 and the number of users"
         )
-    return Topology(distances, float(cell_radius), float(path_loss_exponent), int(group_count))
+    topology = Topology(distances, float(cell_radius), float(path_loss_exponent), int(group_count))
+    try:
+        gains = path_loss(topology)
+        finite = bool(np.all((gains > 0) & (gains < math.inf)))
+    except (OverflowError, ZeroDivisionError):
+        finite = False
+    if not finite:
+        raise ValidationError("path loss 1/d^n must be a positive finite number for every user")
+    return topology
 
 
-def path_loss(topology: Topology, user: int) -> float:
-    """Linear path-loss gain 1 / d^n for the given user."""
-    _check_user(topology, user)
-    return 1.0 / topology.distances[user] ** topology.path_loss_exponent
+def path_loss(topology: Topology) -> np.ndarray:
+    """Linear path-loss gains 1 / d^n of every user, shape (K,)."""
+    # each gain in Python floats: numpy's pow may round differently
+    return np.array([1.0 / d**topology.path_loss_exponent for d in topology.distances])
 
 
 def assign_groups(topology: Topology) -> GroupAssignment:
@@ -103,13 +101,8 @@ def assign_groups(topology: Topology) -> GroupAssignment:
     users in distance order therefore always land in distinct groups, and
     same-group members are separated by T-1 users from the other groups.
     """
-    count = topology.user_count
     groups = topology.group_count
-    group_of = tuple(k % groups for k in range(count))
-    members = tuple(
-        tuple(k for k in range(count) if k % groups == t) for t in range(groups)
-    )
-    return GroupAssignment(group_of, members)
+    return GroupAssignment(tuple(k % groups for k in range(topology.user_count)))
 
 
 def allocate_power(topology: Topology, total_power: float) -> PowerAllocation:
@@ -123,9 +116,4 @@ def allocate_power(topology: Topology, total_power: float) -> PowerAllocation:
     squared = [d * d for d in topology.distances]
     denom = sum(squared)
     per_user = tuple(total_power * s / denom for s in squared)
-    return PowerAllocation(per_user, float(total_power))
-
-
-def _check_user(topology: Topology, user: int) -> None:
-    if not 0 <= user < topology.user_count:
-        raise IndexError(f"user index {user} out of range for {topology.user_count} users")
+    return PowerAllocation(per_user)

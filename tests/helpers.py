@@ -4,8 +4,9 @@ Everything here is computed from first principles with numpy/stdlib only,
 deliberately NOT reusing the package's formulas, so the tests check the
 implementation against a second route.
 
-The physical chain lives here too: complex fading (``draw_fading``), the
-precoding basis (``make_basis``), the transmit mixing (``mixing_matrix``),
+The physical chain lives here too: the complex QPSK modem
+(``qpsk_modulate``, ``qpsk_demodulate``), complex fading (``draw_fading``),
+the precoding basis (``make_basis``), the transmit mixing (``mixing_matrix``),
 projection (``project``) and the one-receiver-at-a-time SIC loop
 (``reference_sic_bits``). The package simulates only the derotated real
 baseband that is left after projection; tests hold it to this chain.
@@ -158,6 +159,22 @@ def project(received, basis, group):
     return complex(out) if out.ndim == 0 else out
 
 
+def row(rows, snr_db, entity, metric):
+    """The one result row of ``run_experiment`` with this SNR, entity and
+    metric."""
+    found = [r for r in rows if (r.snr_db, r.entity, r.metric) == (snr_db, entity, metric)]
+    if len(found) != 1:
+        raise KeyError((snr_db, entity, metric))
+    return found[0]
+
+
+def members(group_of):
+    """Each group's users in index order, from the user -> group map."""
+    return tuple(
+        tuple(k for k, g in enumerate(group_of) if g == t) for t in range(max(group_of) + 1)
+    )
+
+
 def levels(values):
     """Per-axis levels of complex values: shape + (2,), real then imaginary."""
     values = np.array(values, dtype=complex)
@@ -261,6 +278,24 @@ def add_noise(rng, signal, noise):
     return signal + scale * (re + 1j * im)
 
 
+# Gray QPSK points in bit-pair order 00, 01, 10, 11, written out literally:
+# the first bit sets the sign of the real part, the second the imaginary
+CONSTELLATION = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / math.sqrt(2.0)
+
+
+def qpsk_modulate(bits):
+    """The reference chain's modem: bits to complex Gray QPSK symbols.
+
+    Reads the last axis (even length) as consecutive bit pairs and looks
+    each pair up in CONSTELLATION, so the last axis is halved.
+    """
+    bits = np.asarray(bits)
+    if bits.shape[-1] % 2 != 0:
+        raise ValueError("bit count must be even (two bits per symbol)")
+    pairs = bits.reshape(bits.shape[:-1] + (-1, 2))
+    return CONSTELLATION[2 * pairs[..., 0] + pairs[..., 1]]
+
+
 def qpsk_demodulate(symbols):
     """Hard-decide Gray QPSK symbols back to bits.
 
@@ -289,10 +324,6 @@ def rayleigh_qpsk_ber(mean_bit_snr: float) -> float:
     return 0.5 * (1.0 - math.sqrt(mean_bit_snr / (1.0 + mean_bit_snr)))
 
 
-# Gray QPSK points in bit-pair order 00, 01, 10, 11, written out literally
-QPSK_POINTS = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / math.sqrt(2.0)
-
-
 def minimum_distance_detect(residual, channel, amplitude):
     """Textbook ML: the QPSK point s minimizing |r - g a s|^2, by search.
 
@@ -300,9 +331,9 @@ def minimum_distance_detect(residual, channel, amplitude):
     """
     residual = np.asarray(residual, dtype=complex)
     scale = np.asarray(channel) * amplitude
-    points = QPSK_POINTS.reshape((4,) + (1,) * residual.ndim)
+    points = CONSTELLATION.reshape((4,) + (1,) * residual.ndim)
     metrics = np.abs(residual[np.newaxis] - scale[np.newaxis] * points) ** 2
-    return QPSK_POINTS[np.argmin(metrics, axis=0)]
+    return CONSTELLATION[np.argmin(metrics, axis=0)]
 
 
 def reference_sic_bits(projected, channels, powers, group_of, gains):

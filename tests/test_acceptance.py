@@ -8,7 +8,6 @@ fixtures; everything is seeded and deterministic.
 
 import io
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,21 +17,23 @@ from timnoma import (
     SimConfig,
     cancel_mask,
     decode,
-    dof_total,
     emit_csv,
     hybrid_rate_table,
     run_experiment,
+    single_user_rate_table,
 )
 from timnoma.harness import WORKERS_ENV, replace
-from timnoma.modem import CONSTELLATION
 
+import helpers
 from helpers import (
+    CONSTELLATION,
     add_noise,
     derotate,
     draw_fading,
     exact_sum_rates,
     levels,
     matrix_rate_oracle,
+    members,
     mixing_matrix,
     project,
     rayleigh_qpsk_ber,
@@ -90,8 +91,8 @@ def test_criterion_02_projection_exactness(ref_topology, ref_power, ref_groups, 
     for user in range(5):
         channel = np.sqrt(gamma[user]) * fading[user]
         projected = project(channel * transmit, ref_basis, ref_groups.group_of[user])
-        members = ref_groups.members[ref_groups.group_of[user]]
-        expected = channel * sum(roots[j] * symbols[j] for j in members)
+        group = members(ref_groups.group_of)[ref_groups.group_of[user]]
+        expected = channel * sum(roots[j] * symbols[j] for j in group)
         worst = max(worst, float(np.max(np.abs(projected - expected) / np.abs(expected))))
     exact = worst <= 1e-12
 
@@ -154,7 +155,7 @@ def test_criterion_04_single_user_rayleigh_oracle():
     for snr in grid:
         mean_bit_snr = 10.0 ** (snr / 10.0) / 2.0  # P_T*gamma/(2 sigma^2)
         expected = rayleigh_qpsk_ber(mean_bit_snr)
-        measured = result.row(snr, "1", "ber").value
+        measured = helpers.row(result, snr, "1", "ber").value
         stderr = math.sqrt(expected * (1 - expected) / bits)
         worst_sigma = max(worst_sigma, abs(measured - expected) / stderr)
     passed = worst_sigma <= 3.0
@@ -170,14 +171,14 @@ def test_criterion_04_single_user_rayleigh_oracle():
 def test_criterion_05_per_user_ber_ordering(hybrid_ber):
     in_window = []
     for snr in BER_GRID:
-        aggregate = hybrid_ber.row(snr, "sum", "ber").value
+        aggregate = helpers.row(hybrid_ber, snr, "sum", "ber").value
         if 1e-3 <= aggregate <= 1e-1:
             in_window.append(snr)
     ordered_with_sigma = True
     chain_holds = True
     details = []
     for snr in in_window:
-        rows = [hybrid_ber.row(snr, str(k + 1), "ber") for k in range(5)]
+        rows = [helpers.row(hybrid_ber, snr, str(k + 1), "ber") for k in range(5)]
         values = [r.value for r in rows]
         separation = (values[4] - values[0]) / math.hypot(rows[0].stderr, rows[4].stderr)
         ordered_with_sigma &= separation >= 3.0
@@ -200,8 +201,8 @@ def test_criterion_06_single_user_dominance(hybrid_ber, single_ber):
     improvements = {1: [], 5: []}
     for snr in BER_GRID:
         for user in (1, 5):
-            hybrid_row = hybrid_ber.row(snr, str(user), "ber")
-            single_row = single_ber.row(snr, str(user), "ber_single")
+            hybrid_row = helpers.row(hybrid_ber, snr, str(user), "ber")
+            single_row = helpers.row(single_ber, snr, str(user), "ber_single")
             combined = math.hypot(hybrid_row.stderr, single_row.stderr)
             if single_row.value > hybrid_row.value + 3.0 * combined:
                 dominance = False
@@ -262,7 +263,7 @@ def test_criterion_08_rate_ordering():
     result = run_experiment(config)
     passed = True
     for snr in config.snr_grid_db:
-        means = [result.row(snr, str(k + 1), "rate").value for k in range(5)]
+        means = [helpers.row(result, snr, str(k + 1), "rate").value for k in range(5)]
         if not all(a > b for a, b in zip(means, means[1:])):
             passed = False
     report(
@@ -281,7 +282,7 @@ def test_criterion_09_sum_rate_ratio_asymptote():
         experiment="ratio",
     )
     result = run_experiment(config)
-    rows = [result.row(snr, "sum", "rate_ratio") for snr in config.snr_grid_db]
+    rows = [helpers.row(result, snr, "sum", "rate_ratio") for snr in config.snr_grid_db]
     ratios = [row.value for row in rows]
 
     def exact_ratio(snr_db):
@@ -326,10 +327,32 @@ def test_criterion_09_sum_rate_ratio_asymptote():
     )
 
 
-def test_criterion_10_degrees_of_freedom():
-    value = dof_total(5, 2)
-    passed = value == Fraction(5, 2) and float(value) == 2.5
-    report(10, "total DoF is K/T exactly", passed, f"dof_total(5, 2) = {value}")
+def test_criterion_10_degrees_of_freedom(ref_topology, ref_power, ref_groups):
+    # a rate's pre-log is its rise, in bits per slot, when the SNR doubles:
+    # log2(1 + 2x) - log2(1 + x) tends to 1 as x grows, times the 1/T
+    # prefactor. At sigma^2 = 1e-20 every x is above 1e19.
+    gains = np.ones((1, 5))
+    slots = ref_topology.group_count
+
+    def rise(rates_at):
+        return rates_at(NoiseModel(0.5e-20)) - rates_at(NoiseModel(1e-20))
+
+    single = rise(lambda noise: single_user_rate_table(ref_topology, gains, noise, 40.0)[0])
+    hybrid = rise(
+        lambda noise: hybrid_rate_table(ref_topology, ref_power, ref_groups, gains, noise)[0]
+    )
+    each_alone = all(abs(r - 1.0 / slots) <= 1e-12 for r in single)
+    all_together = abs(float(np.sum(single)) - 5 / slots) <= 5e-12
+    # one user per group keeps an SINR that grows without bound
+    hybrid_sum = abs(float(np.sum(hybrid)) - slots * (1.0 / slots)) <= 5e-12
+    passed = each_alone and all_together and hybrid_sum
+    report(
+        10,
+        "measured pre-logs: each user alone 1/T, all K together K/T, hybrid sum T*(1/T) = 1",
+        passed,
+        "single-user " + ", ".join(f"{r:.12f}" for r in single)
+        + "; hybrid " + ", ".join(f"{r:.12f}" for r in hybrid),
+    )
     assert passed
 
 

@@ -1,5 +1,4 @@
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,7 +6,6 @@ import pytest
 from timnoma import (
     NoiseModel,
     ValidationError,
-    dof_total,
     hybrid_rate_table,
     path_loss,
     single_user_rate_table,
@@ -42,7 +40,7 @@ def tdma_sum(topology, h, noise, total_power):
 
 def channel_gain(topology, h, user):
     """gamma_k |h_k|^2, computed by hand."""
-    return path_loss(topology, user) * abs(h[user]) ** 2
+    return path_loss(topology)[user] * abs(h[user]) ** 2
 
 # frozen from the brute-force matrix oracle below (independent evaluation)
 GOLDEN_RATES = (
@@ -186,26 +184,6 @@ class TestTdmaSumRate:
         base = tdma_sum(ref_topology, UNIT_FADING, UNIT_NOISE, 40.0)
         boosted = tdma_sum(ref_topology, np.sqrt(2.0) * UNIT_FADING, UNIT_NOISE, 40.0)
         assert boosted > base
-
-
-class TestDofTotal:
-    def test_reference_cell(self):
-        assert dof_total(5, 2) == Fraction(5, 2)
-        assert dof_total(5, 2) == 2.5
-
-    def test_single_group(self):
-        assert dof_total(7, 1) == 7
-
-    def test_even_split(self):
-        assert dof_total(4, 2) == 2
-
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ValidationError):
-            dof_total(0, 1)
-        with pytest.raises(ValidationError):
-            dof_total(4, 5)
-        with pytest.raises(ValidationError):
-            dof_total(4, 0)
 
 
 class TestRateRatio:

@@ -122,6 +122,26 @@ class TestCliErrors:
         assert err.startswith("error:") and fragment in err
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "argv,config_text",
+        [
+            (["ber", "--frames", "1", "--snr=0:1:inf"], None),
+            (["ber", "--frames", "1", "--snr=0:nan:10"], None),
+            (["ber", "--frames", "1", "--snr=-inf:1:0"], None),
+            (["ber", "--frames", "1"], "snr_grid = 0:1:inf\n"),
+            (["ber", "--frames", "1"], "snr_grid = 0:nan:10\n"),
+        ],
+    )
+    def test_non_finite_snr_range_exits_one(self, argv, config_text, tmp_path, capsys):
+        if config_text is not None:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(config_text)
+            argv = [*argv, "--config", str(cfg)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "finite" in err
+        assert len(err.splitlines()) == 1
+
     @pytest.mark.parametrize("snr", ["-200", "-1000"])
     def test_ratio_at_very_low_snr_is_finite(self, snr, capsys):
         # log2(1 + x) rounded every TDMA rate to 0 below x ~ 1e-16, and the

@@ -5,14 +5,17 @@ import math
 import os
 import subprocess
 import sys
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 import timnoma
 from timnoma import (
     ConfigError,
-    ExperimentResult,
     NoiseModel,
     ResultRow,
     SimConfig,
@@ -29,13 +32,22 @@ from timnoma import (
     run_experiment,
     single_user_rate_table,
 )
-from timnoma.harness import _RATE_CHUNK, WORKERS_ENV, replace
+from timnoma.harness import (
+    _RATE_CHUNK,
+    EXPERIMENTS,
+    FADING_MODES,
+    ORDER_MODES,
+    WORKERS_ENV,
+    replace,
+)
 
+import helpers
 from helpers import (
     exact_hybrid_ber,
     exact_sum_rates,
     make_basis,
     mixing_matrix,
+    qpsk_modulate,
     rayleigh_log_mean,
     reference_noise_sets,
 )
@@ -187,26 +199,26 @@ class TestEmitCsv:
     HEADER = "snr_db,entity,metric,value,samples,stderr\n"
 
     def test_empty_result_is_header_only(self):
-        assert csv_bytes(ExperimentResult(())) == self.HEADER.encode()
+        assert csv_bytes(()) == self.HEADER.encode()
 
     def test_single_row(self):
-        result = ExperimentResult((ResultRow(10.0, "1", "ber", 0.125, 100, 0.01),))
-        text = csv_bytes(result).decode()
+        rows = (ResultRow(10.0, "1", "ber", 0.125, 100, 0.01),)
+        text = csv_bytes(rows).decode()
         lines = text.splitlines()
         assert len(lines) == 2
         assert lines[1] == "10.0,1,ber,0.125,100,0.01"
         assert text.endswith("\n")
 
     def test_writes_to_path(self, tmp_path):
-        result = ExperimentResult((ResultRow(0.0, "sum", "ber", 0.5, 10, 0.1),))
+        rows = (ResultRow(0.0, "sum", "ber", 0.5, 10, 0.1),)
         path = tmp_path / "out.csv"
-        emit_csv(result, path)
+        emit_csv(rows, path)
         assert path.read_text().startswith(self.HEADER)
 
     def test_full_precision_round_trip(self):
         value = 0.1234567890123456789
-        result = ExperimentResult((ResultRow(1.0, "1", "rate", value, 5, 0.0),))
-        line = csv_bytes(result).decode().splitlines()[1]
+        rows = (ResultRow(1.0, "1", "rate", value, 5, 0.0),)
+        line = csv_bytes(rows).decode().splitlines()[1]
         assert float(line.split(",")[3]) == value
 
     @pytest.mark.parametrize("experiment", ["ber", "ber_single_user", "rate", "ratio"])
@@ -223,23 +235,23 @@ class TestBerExperiment:
     def test_noiseless_limit_is_error_free(self):
         config = replace(TINY_BER, snr_grid_db=(200.0,))
         result = run_experiment(config)
-        for row in result.rows:
+        for row in result:
             assert row.value == 0.0
 
     def test_row_layout_and_pooled_sum(self):
         result = run_experiment(TINY_BER)
-        entities = [row.entity for row in result.rows if row.snr_db == 20.0]
+        entities = [row.entity for row in result if row.snr_db == 20.0]
         assert entities == ["1", "2", "3", "4", "5", "sum"]
-        per_user = [row.value for row in result.rows if row.snr_db == 20.0][:5]
-        pooled = result.row(20.0, "sum", "ber").value
+        per_user = [row.value for row in result if row.snr_db == 20.0][:5]
+        pooled = helpers.row(result, 20.0, "sum", "ber").value
         assert pooled == pytest.approx(np.mean(per_user), rel=1e-12)
         bits = TINY_BER.frames * TINY_BER.bits_per_frame
-        assert result.row(20.0, "1", "ber").samples == bits
-        assert result.row(20.0, "sum", "ber").samples == 5 * bits
+        assert helpers.row(result, 20.0, "1", "ber").samples == bits
+        assert helpers.row(result, 20.0, "sum", "ber").samples == 5 * bits
 
     def test_binomial_stderr(self):
         result = run_experiment(TINY_BER)
-        row = result.row(20.0, "1", "ber")
+        row = helpers.row(result, 20.0, "1", "ber")
         assert row.stderr == pytest.approx(
             math.sqrt(row.value * (1 - row.value) / row.samples), rel=1e-12
         )
@@ -280,21 +292,22 @@ class TestBerExperiment:
             fading_mode=fading_mode,
         )
         result = run_experiment(config)
-        assert all(0.0 <= row.value <= 1.0 for row in result.rows)
+        assert all(0.0 <= row.value <= 1.0 for row in result)
 
     def test_ber_shrinks_with_snr(self):
         config = replace(TINY_BER, frames=12, snr_grid_db=(10.0, 40.0))
         result = run_experiment(config)
-        assert result.row(40.0, "sum", "ber").value < result.row(10.0, "sum", "ber").value
+        high, low = (helpers.row(result, snr, "sum", "ber").value for snr in (40.0, 10.0))
+        assert high < low
 
 
 class TestSingleUserExperiment:
     def test_row_layout_has_no_sum(self):
         config = replace(TINY_BER, experiment="ber_single_user")
         result = run_experiment(config)
-        entities = {row.entity for row in result.rows}
+        entities = {row.entity for row in result}
         assert entities == {"1", "2", "3", "4", "5"}
-        assert all(row.metric == "ber_single" for row in result.rows)
+        assert all(row.metric == "ber_single" for row in result)
 
     def test_single_user_cell_matches_hybrid_bit_for_bit(self):
         # a single-user run is the hybrid run of the same users, each in a
@@ -313,8 +326,8 @@ class TestSingleUserExperiment:
             for snr in base.snr_grid_db:
                 for k in range(len(base.distances)):
                     assert (
-                        hybrid.row(snr, str(k + 1), "ber").value
-                        == single.row(snr, str(k + 1), "ber_single").value
+                        helpers.row(hybrid, snr, str(k + 1), "ber").value
+                        == helpers.row(single, snr, str(k + 1), "ber_single").value
                     ), (base, snr, k)
 
     def test_rate_variant_uses_full_power(self):
@@ -322,13 +335,13 @@ class TestSingleUserExperiment:
             TINY_BER, experiment="rate_single_user", frames=2000, snr_grid_db=(10.0,)
         )
         result = run_experiment(config)
-        assert {row.metric for row in result.rows} == {"rate_single"}
+        assert {row.metric for row in result} == {"rate_single"}
         # full-power single-user rate dominates the hybrid per-user rate
         hybrid = run_experiment(replace(config, experiment="rate"))
         for k in range(5):
             assert (
-                result.row(10.0, str(k + 1), "rate_single").value
-                > hybrid.row(10.0, str(k + 1), "rate").value
+                helpers.row(result, 10.0, str(k + 1), "rate_single").value
+                > helpers.row(hybrid, 10.0, str(k + 1), "rate").value
             )
 
     def test_worker_count_does_not_change_bytes(self, monkeypatch):
@@ -345,17 +358,17 @@ class TestRateExperiment:
 
     def test_row_layout_and_sum_consistency(self):
         result = run_experiment(self.RATE_CONFIG)
-        entities = [row.entity for row in result.rows if row.snr_db == 0.0]
+        entities = [row.entity for row in result if row.snr_db == 0.0]
         assert entities == ["1", "2", "3", "4", "5", "sum"]
-        per_user = [result.row(0.0, str(k + 1), "rate").value for k in range(5)]
-        assert result.row(0.0, "sum", "rate").value == pytest.approx(sum(per_user), rel=1e-12)
+        per_user = [helpers.row(result, 0.0, str(k + 1), "rate").value for k in range(5)]
+        assert helpers.row(result, 0.0, "sum", "rate").value == pytest.approx(sum(per_user), rel=1e-12)
 
     def test_rates_grow_with_snr(self):
         result = run_experiment(self.RATE_CONFIG)
         for k in range(5):
             assert (
-                result.row(20.0, str(k + 1), "rate").value
-                > result.row(0.0, str(k + 1), "rate").value
+                helpers.row(result, 20.0, str(k + 1), "rate").value
+                > helpers.row(result, 0.0, str(k + 1), "rate").value
             )
 
     def test_deterministic(self):
@@ -367,11 +380,11 @@ class TestRateExperiment:
         config = replace(self.RATE_CONFIG, experiment="ratio")
         result = run_experiment(config)
         for snr in config.snr_grid_db:
-            hybrid = result.row(snr, "sum", "rate_hybrid").value
-            baseline = result.row(snr, "sum", "rate_tdma").value
-            ratio = result.row(snr, "sum", "rate_ratio").value
+            hybrid = helpers.row(result, snr, "sum", "rate_hybrid").value
+            baseline = helpers.row(result, snr, "sum", "rate_tdma").value
+            ratio = helpers.row(result, snr, "sum", "rate_ratio").value
             assert ratio == pytest.approx(hybrid / baseline, rel=1e-12)
-            assert result.row(snr, "sum", "rate_ratio").stderr >= 0.0
+            assert helpers.row(result, snr, "sum", "rate_ratio").stderr >= 0.0
 
     def test_worker_count_does_not_change_bytes(self, monkeypatch):
         config = replace(self.RATE_CONFIG, experiment="ratio", frames=500)
@@ -395,8 +408,8 @@ class TestRateExperiment:
                 for snr in (-1000.0, -2000.0, -3000.0)
             )
             for low in lows:
-                assert len(low.rows) == len(mid.rows) == row_count
-                for a, b in zip(low.rows, mid.rows):
+                assert len(low) == len(mid) == row_count
+                for a, b in zip(low, mid):
                     assert a.stderr > 0.0, a
                     assert a.stderr / a.value == pytest.approx(b.stderr / b.value, rel=1e-9), (a, b)
 
@@ -471,7 +484,7 @@ class TestChunkedRatePoints:
                     ("sum", "rate_ratio", ratio, math.sqrt(var)),
                 ]
             for entity, metric, value, stderr in expected:
-                row = result.row(snr, entity, metric)
+                row = helpers.row(result, snr, entity, metric)
                 assert row.samples == n
                 assert row.value == pytest.approx(value, rel=1e-12), (snr, entity, metric)
                 assert row.stderr == pytest.approx(stderr, rel=1e-12), (snr, entity, metric)
@@ -528,7 +541,7 @@ class TestRatesAgainstClosedForm:
             exact, _tdma = exact_sum_rates(
                 config.distances, 3.0, 40.0, config.noise_variance(snr), reference_noise_sets(), 2
             )
-            row = result.row(snr, "sum", "rate")
+            row = helpers.row(result, snr, "sum", "rate")
             assert abs(row.value - exact) <= 4.0 * row.stderr, (snr, row.value, exact)
 
     def test_single_user_rates(self):
@@ -538,7 +551,7 @@ class TestRatesAgainstClosedForm:
             sigma2 = config.noise_variance(snr)
             for k, d in enumerate(config.distances):
                 exact = rayleigh_log_mean(40.0, d**-3.0 / sigma2) / (2.0 * math.log(2.0))
-                row = result.row(snr, str(k + 1), "rate_single")
+                row = helpers.row(result, snr, str(k + 1), "rate_single")
                 assert abs(row.value - exact) <= 4.0 * row.stderr, (snr, k, row.value, exact)
 
 
@@ -561,9 +574,57 @@ class TestBerAgainstExact:
                 config.total_power, config.noise_variance(snr),
             )
             for k, p in enumerate(exact):
-                row = result.row(snr, str(k + 1), "ber")
+                row = helpers.row(result, snr, str(k + 1), "ber")
                 sigma = math.sqrt(2.0 * p * (1.0 - p) / row.samples)
                 assert abs(row.value - p) <= 4.0 * sigma, (snr, k, row.value, p)
+
+
+@st.composite
+def any_configs(draw):
+    """A config from anywhere in the space its fields span: K from 1 to 8
+    users at 1e-3 to 1e3 km, T from 1 to K, path-loss exponents from 0.1
+    to 300, powers of 10**+-300 W, SNRs of +-300 dB, every experiment and
+    mode, and the smallest frame and bit counts each experiment takes."""
+    count = draw(st.integers(1, 8))
+    # a repeated distance is drawn now and then, and refused
+    decades = draw(st.lists(st.floats(-3.0, 3.0), min_size=count, max_size=count))
+    group_count = draw(st.integers(1, count))
+    return SimConfig(
+        distances=tuple(sorted(10.0**e for e in decades)),
+        cell_radius=1e3,
+        path_loss_exponent=draw(st.floats(0.1, 300.0)),
+        group_count=group_count,
+        total_power=10.0 ** draw(st.floats(-300.0, 300.0)),
+        frames=draw(st.sampled_from([2, 3])),
+        bits_per_frame=2 * group_count * draw(st.integers(1, 4)),
+        snr_grid_db=tuple(draw(st.lists(st.floats(-300.0, 300.0), min_size=1, max_size=3))),
+        seed=draw(st.integers(0, 2**64 - 1)),
+        decoding_order_mode=draw(st.sampled_from(ORDER_MODES)),
+        fading_mode=draw(st.sampled_from(FADING_MODES)),
+        experiment=draw(st.sampled_from(EXPERIMENTS)),
+    )
+
+
+class TestEveryAcceptedConfigRuns:
+    """A config either fails validation or runs to finite rows with no
+    numpy warning: validated() is the only gate a run has to pass."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(config=any_configs())
+    def test_refused_or_finite(self, config):
+        try:
+            config.validated()
+        except ConfigError:
+            event("refused")
+            return
+        event("ran")
+        with mock.patch.dict(os.environ, {WORKERS_ENV: "1"}), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(divide="raise", over="raise", invalid="raise"):
+                result = run_experiment(config)
+        assert result
+        for row in result:
+            assert math.isfinite(row.value) and math.isfinite(row.stderr), row
 
 
 class TestRunExperimentDispatch:
@@ -582,13 +643,12 @@ class TestRunExperimentDispatch:
             TINY_BER, experiment=experiment, frames=3 if "ber" in experiment else 50
         )
         result = run_experiment(config)
-        assert any(row.metric == metric for row in result.rows)
+        assert any(row.metric == metric for row in result)
 
 
 class TestTransmitEnergyAudit:
     def test_framed_transmit_energy_matches_budget(self):
         # links the power constraint to the symbol pipeline end to end
-        from timnoma import qpsk_modulate
         from timnoma.harness import _scene
 
         config = SimConfig(frames=50, bits_per_frame=6144).validated()

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from timnoma import ValidationError, qpsk_modulate
+from timnoma import ValidationError, qpsk_levels
 
-from helpers import awgn_qpsk_ber, qpsk_demodulate
+from helpers import awgn_qpsk_ber, levels, qpsk_demodulate, qpsk_modulate
 
 AMP = 1.0 / math.sqrt(2.0)
 
@@ -53,7 +54,27 @@ def test_demodulate_quadrants(symbol, pair):
 
 def test_rejects_odd_bit_count():
     with pytest.raises(ValidationError):
+        qpsk_levels(np.array([0, 1, 0]))
+    with pytest.raises(ValueError):
         qpsk_modulate(np.array([0, 1, 0]))
+
+
+# (K, 2S) bits: K from 1 to 8 users, S from 1 to 32 symbols each
+BIT_ARRAYS = arrays(
+    np.int64, st.tuples(st.integers(1, 8), st.integers(1, 32).map(lambda s: 2 * s)),
+    elements=st.integers(0, 1),
+)
+
+
+@given(BIT_ARRAYS)
+@settings(max_examples=50)
+def test_levels_are_the_reference_modems_symbols(bits):
+    # the package's real levels are, bit for bit, the float64 view of the
+    # reference chain's complex symbols
+    expected = levels(qpsk_modulate(bits))
+    got = qpsk_levels(bits)
+    assert got.dtype == np.float64 and got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
 
 
 @given(st.lists(st.integers(0, 1), min_size=2, max_size=64).filter(lambda b: len(b) % 2 == 0))

@@ -2,6 +2,7 @@
 
 import importlib
 import os
+import re
 import subprocess
 import sys
 
@@ -10,10 +11,7 @@ import pytest
 import timnoma
 
 PUBLIC = [
-    "BITS_PER_SYMBOL",
-    "CONSTELLATION",
     "ConfigError",
-    "ExperimentResult",
     "GroupAssignment",
     "NoiseModel",
     "PowerAllocation",
@@ -26,7 +24,6 @@ PUBLIC = [
     "build_topology",
     "cancel_mask",
     "decode",
-    "dof_total",
     "draw_fading_power",
     "emit_csv",
     "hybrid_rate_table",
@@ -34,20 +31,25 @@ PUBLIC = [
     "parse_config_text",
     "parse_snr_grid",
     "path_loss",
-    "qpsk_modulate",
+    "qpsk_levels",
     "run_experiment",
     "single_user_rate_table",
 ]
 
-# scalar copies of the rate tables, per-experiment runners, functions only
-# tests called, and the physical chain the BER path no longer simulates;
-# the tests keep add_noise, qpsk_demodulate, draw_fading, make_basis,
-# mixing_matrix and project as references in helpers.py
+# scalar copies of the rate tables, per-experiment runners, functions and
+# names only tests read, and the physical chain the BER path no longer
+# simulates; the tests keep add_noise, CONSTELLATION, qpsk_modulate,
+# qpsk_demodulate, draw_fading, make_basis, mixing_matrix and project as
+# references in helpers.py
 REMOVED = [
+    "BITS_PER_SYMBOL",
+    "CONSTELLATION",
+    "ExperimentResult",
     "PrecodingBasis",
     "add_noise",
     "assemble_transmit",
     "channel_matrix",
+    "dof_total",
     "draw_fading",
     "effective_gain",
     "make_basis",
@@ -55,6 +57,7 @@ REMOVED = [
     "ml_detect",
     "project",
     "qpsk_demodulate",
+    "qpsk_modulate",
     "rate_ratio",
     "run_ber_experiment",
     "run_rate_experiment",
@@ -100,3 +103,20 @@ def test_import_does_not_load_the_process_pool():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60
     )
     assert out.stdout.strip() == "False"
+
+
+def test_readme_library_block_runs_and_its_values_hold(tmp_path, monkeypatch):
+    # the README's Library example, run as written, prints the values its
+    # comments state
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+    with open(readme, encoding="utf-8") as handle:
+        text = handle.read()
+    library = text[text.index("## Library"):]
+    block = re.search(r"```python\n(.*?)```", library, re.DOTALL).group(1)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("TIMNOMA_WORKERS", "1")
+    namespace: dict = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    assert f"rates[0] = {namespace['rates'][0]:.4f} bits/slot" in block
+    assert f"TDMA sum rate {namespace['tdma']:.4f} bits/slot" in block
+    assert (tmp_path / "rates.csv").read_text().startswith("snr_db,entity,metric")

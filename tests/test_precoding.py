@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from timnoma import allocate_power, assign_groups, build_topology, qpsk_modulate
+from timnoma import allocate_power, assign_groups, build_topology
 
-from helpers import V1, V2, make_basis, mixing_matrix
+from helpers import V1, V2, make_basis, members, mixing_matrix, qpsk_modulate
 
 
 class TestMakeBasis:
@@ -75,7 +75,7 @@ class TestProjectionIdentity:
         symbols = rng.standard_normal((5, 10_000)) + 1j * rng.standard_normal((5, 10_000))
         x = mixing_matrix(ref_power, ref_groups, ref_basis) @ symbols
         roots = np.sqrt(np.asarray(ref_power.per_user))
-        for group, member_list in enumerate(ref_groups.members):
+        for group, member_list in enumerate(members(ref_groups.group_of)):
             projected = ref_basis[group] @ x
             direct = sum(roots[k] * symbols[k] for k in member_list)
             np.testing.assert_allclose(projected, direct, atol=1e-12)

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from timnoma import (
-    CONSTELLATION,
     GroupAssignment,
     NoiseModel,
     SimConfig,
@@ -17,20 +16,22 @@ from timnoma import (
     cancel_mask,
     decode,
     path_loss,
-    qpsk_modulate,
 )
 from timnoma.harness import _received, _scene
 
 from helpers import (
+    CONSTELLATION,
     add_noise,
     derotate,
     draw_fading,
     levels,
     make_basis,
+    members,
     minimum_distance_detect,
     mixing_matrix,
     project,
     qpsk_demodulate,
+    qpsk_modulate,
     reference_sic_bits,
 )
 
@@ -40,7 +41,7 @@ def random_symbols(rng, shape):
 
 
 def one_group(count):
-    return GroupAssignment(tuple([0] * count), (tuple(range(count)),))
+    return GroupAssignment(tuple([0] * count))
 
 
 def cancel_sets(mask):
@@ -61,7 +62,7 @@ def bank_signal(topology, power, groups, basis, symbols, fading, noise=None):
     """Every receiver's projected signal and effective channel, (K, S) each,
     through the physical chain: mixing, channel, noise, projection."""
     count = topology.user_count
-    gamma = np.array([path_loss(topology, k) for k in range(count)])
+    gamma = path_loss(topology)
     channels = np.sqrt(gamma)[:, None] * np.reshape(fading, (count, -1))
     received = channels[:, None, :] * (mixing_matrix(power, groups, basis) @ symbols)
     if noise is not None:
@@ -190,7 +191,7 @@ class TestSicPlan:
         cancels, noises = cancel_sets(mask), noise_sets(mask)
         for user in range(5):
             combined = set(cancels[user]) | set(noises[user]) | {user}
-            assert combined == set(ref_groups.members[ref_groups.group_of[user]])
+            assert combined == set(members(ref_groups.group_of)[ref_groups.group_of[user]])
             assert not set(cancels[user]) & set(noises[user])
 
     def test_flipped_order_swaps_sets(self, ref_groups):
@@ -311,8 +312,8 @@ class TestProjectionEquivalence:
         for user in range(5):
             channel = np.sqrt(gamma[user]) * fading[user]
             projected = project(channel * x, ref_basis, ref_groups.group_of[user])
-            members = ref_groups.members[ref_groups.group_of[user]]
-            expected = channel * sum(roots[j] * symbols[j] for j in members)
+            group = members(ref_groups.group_of)[ref_groups.group_of[user]]
+            expected = channel * sum(roots[j] * symbols[j] for j in group)
             np.testing.assert_allclose(projected, expected, rtol=1e-12, atol=1e-15)
 
 
@@ -371,7 +372,7 @@ class TestDecodeBank:
         fading = draw_fading(rng, count, blocks=n if fading_mode == "block" else 1)
         noise = add_noise(rng, np.zeros((count, group_count, n)), NoiseModel(0.004))
         projected, channels = bank_signal(topology, power, groups, basis, symbols, fading, noise)
-        gamma = np.array([path_loss(topology, k) for k in range(count)])
+        gamma = path_loss(topology)
         if order_mode == "distance":
             gains, mask = np.repeat(gamma[:, None], n, axis=1), cancel_mask(groups)
         else:
@@ -439,7 +440,7 @@ class TestRealBasebandMatchesPhysicalChain:
         h = draw_fading(rng, count, blocks=n if config.fading_mode == "block" else 1)
         symbols = qpsk_modulate(rng.integers(0, 2, size=(count, 2 * n)))
         z = add_noise(rng, np.zeros((count, n)), NoiseModel(sigma2))
-        gamma = np.array([path_loss(topology, k) for k in range(count)])
+        gamma = path_loss(topology)
         gains = gamma[:, None] * np.abs(h) ** 2
 
         # physical chain: mix, fade, project, add projected noise, SIC
@@ -467,7 +468,7 @@ class TestRealBasebandMatchesPhysicalChain:
         _topology, kernel_groups, _power = _scene(config)
         magnitudes = np.sqrt(gains)
         w = levels(np.conj(h) / np.abs(h) * z)
-        signal = _received(symbols, magnitudes, amplitudes(power), kernel_groups) + w
+        signal = _received(levels(symbols), magnitudes, amplitudes(power), kernel_groups) + w
         if config.decoding_order_mode == "distance":
             mask = cancel_mask(kernel_groups)
         else:
