@@ -23,30 +23,18 @@ from .harness import (
 )
 from .modem import qpsk_levels
 from .receiver import cancel_mask, decode
-from .topology import (
-    GroupAssignment,
-    PowerAllocation,
-    Topology,
-    allocate_power,
-    assign_groups,
-    build_topology,
-    path_loss,
-)
+from .topology import Cell, build_cell
 
 __version__ = "0.1.0"
 
 __all__ = [
+    "Cell",
     "ConfigError",
-    "GroupAssignment",
     "NoiseModel",
-    "PowerAllocation",
     "ResultRow",
     "SimConfig",
-    "Topology",
     "ValidationError",
-    "allocate_power",
-    "assign_groups",
-    "build_topology",
+    "build_cell",
     "cancel_mask",
     "decode",
     "draw_fading_power",
@@ -55,7 +43,6 @@ __all__ = [
     "parse_config",
     "parse_config_text",
     "parse_snr_grid",
-    "path_loss",
     "qpsk_levels",
     "run_experiment",
     "single_user_rate_table",

@@ -8,7 +8,9 @@ plus noise; projection removed every other group exactly, so no
 inter-group term ever appears.
 
 Both rate formulas are (N, K) tables over N fading realizations; the rates
-of one realization are the N = 1 table. Each takes the rate as
+of one realization are the N = 1 table. Both read one ``Cell``: its path
+gains scale |h|^2, its powers and groups set each SINR, and its group
+count is the T of the prefactor. Each takes the rate as
 log1p(SINR) / (T ln 2), which keeps an SINR below one ulp of 1 from
 rounding to a zero rate at very low SNR.
 """
@@ -22,22 +24,20 @@ import numpy as np
 from .errors import ValidationError
 from .channel import NoiseModel
 from .receiver import cancel_mask
-from .topology import GroupAssignment, PowerAllocation, Topology, path_loss
+from .topology import Cell
 
 ORDER_MODES = ("distance", "instantaneous")
 
 
-def _channel_gains(topology: Topology, fading_power) -> np.ndarray:
+def _channel_gains(cell: Cell, fading_power) -> np.ndarray:
     """gamma_k |h_k|^2 for an (N, K) array of |h|^2, in a new buffer."""
     if np.iscomplexobj(fading_power):
         raise ValidationError("fading_power must be the real |h|^2, not complex fading")
-    return np.multiply(fading_power, path_loss(topology))
+    return np.multiply(fading_power, cell.path_gains)
 
 
 def hybrid_rate_table(
-    topology: Topology,
-    power: PowerAllocation,
-    groups: GroupAssignment,
+    cell: Cell,
     fading_power: np.ndarray,
     noise: NoiseModel,
     order_mode: str = "distance",
@@ -47,7 +47,8 @@ def hybrid_rate_table(
     ``fading_power`` is the real (N, K) array of |h|^2; returns (N, K)
     rates. Entry (n, k) is user k's log2(1 + SINR) / T in realization n, the
     numerator being P_k gamma_k |h_k|^2 and the denominator the powers of
-    its uncancelled same-group users times the same gain, plus noise. The
+    its uncancelled same-group users times the same gain, plus noise; the
+    powers, path gains gamma, groups and T all come from ``cell``. The
     decoding order is ``cancel_mask``'s: by distance, or by gamma |h|^2 in
     each realization. One new (N, K) buffer goes from channel gains to
     rates in place, beside one interference array, the (K, K, N) mask and
@@ -56,9 +57,9 @@ def hybrid_rate_table(
     """
     if order_mode not in ORDER_MODES:
         raise ValidationError(f"unknown order mode {order_mode!r}")
-    p = np.asarray(power.per_user)
-    out = _channel_gains(topology, fading_power)
-    cancel = cancel_mask(groups) if order_mode == "distance" else cancel_mask(groups, out.T)
+    p = np.asarray(cell.powers)
+    out = _channel_gains(cell, fading_power)
+    cancel = cancel_mask(cell.group_of, None if order_mode == "distance" else out.T)
     # user k cannot cancel user j exactly when receiver j cancels k, so
     # k's interference is sum_j cancel[j, k] * P_j times its own gain
     interference = out * np.sum(cancel * p[:, np.newaxis, np.newaxis], axis=0).T
@@ -66,12 +67,12 @@ def hybrid_rate_table(
     out *= p
     out /= interference  # SINR
     np.log1p(out, out=out)
-    out *= 1.0 / (topology.group_count * math.log(2.0))
+    out *= 1.0 / (cell.group_count * math.log(2.0))
     return out
 
 
 def single_user_rate_table(
-    topology: Topology,
+    cell: Cell,
     fading_power: np.ndarray,
     noise: NoiseModel,
     total_power: float,
@@ -83,9 +84,9 @@ def single_user_rate_table(
     1/T prefactor. The TDMA baseline gives every user an equal 1/K time
     share at full power, so its sum rate is the mean of a row.
     """
-    out = _channel_gains(topology, fading_power)
+    out = _channel_gains(cell, fading_power)
     out *= total_power
     out /= noise.variance
     np.log1p(out, out=out)
-    out *= 1.0 / (topology.group_count * math.log(2.0))
+    out *= 1.0 / (cell.group_count * math.log(2.0))
     return out

@@ -61,7 +61,7 @@ from .channel import NoiseModel, draw_fading_power
 from .errors import ConfigError, ValidationError
 from .modem import qpsk_levels
 from .receiver import cancel_mask, decode
-from .topology import GroupAssignment, allocate_power, assign_groups, build_topology, path_loss
+from .topology import Cell, _is_int, build_cell
 
 WORKERS_ENV = "TIMNOMA_WORKERS"
 
@@ -76,11 +76,6 @@ DEFAULT_DISTANCES = (0.5, 1.5, 2.5, 3.5, 4.5)
 DEFAULT_SNR_GRID = tuple(float(s) for s in range(0, 31, 2))
 # largest accepted full-power mean SNR, 2**-64 of the largest float
 _MEAN_SNR_CEILING = math.ldexp(sys.float_info.max, -64)
-
-
-def _is_int(value) -> bool:
-    # bool subclasses int, but True is no frame count
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -110,23 +105,17 @@ class SimConfig:
         """Return self after checking every invariant; raise ConfigError
         listing all violations at once.
 
-        Once every field passes, the scene and each SNR point's noise model
-        are built with the constructors the run uses, so a config that
-        passes cannot fail later in one of them.
+        The cell is built once by ``_scene``, the constructor the run uses,
+        which checks the cell fields and the power budget. Once every field
+        passes, each SNR point's noise model is built and the users' mean
+        SNRs are read from the cell's powers and path gains, so a config
+        that passes cannot fail later in one of them.
         """
         problems = []
         try:
-            build_topology(
-                self.distances, self.cell_radius, self.path_loss_exponent, self.group_count
-            )
+            cell = _scene(self)
         except ValidationError as exc:
             problems.append(str(exc))
-        if not _is_int(self.group_count):
-            problems.append("group_count must be an integer")
-        power = self.total_power
-        is_number = isinstance(power, (int, float)) and not isinstance(power, bool)
-        if not (is_number and power > 0 and math.isfinite(power)):
-            problems.append("total_power must be a positive finite number")
         if not (_is_int(self.frames) and self.frames >= 1):
             problems.append("frames must be a positive integer")
         elif self.experiment in RATE_EXPERIMENTS and self.frames < 2:
@@ -149,9 +138,6 @@ class SimConfig:
         if self.experiment not in EXPERIMENTS:
             problems.append(f"experiment must be one of {EXPERIMENTS}")
         if not problems:
-            # the fields passed, so the scene's constructors cannot refuse it
-            topo, _groups, power = _scene(self)
-            gammas = path_loss(topo).tolist()  # Python floats: an overflow is inf, not a warning
             for snr in self.snr_grid_db:
                 try:
                     variance = NoiseModel(self.noise_variance(snr)).variance
@@ -162,7 +148,7 @@ class SimConfig:
                     continue
                 # a rate, or a ratio of rates, has no value once a user's
                 # mean SNR is 0 or has lost its precision as a subnormal
-                snrs = [p * g / variance for p, g in zip(power.per_user, gammas)]
+                snrs = [p * g / variance for p, g in zip(cell.powers, cell.path_gains)]
                 if min(snrs) < sys.float_info.min:
                     problems.append(
                         f"snr_grid value {snr!r} dB gives user {snrs.index(min(snrs)) + 1} "
@@ -170,7 +156,7 @@ class SimConfig:
                     )
                 # below this ceiling an Exp(1) gain would have to exceed
                 # 2**64 before any SINR overflowed
-                peaks = [self.total_power * g / variance for g in gammas]
+                peaks = [self.total_power * g / variance for g in cell.path_gains]
                 if max(peaks) > _MEAN_SNR_CEILING:
                     problems.append(
                         f"snr_grid value {snr!r} dB gives user {peaks.index(max(peaks)) + 1} "
@@ -211,6 +197,8 @@ class ResultRow:
 _INT_KEYS = ("group_count", "frames", "bits_per_frame", "seed")
 _FLOAT_KEYS = ("cell_radius", "path_loss_exponent", "total_power")
 _STR_KEYS = ("decoding_order_mode", "fading_mode", "experiment")
+# far above any figure's grid, far below a grid that exhausts memory
+_MAX_SNR_POINTS = 100_000
 
 
 def parse_snr_grid(spec: str) -> tuple[float, ...]:
@@ -228,7 +216,11 @@ def parse_snr_grid(spec: str) -> tuple[float, ...]:
             raise ConfigError(f"snr range {spec!r} must have a finite start, step and stop")
         if step <= 0:
             raise ConfigError("snr range step must be positive")
-        count = int(math.floor((stop - start) / step + 1e-9)) + 1
+        quotient = (stop - start) / step + 1e-9
+        # checked before the tuple is built: a tiny step would fill memory
+        if not quotient < _MAX_SNR_POINTS:  # also refuses an infinite quotient
+            raise ConfigError(f"snr range {spec!r} has more than {_MAX_SNR_POINTS} points")
+        count = int(math.floor(quotient)) + 1
         if count < 1:
             raise ConfigError(f"empty snr range {spec!r}")
         return tuple(start + step * i for i in range(count))
@@ -316,30 +308,29 @@ def _map_points(point_fn, config: SimConfig) -> list:
         return [future.result() for future in futures]
 
 
-def _scene(config: SimConfig):
-    topo = build_topology(
-        config.distances, config.cell_radius, config.path_loss_exponent, config.group_count
+def _scene(config: SimConfig) -> Cell:
+    """The config's cell; for ``ber_single_user`` every user is a group of
+    one, so nothing is cancelled and nothing absorbed."""
+    cell = build_cell(
+        config.distances, config.cell_radius, config.path_loss_exponent,
+        config.group_count, config.total_power,
     )
     if config.experiment == "ber_single_user":
-        # a user alone is a group of one: nothing to cancel, nothing absorbed
-        groups = GroupAssignment(tuple(range(topo.user_count)))
-    else:
-        groups = assign_groups(topo)
-    power = allocate_power(topo, config.total_power)
-    return topo, groups, power
+        return dataclasses.replace(cell, group_of=tuple(range(cell.user_count)))
+    return cell
 
 
-def _received(levels, channels, amplitudes, groups) -> np.ndarray:
+def _received(levels, channels, amplitudes, group_of) -> np.ndarray:
     """Every receiver's noiseless derotated signal, (K, S, 2) real.
 
     Receiver k sees |g_k| times the superposed levels sqrt(P_j) x_j of its
-    own group, which is what is left of the transmit after projection.
-    ``levels`` are the (K, S, 2) QPSK levels of ``qpsk_levels``.
+    own group ``group_of[k]``, which is what is left of the transmit after
+    projection. ``levels`` are the (K, S, 2) QPSK levels of ``qpsk_levels``.
     """
-    totals = np.zeros((groups.group_count,) + levels.shape[1:])
-    for user, group in enumerate(groups.group_of):
+    totals = np.zeros((max(group_of) + 1,) + levels.shape[1:])
+    for user, group in enumerate(group_of):
         totals[group] += amplitudes[user] * levels[user]
-    signal = totals[list(groups.group_of)]
+    signal = totals[list(group_of)]
     signal *= channels[:, :, np.newaxis]
     return signal
 
@@ -356,15 +347,15 @@ def _ber_point(config: SimConfig, snr_index: int, snr_db: float) -> list:
     over at most K users and the rest is elementwise, so no BLAS call runs
     per frame.
     """
-    topo, groups, power = _scene(config)
-    count = topo.user_count
+    cell = _scene(config)
+    count = cell.user_count
     symbols_per_frame = config.bits_per_frame // 2
-    gamma = path_loss(topo)
-    amp = np.sqrt(np.asarray(power.per_user))
+    gamma = np.array(cell.path_gains)
+    amp = np.sqrt(np.asarray(cell.powers))
     scale = math.sqrt(NoiseModel(config.noise_variance(snr_db)).variance / 2.0)
     blocks = symbols_per_frame if config.fading_mode == "block" else 1
     per_frame_order = config.decoding_order_mode == "instantaneous"
-    cancel = cancel_mask(groups)
+    cancel = cancel_mask(cell.group_of)
     # receiver k's noise on block s is normals[k, s, 0] on the real axis
     # and normals[k, s, 1] on the imaginary axis
     normals = np.empty((count, symbols_per_frame, 2))
@@ -375,9 +366,9 @@ def _ber_point(config: SimConfig, snr_index: int, snr_db: float) -> list:
         bits = rng.integers(0, 2, size=(count, config.bits_per_frame))
         rng.standard_normal(out=normals)
         if per_frame_order:
-            cancel = cancel_mask(groups, gains)
+            cancel = cancel_mask(cell.group_of, gains)
         channels = np.sqrt(gains)
-        signal = _received(qpsk_levels(bits), channels, amp, groups)
+        signal = _received(qpsk_levels(bits), channels, amp, cell.group_of)
         normals *= scale
         signal += normals
         decided = decode(signal, channels, amp, cancel)
@@ -452,7 +443,7 @@ def _rate_point(config: SimConfig, snr_index: int, snr_db: float) -> list:
     ``SeedSequence((seed, snr_index, c))``, so memory is O(chunk * K)
     whatever the realization count.
     """
-    topo, groups, power = _scene(config)
+    cell = _scene(config)
     noise = NoiseModel(config.noise_variance(snr_db))
     experiment = config.experiment
     n = config.frames
@@ -463,16 +454,16 @@ def _rate_point(config: SimConfig, snr_index: int, snr_db: float) -> list:
         rng = np.random.default_rng(np.random.SeedSequence((config.seed, snr_index, chunk)))
         # drawn (K, n) and viewed as (n, K): each user's realizations stay
         # contiguous, which keeps the reductions over realizations fast
-        fading_power = draw_fading_power(rng, topo.user_count, min(_RATE_CHUNK, n - start)).T
+        fading_power = draw_fading_power(rng, cell.user_count, min(_RATE_CHUNK, n - start)).T
         if experiment == "rate_single_user":
-            per_user.add(single_user_rate_table(topo, fading_power, noise, config.total_power))
+            per_user.add(single_user_rate_table(cell, fading_power, noise, config.total_power))
             continue
-        table = hybrid_rate_table(topo, power, groups, fading_power, noise, config.decoding_order_mode)
+        table = hybrid_rate_table(cell, fading_power, noise, config.decoding_order_mode)
         per_user.add(table)
         sum_deviations = sums.add(table.sum(axis=1))
         del table  # freed before the baseline allocates its own (n, K) table
         if experiment == "ratio":
-            baseline = single_user_rate_table(topo, fading_power, noise, config.total_power).mean(axis=1)
+            baseline = single_user_rate_table(cell, fading_power, noise, config.total_power).mean(axis=1)
             tdma_deviations = tdma.add(baseline)
             # a sum of products, not np.cov, whose dot product would call BLAS
             sum_deviations *= tdma_deviations
@@ -483,7 +474,7 @@ def _rate_point(config: SimConfig, snr_index: int, snr_db: float) -> list:
         means, stds = per_user.mean, per_user.std()
         rows = [
             ResultRow(snr_db, str(k + 1), metric, float(means[k]), n, float(stds[k]) / root_n)
-            for k in range(topo.user_count)
+            for k in range(cell.user_count)
         ]
         if experiment == "rate":
             rows.append(ResultRow(snr_db, "sum", metric, float(np.sum(means)), n,

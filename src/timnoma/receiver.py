@@ -35,14 +35,14 @@ import numpy as np
 
 from .errors import ValidationError
 from .modem import LEVEL
-from .topology import GroupAssignment
 
 
-def cancel_mask(groups: GroupAssignment, gains=None) -> np.ndarray:
+def cancel_mask(group_of, gains=None) -> np.ndarray:
     """Boolean (receiver, interferer, block) SIC cancel mask.
 
     ``mask[k, j, s]`` is true when receiver k detects and subtracts user j
-    on block s: j shares k's group and ranks after k in the decoding order.
+    on block s: j shares k's group (``group_of`` holds one group index per
+    user) and ranks after k in the decoding order.
     Without ``gains`` the order is by distance (user index), so the mask is
     ``same_group & (j > k)`` with a single block axis entry. With ``gains``
     of shape (K,) or (K, S), the instantaneous channel gains gamma |h|^2,
@@ -51,8 +51,8 @@ def cancel_mask(groups: GroupAssignment, gains=None) -> np.ndarray:
     taken unscaled: dividing them by sigma^2 cannot change the order, only
     add ties by rounding.
     """
-    users = np.arange(len(groups.group_of))
-    group_of = np.asarray(groups.group_of)
+    users = np.arange(len(group_of))
+    group_of = np.asarray(group_of)
     later = (users[np.newaxis, :] > users[:, np.newaxis])[:, :, np.newaxis]
     same_group = (group_of[np.newaxis, :] == group_of[:, np.newaxis])[:, :, np.newaxis]
     if gains is None:

@@ -1,9 +1,13 @@
-"""Cell geometry, path loss, user grouping and transmit power allocation.
+"""The cell: each user's path gain, transmit power and group.
 
 User indices are 0-based throughout: user 0 is the nearest to the
 basestation and user K-1 sits at the cell edge. Distances are required to
 be strictly increasing so that user index, average channel strength and
 allocated power stay consistently ordered everywhere downstream.
+
+``build_cell`` is the one place the cell parameters are checked. Distances
+enter only through the path gains 1/d^n and the power shares d^2/sum d^2,
+so the ``Cell`` it returns keeps those and not the geometry.
 """
 
 from __future__ import annotations
@@ -11,60 +15,57 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ValidationError
 
 
 @dataclass(frozen=True)
-class Topology:
-    """Static cell geometry: distances in km, radius in km, grouping degree."""
+class Cell:
+    """Per-user path gains gamma_k = 1/d_k^n, transmit powers P_k in watts
+    (strictly increasing in user index) and groups, numbered from 0."""
 
-    distances: tuple[float, ...]
-    cell_radius: float
-    path_loss_exponent: float
-    group_count: int
+    path_gains: tuple[float, ...]
+    powers: tuple[float, ...]
+    group_of: tuple[int, ...]
 
     @property
     def user_count(self) -> int:
-        return len(self.distances)
-
-
-@dataclass(frozen=True)
-class GroupAssignment:
-    """Mapping user -> group, groups numbered from 0."""
-
-    group_of: tuple[int, ...]
+        return len(self.group_of)
 
     @property
     def group_count(self) -> int:
         return max(self.group_of) + 1
 
 
-@dataclass(frozen=True)
-class PowerAllocation:
-    """Per-user transmit powers in watts. Strictly increasing in user index."""
-
-    per_user: tuple[float, ...]
+def _is_int(value) -> bool:
+    # bool subclasses int, but True is no group or frame count
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
-def build_topology(
-    distances,
-    cell_radius: float,
-    path_loss_exponent: float,
-    group_count: int,
-) -> Topology:
-    """Validate the cell parameters and return an immutable Topology.
+def _require_positive_finite(name: str, value) -> float:
+    try:
+        valid = (_is_int(value) or isinstance(value, float)) and 0 < float(value) < math.inf
+    except OverflowError:  # an int beyond the float range
+        valid = False
+    if not valid:
+        raise ValidationError(f"{name} must be a positive finite number")
+    return float(value)
 
-    Raises ValidationError with a distinct message per violated rule.
+
+def build_cell(distances, cell_radius, path_loss_exponent, group_count, total_power) -> Cell:
+    """Validate the cell parameters and return its immutable ``Cell``.
+
+    Raises ValidationError naming the first violated rule. Users join groups
+    round-robin over the distance order: user k joins group k mod T, so
+    consecutive users always land in distinct groups. The power budget is
+    split proportionally to squared distance, P_k = total * d_k^2 / sum_j
+    d_j^2, so farther users get more power and the shares sum back to the
+    budget.
     """
     distances = tuple(float(d) for d in distances)
     if not distances:
         raise ValidationError("distances must not be empty")
-    if not (cell_radius > 0 and math.isfinite(cell_radius)):
-        raise ValidationError("cell_radius must be a positive finite number")
-    if not (path_loss_exponent > 0 and math.isfinite(path_loss_exponent)):
-        raise ValidationError("path_loss_exponent must be a positive finite number")
+    cell_radius = _require_positive_finite("cell_radius", cell_radius)
+    exponent = _require_positive_finite("path_loss_exponent", path_loss_exponent)
     if any(not (d > 0 and math.isfinite(d)) for d in distances):
         raise ValidationError("distances must be positive finite numbers")
     if any(b <= a for a, b in zip(distances, distances[1:])):
@@ -73,47 +74,23 @@ def build_topology(
         )
     if distances[-1] > cell_radius:
         raise ValidationError("distances must not exceed the cell radius")
-    if not (1 <= int(group_count) <= len(distances)):
+    if not _is_int(group_count):
+        raise ValidationError("group_count must be an integer")
+    if not 1 <= group_count <= len(distances):
         raise ValidationError(
             "group_count must be between 1 and the number of users"
         )
-    topology = Topology(distances, float(cell_radius), float(path_loss_exponent), int(group_count))
+    total_power = _require_positive_finite("total_power", total_power)
     try:
-        gains = path_loss(topology)
-        finite = bool(np.all((gains > 0) & (gains < math.inf)))
+        # each gain in Python floats: numpy's pow may round differently
+        path_gains = tuple(1.0 / d**exponent for d in distances)
+        finite = all(0 < g < math.inf for g in path_gains)
     except (OverflowError, ZeroDivisionError):
         finite = False
     if not finite:
         raise ValidationError("path loss 1/d^n must be a positive finite number for every user")
-    return topology
-
-
-def path_loss(topology: Topology) -> np.ndarray:
-    """Linear path-loss gains 1 / d^n of every user, shape (K,)."""
-    # each gain in Python floats: numpy's pow may round differently
-    return np.array([1.0 / d**topology.path_loss_exponent for d in topology.distances])
-
-
-def assign_groups(topology: Topology) -> GroupAssignment:
-    """Assign users to groups round-robin over the distance order.
-
-    User with distance rank r (0-based) joins group r mod T. Consecutive
-    users in distance order therefore always land in distinct groups, and
-    same-group members are separated by T-1 users from the other groups.
-    """
-    groups = topology.group_count
-    return GroupAssignment(tuple(k % groups for k in range(topology.user_count)))
-
-
-def allocate_power(topology: Topology, total_power: float) -> PowerAllocation:
-    """Split the power budget proportionally to squared distance.
-
-    P_k = total * d_k^2 / sum_j d_j^2, so farther users get more power and
-    the shares sum back to the budget exactly.
-    """
-    if not (total_power > 0 and math.isfinite(total_power)):
-        raise ValidationError("total_power must be a positive finite number")
-    squared = [d * d for d in topology.distances]
+    squared = [d * d for d in distances]
     denom = sum(squared)
-    per_user = tuple(total_power * s / denom for s in squared)
-    return PowerAllocation(per_user)
+    powers = tuple(total_power * s / denom for s in squared)
+    group_of = tuple(k % group_count for k in range(len(distances)))
+    return Cell(path_gains, powers, group_of)

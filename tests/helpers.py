@@ -18,6 +18,7 @@ import sys
 
 import numpy as np
 
+REFERENCE_DISTANCES = (0.5, 1.5, 2.5, 3.5, 4.5)
 SQRT3 = math.sqrt(3.0)
 # the two-group precoding vectors, written out literally
 V1 = np.array([0.5, SQRT3 / 2.0])
@@ -123,14 +124,15 @@ def draw_fading(rng, user_count, blocks=None):
     return (re + 1j * im) * (1.0 / math.sqrt(2.0))
 
 
-def mixing_matrix(power, groups, basis):
-    """(T, K) matrix whose column k is sqrt(P_k) * v_{t(k)}.
+def mixing_matrix(powers, group_of, basis):
+    """(T, K) matrix whose column k is sqrt(P_k) * v_{t(k)}, from the
+    per-user powers P_k and groups t(k).
 
     The transmit vector for a block of symbols s (shape (K,) or (K, S)) is
     ``mixing_matrix(...) @ s``.
     """
-    columns = basis[list(groups.group_of)].T  # (T, K)
-    return columns * np.sqrt(np.asarray(power.per_user))
+    columns = basis[list(group_of)].T  # (T, K)
+    return columns * np.sqrt(np.asarray(powers))
 
 
 def project(received, basis, group):

@@ -27,6 +27,7 @@ from timnoma.harness import WORKERS_ENV, replace
 import helpers
 from helpers import (
     CONSTELLATION,
+    REFERENCE_DISTANCES,
     add_noise,
     derotate,
     draw_fading,
@@ -62,36 +63,36 @@ def single_ber():
     return run_experiment(config)
 
 
-def test_criterion_01_power_conservation(ref_topology, ref_power):
+def test_criterion_01_power_conservation(ref_cell):
     # independent re-derivation from the raw distances
-    squared = [d * d for d in ref_topology.distances]
+    squared = [d * d for d in REFERENCE_DISTANCES]
     expected = [40.0 * s / sum(squared) for s in squared]
     golden = [0.24242, 2.18182, 6.06061, 11.87879, 19.63636]
-    conserved = abs(sum(ref_power.per_user) - 40.0) <= 1e-12 * 40.0
+    conserved = abs(sum(ref_cell.powers) - 40.0) <= 1e-12 * 40.0
     rederived = all(
-        abs(got - want) <= 1e-12 for got, want in zip(ref_power.per_user, expected)
+        abs(got - want) <= 1e-12 for got, want in zip(ref_cell.powers, expected)
     )
     matches_golden = all(
-        abs(got - want) <= 1e-5 for got, want in zip(ref_power.per_user, golden)
+        abs(got - want) <= 1e-5 for got, want in zip(ref_cell.powers, golden)
     )
     passed = conserved and rederived and matches_golden
-    report(1, "power conservation", passed, f"sum = {sum(ref_power.per_user)!r} W")
+    report(1, "power conservation", passed, f"sum = {sum(ref_cell.powers)!r} W")
     assert passed
 
 
-def test_criterion_02_projection_exactness(ref_topology, ref_power, ref_groups, ref_basis):
+def test_criterion_02_projection_exactness(ref_cell, ref_basis):
     rng = np.random.default_rng(101)
     n = 10_000
     symbols = CONSTELLATION[rng.integers(0, 4, size=(5, n))]
     fading = draw_fading(rng, 5, blocks=n)
-    transmit = mixing_matrix(ref_power, ref_groups, ref_basis) @ symbols
-    gamma = np.array([1.0 / d**3 for d in ref_topology.distances])
-    roots = np.sqrt(np.asarray(ref_power.per_user))
+    transmit = mixing_matrix(ref_cell.powers, ref_cell.group_of, ref_basis) @ symbols
+    gamma = np.array([1.0 / d**3 for d in REFERENCE_DISTANCES])
+    roots = np.sqrt(np.asarray(ref_cell.powers))
     worst = 0.0
     for user in range(5):
         channel = np.sqrt(gamma[user]) * fading[user]
-        projected = project(channel * transmit, ref_basis, ref_groups.group_of[user])
-        group = members(ref_groups.group_of)[ref_groups.group_of[user]]
+        projected = project(channel * transmit, ref_basis, ref_cell.group_of[user])
+        group = members(ref_cell.group_of)[ref_cell.group_of[user]]
         expected = channel * sum(roots[j] * symbols[j] for j in group)
         worst = max(worst, float(np.max(np.abs(projected - expected) / np.abs(expected))))
     exact = worst <= 1e-12
@@ -111,22 +112,22 @@ def test_criterion_02_projection_exactness(ref_topology, ref_power, ref_groups, 
     assert passed
 
 
-def test_criterion_03_genie_sic_cancellation(ref_topology, ref_power, ref_groups, ref_basis):
+def test_criterion_03_genie_sic_cancellation(ref_cell, ref_basis):
     rng = np.random.default_rng(103)
     n = 10_000
     symbols = CONSTELLATION[rng.integers(0, 4, size=(5, n))]
     fading = draw_fading(rng, 5, blocks=n)
     noise = add_noise(rng, np.zeros((5, 2, n)), NoiseModel(0.5))
-    transmit = mixing_matrix(ref_power, ref_groups, ref_basis) @ symbols
-    gamma = np.array([1.0 / d**3 for d in ref_topology.distances])
+    transmit = mixing_matrix(ref_cell.powers, ref_cell.group_of, ref_basis) @ symbols
+    gamma = np.array([1.0 / d**3 for d in REFERENCE_DISTANCES])
     channels = np.sqrt(gamma)[:, None] * fading
     received = channels[:, None, :] * transmit + noise
-    group_of = np.asarray(ref_groups.group_of)
+    group_of = np.asarray(ref_cell.group_of)
     # the receiver works on the derotated real baseband: conj(g)/|g| * r
     signal, magnitudes = derotate(project(received, ref_basis, group_of), channels)
     scale = np.hypot(signal[..., 0], signal[..., 1])
-    mask = cancel_mask(ref_groups)
-    amplitudes = np.sqrt(np.asarray(ref_power.per_user))
+    mask = cancel_mask(ref_cell.group_of)
+    amplitudes = np.sqrt(np.asarray(ref_cell.powers))
     decode(signal, magnitudes, amplitudes, mask, genie_symbols=levels(symbols))
     residual = signal.view(complex)[..., 0]
     # after genie cancellation each receiver keeps its own signal, the
@@ -223,12 +224,12 @@ def test_criterion_06_single_user_dominance(hybrid_ber, single_ber):
     assert passed
 
 
-def test_criterion_07_rate_golden_values(ref_topology, ref_power, ref_groups):
+def test_criterion_07_rate_golden_values(ref_cell):
     fading = np.ones(5, dtype=complex)
     noise = NoiseModel(1.0)
     # confirm the goldens live against the brute-force matrix oracle first
     oracle = matrix_rate_oracle(
-        ref_topology.distances, 3.0, 40.0, 1.0, fading,
+        REFERENCE_DISTANCES, 3.0, 40.0, 1.0, fading,
         reference_noise_sets(), reference_group_vectors(),
     )
     golden = (
@@ -240,9 +241,7 @@ def test_criterion_07_rate_golden_values(ref_topology, ref_power, ref_groups):
     )
     oracle_consistent = all(abs(o - g) <= 1e-12 for o, g in zip(oracle, golden))
     # one realization is the rate table at N = 1
-    rates = hybrid_rate_table(
-        ref_topology, ref_power, ref_groups, np.abs(fading)[None] ** 2, noise
-    )[0]
+    rates = hybrid_rate_table(ref_cell, np.abs(fading)[None] ** 2, noise)[0]
     within = all(abs(r - g) <= 1e-4 for r, g in zip(rates, golden))
     passed = oracle_consistent and within
     report(
@@ -327,20 +326,18 @@ def test_criterion_09_sum_rate_ratio_asymptote():
     )
 
 
-def test_criterion_10_degrees_of_freedom(ref_topology, ref_power, ref_groups):
+def test_criterion_10_degrees_of_freedom(ref_cell):
     # a rate's pre-log is its rise, in bits per slot, when the SNR doubles:
     # log2(1 + 2x) - log2(1 + x) tends to 1 as x grows, times the 1/T
     # prefactor. At sigma^2 = 1e-20 every x is above 1e19.
     gains = np.ones((1, 5))
-    slots = ref_topology.group_count
+    slots = ref_cell.group_count
 
     def rise(rates_at):
         return rates_at(NoiseModel(0.5e-20)) - rates_at(NoiseModel(1e-20))
 
-    single = rise(lambda noise: single_user_rate_table(ref_topology, gains, noise, 40.0)[0])
-    hybrid = rise(
-        lambda noise: hybrid_rate_table(ref_topology, ref_power, ref_groups, gains, noise)[0]
-    )
+    single = rise(lambda noise: single_user_rate_table(ref_cell, gains, noise, 40.0)[0])
+    hybrid = rise(lambda noise: hybrid_rate_table(ref_cell, gains, noise)[0])
     each_alone = all(abs(r - 1.0 / slots) <= 1e-12 for r in single)
     all_together = abs(float(np.sum(single)) - 5 / slots) <= 5e-12
     # one user per group keeps an SINR that grows without bound

@@ -110,6 +110,12 @@ class TestCliErrors:
             # a SINR of this cell overflows: refused before the run starts
             (["rate", "--frames", "2", "--snr", "3000"],
              "distances = 0.001, 0.002\ngroup_count = 1\n", "user 1 a mean SNR"),
+            # (stop - start) / step is infinite, or about 1e301 points:
+            # refused before the grid is built
+            (["ber", "--frames", "1", "--snr", "0:5e-324:10"], None, "more than 100000 points"),
+            (["ber", "--frames", "1", "--snr", "0:1e-300:10"], None, "more than 100000 points"),
+            (["ber", "--frames", "1"], "snr_grid = 0:5e-324:10\n", "more than 100000 points"),
+            (["ber", "--frames", "1"], "snr_grid = 0:1e-300:10\n", "more than 100000 points"),
         ],
     )
     def test_unrunnable_config_exits_one(self, argv, config_text, fragment, tmp_path, capsys):

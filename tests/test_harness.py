@@ -20,9 +20,7 @@ from timnoma import (
     ResultRow,
     SimConfig,
     ValidationError,
-    allocate_power,
-    assign_groups,
-    build_topology,
+    build_cell,
     draw_fading_power,
     emit_csv,
     hybrid_rate_table,
@@ -38,6 +36,7 @@ from timnoma.harness import (
     FADING_MODES,
     ORDER_MODES,
     WORKERS_ENV,
+    _scene,
     replace,
 )
 
@@ -111,6 +110,12 @@ class TestSimConfig:
             # user 1's full-power mean SNR is 1e309: a SINR would overflow
             ({"distances": (0.001, 0.002), "group_count": 1,
               "snr_grid_db": (3000.0,)}, "user 1 a mean SNR total_power"),
+            ({"total_power": True}, "total_power"),  # a bool is no power
+            ({"cell_radius": "5"}, "cell_radius"),
+            ({"cell_radius": True}, "cell_radius"),
+            ({"path_loss_exponent": "3"}, "path_loss_exponent"),
+            ({"path_loss_exponent": True}, "path_loss_exponent"),
+            ({"total_power": 10**400}, "total_power"),  # an int beyond the float range
         ],
     )
     def test_validation_names_the_field(self, changes, fragment):
@@ -434,23 +439,22 @@ class TestChunkedRatePoints:
     def reference_tables(self, config, snr_index, snr):
         """Every chunk's substream redrawn and concatenated: the whole
         point's (hybrid, single-user) rate tables in one piece."""
-        topo = build_topology(
-            config.distances, config.cell_radius, config.path_loss_exponent, config.group_count
+        cell = build_cell(
+            config.distances, config.cell_radius, config.path_loss_exponent,
+            config.group_count, config.total_power,
         )
         draws = [
             draw_fading_power(
                 np.random.default_rng(np.random.SeedSequence((config.seed, snr_index, chunk))),
-                topo.user_count,
+                cell.user_count,
                 min(_RATE_CHUNK, config.frames - start),
             )
             for chunk, start in enumerate(range(0, config.frames, _RATE_CHUNK))
         ]
         fading_power = np.concatenate(draws, axis=1).T
         noise = NoiseModel(config.noise_variance(snr))
-        hybrid = hybrid_rate_table(
-            topo, allocate_power(topo, config.total_power), assign_groups(topo), fading_power, noise
-        )
-        return hybrid, single_user_rate_table(topo, fading_power, noise, config.total_power)
+        hybrid = hybrid_rate_table(cell, fading_power, noise)
+        return hybrid, single_user_rate_table(cell, fading_power, noise, config.total_power)
 
     @pytest.mark.parametrize("experiment", ["rate", "rate_single_user", "ratio"])
     def test_matches_the_unchunked_statistics(self, experiment):
@@ -649,11 +653,9 @@ class TestRunExperimentDispatch:
 class TestTransmitEnergyAudit:
     def test_framed_transmit_energy_matches_budget(self):
         # links the power constraint to the symbol pipeline end to end
-        from timnoma.harness import _scene
-
         config = SimConfig(frames=50, bits_per_frame=6144).validated()
-        _topo, groups, power = _scene(config)
-        mix = mixing_matrix(power, groups, make_basis(config.group_count))
+        cell = _scene(config)
+        mix = mixing_matrix(cell.powers, cell.group_of, make_basis(config.group_count))
         rng = np.random.default_rng(77)
         energies = []
         for _ in range(config.frames):

@@ -11,17 +11,13 @@ import pytest
 import timnoma
 
 PUBLIC = [
+    "Cell",
     "ConfigError",
-    "GroupAssignment",
     "NoiseModel",
-    "PowerAllocation",
     "ResultRow",
     "SimConfig",
-    "Topology",
     "ValidationError",
-    "allocate_power",
-    "assign_groups",
-    "build_topology",
+    "build_cell",
     "cancel_mask",
     "decode",
     "draw_fading_power",
@@ -30,24 +26,30 @@ PUBLIC = [
     "parse_config",
     "parse_config_text",
     "parse_snr_grid",
-    "path_loss",
     "qpsk_levels",
     "run_experiment",
     "single_user_rate_table",
 ]
 
 # scalar copies of the rate tables, per-experiment runners, functions and
-# names only tests read, and the physical chain the BER path no longer
-# simulates; the tests keep add_noise, CONSTELLATION, qpsk_modulate,
-# qpsk_demodulate, draw_fading, make_basis, mixing_matrix and project as
-# references in helpers.py
+# names only tests read, the physical chain the BER path no longer
+# simulates, and the cell's three dataclasses and four constructors that
+# Cell and build_cell replace; the tests keep add_noise, CONSTELLATION,
+# qpsk_modulate, qpsk_demodulate, draw_fading, make_basis, mixing_matrix
+# and project as references in helpers.py
 REMOVED = [
     "BITS_PER_SYMBOL",
     "CONSTELLATION",
     "ExperimentResult",
+    "GroupAssignment",
+    "PowerAllocation",
     "PrecodingBasis",
+    "Topology",
     "add_noise",
+    "allocate_power",
     "assemble_transmit",
+    "assign_groups",
+    "build_topology",
     "channel_matrix",
     "dof_total",
     "draw_fading",
@@ -55,6 +57,7 @@ REMOVED = [
     "make_basis",
     "mixing_matrix",
     "ml_detect",
+    "path_loss",
     "project",
     "qpsk_demodulate",
     "qpsk_modulate",

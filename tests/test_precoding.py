@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from timnoma import allocate_power, assign_groups, build_topology
+from timnoma import build_cell
 
 from helpers import V1, V2, make_basis, members, mixing_matrix, qpsk_modulate
 
@@ -39,61 +39,65 @@ class TestMakeBasis:
             basis[0, 0] = 7.0
 
 
+def cell_mixing(cell, basis):
+    return mixing_matrix(cell.powers, cell.group_of, basis)
+
+
 class TestAssembleTransmit:
     """The transmit of a block of symbols s is ``mixing_matrix(...) @ s``."""
 
-    def test_zero_symbols_give_zero_vector(self, ref_power, ref_groups, ref_basis):
-        out = mixing_matrix(ref_power, ref_groups, ref_basis) @ np.zeros(5, dtype=complex)
+    def test_zero_symbols_give_zero_vector(self, ref_cell, ref_basis):
+        out = cell_mixing(ref_cell, ref_basis) @ np.zeros(5, dtype=complex)
         np.testing.assert_array_equal(out, np.zeros(2, dtype=complex))
 
     def test_scalar_cell(self):
-        topo = build_topology([1.0], 5.0, 3, 1)
-        mix = mixing_matrix(allocate_power(topo, 4.0), assign_groups(topo), make_basis(1))
+        cell = build_cell([1.0], 5.0, 3, 1, 4.0)
+        mix = mixing_matrix(cell.powers, cell.group_of, make_basis(1))
         out = mix @ np.array([1 + 0j])
         np.testing.assert_allclose(out, [2.0 + 0j], rtol=1e-15)
 
-    def test_all_ones_reference_cell(self, ref_power, ref_groups, ref_basis):
+    def test_all_ones_reference_cell(self, ref_cell, ref_basis):
         # independent evaluation of the superposition with the literal vectors
-        p = ref_power.per_user
+        p = ref_cell.powers
         expected = (math.sqrt(p[0]) + math.sqrt(p[2]) + math.sqrt(p[4])) * V1
         expected = expected + (math.sqrt(p[1]) + math.sqrt(p[3])) * V2
-        got = mixing_matrix(ref_power, ref_groups, ref_basis) @ np.ones(5, dtype=complex)
+        got = cell_mixing(ref_cell, ref_basis) @ np.ones(5, dtype=complex)
         np.testing.assert_allclose(got, expected, atol=1e-12)
         np.testing.assert_allclose(got, [-0.5712696044275679, 8.857851312386062], atol=1e-9)
 
-    def test_rejects_wrong_symbol_count(self, ref_power, ref_groups, ref_basis):
+    def test_rejects_wrong_symbol_count(self, ref_cell, ref_basis):
         with pytest.raises(ValueError):
-            mixing_matrix(ref_power, ref_groups, ref_basis) @ np.ones(4, dtype=complex)
+            cell_mixing(ref_cell, ref_basis) @ np.ones(4, dtype=complex)
 
-    def test_block_shape(self, ref_power, ref_groups, ref_basis, rng):
+    def test_block_shape(self, ref_cell, ref_basis, rng):
         symbols = rng.standard_normal((5, 7)) + 1j * rng.standard_normal((5, 7))
-        assert (mixing_matrix(ref_power, ref_groups, ref_basis) @ symbols).shape == (2, 7)
+        assert (cell_mixing(ref_cell, ref_basis) @ symbols).shape == (2, 7)
 
 
 class TestProjectionIdentity:
-    def test_group_projection_recovers_group_sum(self, ref_power, ref_groups, ref_basis, rng):
+    def test_group_projection_recovers_group_sum(self, ref_cell, ref_basis, rng):
         symbols = rng.standard_normal((5, 10_000)) + 1j * rng.standard_normal((5, 10_000))
-        x = mixing_matrix(ref_power, ref_groups, ref_basis) @ symbols
-        roots = np.sqrt(np.asarray(ref_power.per_user))
-        for group, member_list in enumerate(members(ref_groups.group_of)):
+        x = cell_mixing(ref_cell, ref_basis) @ symbols
+        roots = np.sqrt(np.asarray(ref_cell.powers))
+        for group, member_list in enumerate(members(ref_cell.group_of)):
             projected = ref_basis[group] @ x
             direct = sum(roots[k] * symbols[k] for k in member_list)
             np.testing.assert_allclose(projected, direct, atol=1e-12)
 
 
 class TestTransmitEnergy:
-    def test_average_energy_equals_power_budget(self, ref_power, ref_groups, ref_basis):
+    def test_average_energy_equals_power_budget(self, ref_cell, ref_basis):
         rng = np.random.default_rng(31)
         bits = rng.integers(0, 2, size=(5, 200_000))
-        x = mixing_matrix(ref_power, ref_groups, ref_basis) @ qpsk_modulate(bits)
+        x = cell_mixing(ref_cell, ref_basis) @ qpsk_modulate(bits)
         energy = np.mean(np.sum(np.abs(x) ** 2, axis=0))
         assert energy == pytest.approx(40.0, rel=0.01)
 
 
 class TestMixingMatrix:
-    def test_columns_are_scaled_group_vectors(self, ref_power, ref_groups, ref_basis):
-        mix = mixing_matrix(ref_power, ref_groups, ref_basis)
+    def test_columns_are_scaled_group_vectors(self, ref_cell, ref_basis):
+        mix = cell_mixing(ref_cell, ref_basis)
         assert mix.shape == (2, 5)
         for k in range(5):
-            expected = math.sqrt(ref_power.per_user[k]) * ref_basis[ref_groups.group_of[k]]
+            expected = math.sqrt(ref_cell.powers[k]) * ref_basis[ref_cell.group_of[k]]
             np.testing.assert_allclose(mix[:, k], expected, rtol=1e-15)
