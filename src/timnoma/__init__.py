@@ -9,7 +9,7 @@ derotated real baseband that is left after it. The harness sweeps transmit
 SNR and writes per-user BER and achievable-rate tables as CSV.
 """
 
-from .analytics import hybrid_rate_table, single_user_rate_table
+from .analytics import hybrid_rate_table
 from .channel import NoiseModel, draw_fading_power
 from .errors import ConfigError, ValidationError
 from .harness import (
@@ -45,5 +45,4 @@ __all__ = [
     "parse_snr_grid",
     "qpsk_levels",
     "run_experiment",
-    "single_user_rate_table",
 ]

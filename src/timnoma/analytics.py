@@ -1,4 +1,4 @@
-"""Closed-form performance: per-user achievable rates and the TDMA baseline.
+"""Closed-form performance: per-user achievable rates.
 
 Rates are in bits per time slot, log base 2, with the 1/T prefactor that
 accounts for each user receiving one symbol per T-slot block. A user's
@@ -7,12 +7,13 @@ decoding order of ``receiver.cancel_mask`` (the ones it cannot cancel)
 plus noise; projection removed every other group exactly, so no
 inter-group term ever appears.
 
-Both rate formulas are (N, K) tables over N fading realizations; the rates
-of one realization are the N = 1 table. Both read one ``Cell``: its path
-gains scale |h|^2, its powers and groups set each SINR, and its group
-count is the T of the prefactor. Each takes the rate as
-log1p(SINR) / (T ln 2), which keeps an SINR below one ulp of 1 from
-rounding to a zero rate at very low SNR.
+The rate formula is one (N, K) table over N fading realizations; the rates
+of one realization are the N = 1 table. It reads one ``Cell``: its path
+gains scale |h|^2, its powers and groups set each SINR, and its ``slots``
+are the T of the prefactor. The single-user rates and the TDMA baseline
+are the same table on a cell of lone users at full power. The logarithm
+of 1 + SINR is taken without forming 1 + SINR, which keeps an SINR below
+one ulp of 1 from rounding to a zero rate at very low SNR.
 """
 
 from __future__ import annotations
@@ -48,12 +49,14 @@ def hybrid_rate_table(
     rates. Entry (n, k) is user k's log2(1 + SINR) / T in realization n, the
     numerator being P_k gamma_k |h_k|^2 and the denominator the powers of
     its uncancelled same-group users times the same gain, plus noise; the
-    powers, path gains gamma, groups and T all come from ``cell``. The
-    decoding order is ``cancel_mask``'s: by distance, or by gamma |h|^2 in
-    each realization. One new (N, K) buffer goes from channel gains to
-    rates in place, beside one interference array, the (K, K, N) mask and
-    its power-weighted copy; the caller's array is never written. Every
-    sum over users is a broadcast sum, so no BLAS call runs.
+    powers, path gains gamma, groups and T all come from ``cell``. On a
+    cell of lone users at full power these are the single-user rates, and a
+    row's mean is the TDMA sum rate. The decoding order is
+    ``cancel_mask``'s: by distance, or by gamma |h|^2 in each realization.
+    One new (N, K) buffer goes from channel gains to rates in place,
+    beside the (K, K, N) mask, its power-weighted copy and, unless nobody
+    absorbs anybody, one interference array; the caller's array is never
+    written. Every sum over users is a broadcast sum, so no BLAS call runs.
     """
     if order_mode not in ORDER_MODES:
         raise ValidationError(f"unknown order mode {order_mode!r}")
@@ -62,31 +65,15 @@ def hybrid_rate_table(
     cancel = cancel_mask(cell.group_of, None if order_mode == "distance" else out.T)
     # user k cannot cancel user j exactly when receiver j cancels k, so
     # k's interference is sum_j cancel[j, k] * P_j times its own gain
-    interference = out * np.sum(cancel * p[:, np.newaxis, np.newaxis], axis=0).T
-    interference += noise.variance
+    absorbed = np.sum(cancel * p[:, np.newaxis, np.newaxis], axis=0).T
+    if absorbed.any():
+        interference = out * absorbed
+        interference += noise.variance
+    else:
+        # nothing absorbed: skip a fresh (N, K) array that would be sigma^2
+        interference = noise.variance
     out *= p
     out /= interference  # SINR
     np.log1p(out, out=out)
-    out *= 1.0 / (cell.group_count * math.log(2.0))
-    return out
-
-
-def single_user_rate_table(
-    cell: Cell,
-    fading_power: np.ndarray,
-    noise: NoiseModel,
-    total_power: float,
-) -> np.ndarray:
-    """Vectorized single-user-active rates from the real (N, K) array of
-    |h|^2, computed in one new (N, K) buffer.
-
-    Each user's rate is the one it gets alone at full power, keeping the
-    1/T prefactor. The TDMA baseline gives every user an equal 1/K time
-    share at full power, so its sum rate is the mean of a row.
-    """
-    out = _channel_gains(cell, fading_power)
-    out *= total_power
-    out /= noise.variance
-    np.log1p(out, out=out)
-    out *= 1.0 / (cell.group_count * math.log(2.0))
+    out *= 1.0 / (cell.slots * math.log(2.0))
     return out

@@ -1,18 +1,19 @@
 """Command-line front end.
 
-Subcommands pick the experiment; common flags load a config file and
-override individual fields. With no arguments each subcommand runs the
-5-user reference scenario. Exit codes: 0 success, 1 config or validation
-error, 2 I/O error.
+Subcommands pick the experiment, over a config file's ``experiment``;
+common flags load a config file and override individual fields. With no
+arguments each subcommand runs the 5-user reference scenario. Exit codes:
+0 success, 1 config or validation error, 2 I/O or argparse usage error.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
-from .errors import ConfigError, ValidationError
-from .harness import SimConfig, emit_csv, parse_config, parse_snr_grid, replace, run_experiment
+from .errors import ValidationError
+from .harness import SimConfig, emit_csv, parse_config, parse_snr_grid, run_experiment
 
 
 def _add_common_flags(sub: argparse.ArgumentParser) -> None:
@@ -60,25 +61,19 @@ def _config_from_args(args: argparse.Namespace) -> SimConfig:
         overrides["frames"] = args.frames
     if args.snr is not None:
         overrides["snr_grid_db"] = parse_snr_grid(args.snr)
-    return replace(config, **overrides)
+    return dataclasses.replace(config, **overrides)
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        # the run itself can still refuse its environment (TIMNOMA_WORKERS)
+        # the one check of the config, after the flags apply; the run can
+        # still refuse its environment (TIMNOMA_WORKERS)
         rows = run_experiment(_config_from_args(args))
-    except (ConfigError, ValidationError) as exc:
+        emit_csv(rows, sys.stdout if args.out == "-" else args.out)
+    except ValidationError as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        if args.out == "-":
-            emit_csv(rows, sys.stdout)
-        else:
-            emit_csv(rows, args.out)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

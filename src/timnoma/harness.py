@@ -56,7 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytics import ORDER_MODES, hybrid_rate_table, single_user_rate_table
+from .analytics import ORDER_MODES, hybrid_rate_table
 from .channel import NoiseModel, draw_fading_power
 from .errors import ConfigError, ValidationError
 from .modem import qpsk_levels
@@ -107,9 +107,9 @@ class SimConfig:
 
         The cell is built once by ``_scene``, the constructor the run uses,
         which checks the cell fields and the power budget. Once every field
-        passes, each SNR point's noise model is built and the users' mean
-        SNRs are read from the cell's powers and path gains, so a config
-        that passes cannot fail later in one of them.
+        passes, the SNR rules are checked where they bind: sigma^2 falls
+        as the SNR rises, so a grid is refused exactly when one of its
+        points alone would be, and a config that passes cannot fail later.
         """
         problems = []
         try:
@@ -138,28 +138,33 @@ class SimConfig:
         if self.experiment not in EXPERIMENTS:
             problems.append(f"experiment must be one of {EXPERIMENTS}")
         if not problems:
-            for snr in self.snr_grid_db:
+            # sigma^2 leaves its range only at an end of the grid; each mean
+            # SNR is least at the lowest SNR, each peak greatest at the highest
+            low, high = min(self.snr_grid_db), max(self.snr_grid_db)
+            variances = {}
+            for snr in dict.fromkeys((low, high)):
                 try:
-                    variance = NoiseModel(self.noise_variance(snr)).variance
+                    variances[snr] = NoiseModel(self.noise_variance(snr)).variance
                 except (ValidationError, OverflowError):
                     problems.append(
                         f"snr_grid value {snr!r} dB gives no positive finite noise variance"
                     )
-                    continue
+            if low in variances:
                 # a rate, or a ratio of rates, has no value once a user's
                 # mean SNR is 0 or has lost its precision as a subnormal
-                snrs = [p * g / variance for p, g in zip(cell.powers, cell.path_gains)]
+                snrs = [p * g / variances[low] for p, g in zip(cell.powers, cell.path_gains)]
                 if min(snrs) < sys.float_info.min:
                     problems.append(
-                        f"snr_grid value {snr!r} dB gives user {snrs.index(min(snrs)) + 1} "
+                        f"snr_grid value {low!r} dB gives user {snrs.index(min(snrs)) + 1} "
                         "a mean SNR P_k*gamma_k/sigma^2 that is 0 or subnormal"
                     )
+            if high in variances:
                 # below this ceiling an Exp(1) gain would have to exceed
                 # 2**64 before any SINR overflowed
-                peaks = [self.total_power * g / variance for g in cell.path_gains]
+                peaks = [self.total_power * g / variances[high] for g in cell.path_gains]
                 if max(peaks) > _MEAN_SNR_CEILING:
                     problems.append(
-                        f"snr_grid value {snr!r} dB gives user {peaks.index(max(peaks)) + 1} "
+                        f"snr_grid value {high!r} dB gives user {peaks.index(max(peaks)) + 1} "
                         "a mean SNR total_power*gamma_k/sigma^2 above 2**-64 of the largest float"
                     )
         if problems:
@@ -231,10 +236,11 @@ def parse_snr_grid(spec: str) -> tuple[float, ...]:
 
 
 def parse_config_text(text: str) -> SimConfig:
-    """Parse config text into a validated SimConfig.
+    """Parse config text into a SimConfig, not yet validated: the flags
+    may still override its values before ``run_experiment`` checks them.
 
-    Unknown keys, malformed lines and bad values are reported with their
-    line number; all invariant violations are then reported together.
+    Unknown keys, malformed lines and bad values are reported together,
+    each with its line number.
     """
     values: dict = {}
     errors = []
@@ -263,13 +269,18 @@ def parse_config_text(text: str) -> SimConfig:
             errors.append(f"line {lineno}: bad value for {key!r}: {exc}")
     if errors:
         raise ConfigError("config parse failed: " + "; ".join(errors))
-    return SimConfig(**values).validated()
+    return SimConfig(**values)
 
 
 def parse_config(path) -> SimConfig:
-    """Read and parse a config file."""
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_config_text(handle.read())
+    """Read and parse a UTF-8 config file (see ``parse_config_text``)."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path}: not UTF-8 at byte {exc.start}") from exc
+    return parse_config_text(text)
 
 
 # ---------------------------------------------------------------------------
@@ -441,9 +452,15 @@ def _rate_point(config: SimConfig, snr_index: int, snr_db: float) -> list:
 
     Realizations run in chunks of ``_RATE_CHUNK``, chunk c drawn from
     ``SeedSequence((seed, snr_index, c))``, so memory is O(chunk * K)
-    whatever the realization count.
+    whatever the realization count. The single-user rates and the TDMA
+    baseline are ``hybrid_rate_table`` on ``lone``, each user alone in its
+    group at full power with the cell's T kept. Nobody there absorbs
+    anybody, so the order cannot matter: distance order spares the mask.
     """
     cell = _scene(config)
+    count = cell.user_count
+    lone = dataclasses.replace(cell, group_of=tuple(range(count)),
+                               powers=(float(config.total_power),) * count)
     noise = NoiseModel(config.noise_variance(snr_db))
     experiment = config.experiment
     n = config.frames
@@ -454,16 +471,16 @@ def _rate_point(config: SimConfig, snr_index: int, snr_db: float) -> list:
         rng = np.random.default_rng(np.random.SeedSequence((config.seed, snr_index, chunk)))
         # drawn (K, n) and viewed as (n, K): each user's realizations stay
         # contiguous, which keeps the reductions over realizations fast
-        fading_power = draw_fading_power(rng, cell.user_count, min(_RATE_CHUNK, n - start)).T
+        fading_power = draw_fading_power(rng, count, min(_RATE_CHUNK, n - start)).T
         if experiment == "rate_single_user":
-            per_user.add(single_user_rate_table(cell, fading_power, noise, config.total_power))
+            per_user.add(hybrid_rate_table(lone, fading_power, noise))
             continue
         table = hybrid_rate_table(cell, fading_power, noise, config.decoding_order_mode)
         per_user.add(table)
         sum_deviations = sums.add(table.sum(axis=1))
         del table  # freed before the baseline allocates its own (n, K) table
         if experiment == "ratio":
-            baseline = single_user_rate_table(cell, fading_power, noise, config.total_power).mean(axis=1)
+            baseline = hybrid_rate_table(lone, fading_power, noise).mean(axis=1)
             tdma_deviations = tdma.add(baseline)
             # a sum of products, not np.cov, whose dot product would call BLAS
             sum_deviations *= tdma_deviations
@@ -474,7 +491,7 @@ def _rate_point(config: SimConfig, snr_index: int, snr_db: float) -> list:
         means, stds = per_user.mean, per_user.std()
         rows = [
             ResultRow(snr_db, str(k + 1), metric, float(means[k]), n, float(stds[k]) / root_n)
-            for k in range(cell.user_count)
+            for k in range(count)
         ]
         if experiment == "rate":
             rows.append(ResultRow(snr_db, "sum", metric, float(np.sum(means)), n,
@@ -498,13 +515,14 @@ def _rate_point(config: SimConfig, snr_index: int, snr_db: float) -> list:
 
 def run_experiment(config: SimConfig) -> tuple[ResultRow, ...]:
     """Run the experiment that ``config.experiment`` names and return its
-    rows, ordered by SNR, then user entity, then "sum".
+    rows: the SNR points in grid order, as given rather than sorted, and
+    within a point its users in order, then any "sum" rows.
 
     ``ber`` is the framed link-level BER of the hybrid scheme, per user and
     pooled; ``ber_single_user`` the BER of each user alone at its own power
     share. ``rate`` and ``ratio`` are fading-averaged hybrid rates and the
     hybrid/TDMA sum-rate ratio; ``rate_single_user`` the full-power rate of
-    each user alone.
+    each user alone, the rate table of a cell of lone users.
     """
     config = config.validated()
     point_fn = _rate_point if config.experiment in RATE_EXPERIMENTS else _ber_point
@@ -531,8 +549,3 @@ def emit_csv(rows, destination) -> None:
     else:
         with open(destination, "w", encoding="utf-8", newline="\n") as handle:
             _write(handle)
-
-
-def replace(config: SimConfig, **changes) -> SimConfig:
-    """dataclasses.replace with validation."""
-    return dataclasses.replace(config, **changes).validated()

@@ -21,19 +21,19 @@ from .errors import ValidationError
 @dataclass(frozen=True)
 class Cell:
     """Per-user path gains gamma_k = 1/d_k^n, transmit powers P_k in watts
-    (strictly increasing in user index) and groups, numbered from 0."""
+    and groups numbered from 0, and ``slots``: T, the slots of a block, in
+    which each user sends one symbol. ``build_cell`` makes T the group
+    count and the powers increasing; a regrouped cell keeps its T, and its
+    powers need not increase."""
 
     path_gains: tuple[float, ...]
     powers: tuple[float, ...]
     group_of: tuple[int, ...]
+    slots: int
 
     @property
     def user_count(self) -> int:
         return len(self.group_of)
-
-    @property
-    def group_count(self) -> int:
-        return max(self.group_of) + 1
 
 
 def _is_int(value) -> bool:
@@ -93,4 +93,4 @@ def build_cell(distances, cell_radius, path_loss_exponent, group_count, total_po
     denom = sum(squared)
     powers = tuple(total_power * s / denom for s in squared)
     group_of = tuple(k % group_count for k in range(len(distances)))
-    return Cell(path_gains, powers, group_of)
+    return Cell(path_gains, powers, group_of, group_count)

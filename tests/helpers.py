@@ -12,6 +12,7 @@ projection (``project``) and the one-receiver-at-a-time SIC loop
 baseband that is left after projection; tests hold it to this chain.
 """
 
+import dataclasses
 import itertools
 import math
 import sys
@@ -159,6 +160,15 @@ def project(received, basis, group):
     for weight, slot in zip(weights[1:], slots[1:]):
         out += weight * slot
     return complex(out) if out.ndim == 0 else out
+
+
+def lone_cell(cell, total_power):
+    """``cell`` with every user alone in its group at full power, its T
+    kept: its hybrid rates are the single-user rates, whose row mean is the
+    TDMA baseline."""
+    return dataclasses.replace(
+        cell, group_of=tuple(range(cell.user_count)), powers=(total_power,) * cell.user_count
+    )
 
 
 def row(rows, snr_db, entity, metric):

@@ -8,6 +8,7 @@ fixtures; everything is seeded and deterministic.
 
 import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,9 +21,8 @@ from timnoma import (
     emit_csv,
     hybrid_rate_table,
     run_experiment,
-    single_user_rate_table,
 )
-from timnoma.harness import WORKERS_ENV, replace
+from timnoma.harness import WORKERS_ENV
 
 import helpers
 from helpers import (
@@ -331,12 +331,12 @@ def test_criterion_10_degrees_of_freedom(ref_cell):
     # log2(1 + 2x) - log2(1 + x) tends to 1 as x grows, times the 1/T
     # prefactor. At sigma^2 = 1e-20 every x is above 1e19.
     gains = np.ones((1, 5))
-    slots = ref_cell.group_count
+    slots = ref_cell.slots
 
     def rise(rates_at):
         return rates_at(NoiseModel(0.5e-20)) - rates_at(NoiseModel(1e-20))
 
-    single = rise(lambda noise: single_user_rate_table(ref_cell, gains, noise, 40.0)[0])
+    single = rise(lambda noise: hybrid_rate_table(helpers.lone_cell(ref_cell, 40.0), gains, noise)[0])
     hybrid = rise(lambda noise: hybrid_rate_table(ref_cell, gains, noise)[0])
     each_alone = all(abs(r - 1.0 / slots) <= 1e-12 for r in single)
     all_together = abs(float(np.sum(single)) - 5 / slots) <= 5e-12

@@ -8,13 +8,13 @@ from timnoma import (
     ValidationError,
     build_cell,
     hybrid_rate_table,
-    single_user_rate_table,
 )
 
 from helpers import (
     REFERENCE_DISTANCES,
     draw_fading,
     instantaneous_noise_sets,
+    lone_cell,
     matrix_rate_oracle,
     reference_group_vectors,
     reference_noise_sets,
@@ -31,7 +31,7 @@ def hybrid_rates(cell, h, noise, order_mode="distance"):
 
 def single_user_rates(cell, h, noise, total_power):
     """Full-power single-user rates of one realization h: the table at N = 1."""
-    return single_user_rate_table(cell, np.abs(h)[None] ** 2, noise, total_power)[0]
+    return hybrid_rate_table(lone_cell(cell, total_power), np.abs(h)[None] ** 2, noise)[0]
 
 
 def tdma_sum(cell, h, noise, total_power):
@@ -203,7 +203,7 @@ class TestRateTables:
         rng = np.random.default_rng(8)
         fading = draw_fading(rng, 5, blocks=32).T
         noise = NoiseModel(1.3)
-        table = single_user_rate_table(ref_cell, np.abs(fading) ** 2, noise, 40.0)
+        table = hybrid_rate_table(lone_cell(ref_cell, 40.0), np.abs(fading) ** 2, noise)
         for n in range(0, 32, 5):
             for k in range(5):
                 snr = 40.0 * channel_gain(ref_cell, fading[n], k) / noise.variance
@@ -218,7 +218,7 @@ class TestRateTables:
         tables = [
             (
                 hybrid_rate_table(ref_cell, gains, noise, order_mode),
-                single_user_rate_table(ref_cell, gains, noise, 40.0),
+                hybrid_rate_table(lone_cell(ref_cell, 40.0), gains, noise),
             )
             for gains in (fading_power, np.ascontiguousarray(fading_power))
         ]
@@ -244,7 +244,7 @@ class TestRateTables:
         with pytest.raises(ValidationError, match="real"):
             hybrid_rate_table(ref_cell, fading, UNIT_NOISE)
         with pytest.raises(ValidationError, match="real"):
-            single_user_rate_table(ref_cell, fading, UNIT_NOISE, 40.0)
+            hybrid_rate_table(lone_cell(ref_cell, 40.0), fading, UNIT_NOISE)
 
     def test_ratio_approaches_two_from_above_at_high_snr(self, ref_cell):
         # asymptotically the hybrid sum grows twice as fast as the baseline;
@@ -256,7 +256,7 @@ class TestRateTables:
         for snr_db in (60.0, 70.0, 80.0):
             noise = NoiseModel(40.0 * 10 ** (-snr_db / 10))
             hybrid = hybrid_rate_table(ref_cell, fading_power, noise).sum(axis=1).mean()
-            baseline = single_user_rate_table(ref_cell, fading_power, noise, 40.0).mean()
+            baseline = hybrid_rate_table(lone_cell(ref_cell, 40.0), fading_power, noise).mean()
             ratio = float(hybrid) / float(baseline)
             assert 1.9 < ratio < 2.5
             deviations.append(abs(ratio - 2.0))

@@ -62,6 +62,19 @@ class TestCliRuns:
         assert code == 0
         assert len(read_csv_lines(out)) == 1 + 6
 
+    def test_subcommand_overrides_a_file_experiment_judged_alone(self, tmp_path, capsys):
+        # one frame is too few for the file's ratio, not for the ber it runs
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("experiment = ratio\nframes = 1\nbits_per_frame = 8\n")
+        assert main(["ber", "--config", str(cfg), "--snr", "10"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1 + 6
+
+    def test_flag_rescues_a_file_value(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("frames = 0\nbits_per_frame = 8\n")
+        assert main(["ber", "--config", str(cfg), "--frames", "2", "--snr", "10"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1 + 6
+
 
 class TestCliErrors:
     def test_validation_error_exits_one(self, capsys):
@@ -85,6 +98,14 @@ class TestCliErrors:
         cfg.write_text("framez = 3\n")
         assert main(["ber", "--config", str(cfg)]) == 1
         assert "framez" in capsys.readouterr().err
+
+    def test_config_that_is_not_utf8_exits_one(self, tmp_path, capsys):
+        cfg = tmp_path / "utf16.cfg"
+        cfg.write_bytes(b"\xff\xfe")
+        assert main(["ber", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "utf16.cfg" in err and "byte 0" in err
+        assert len(err.splitlines()) == 1
 
     def test_unwritable_output_exits_two(self, tmp_path, capsys):
         out = tmp_path / "missing" / "dir" / "out.csv"
@@ -116,6 +137,8 @@ class TestCliErrors:
             (["ber", "--frames", "1", "--snr", "0:1e-300:10"], None, "more than 100000 points"),
             (["ber", "--frames", "1"], "snr_grid = 0:5e-324:10\n", "more than 100000 points"),
             (["ber", "--frames", "1"], "snr_grid = 0:1e-300:10\n", "more than 100000 points"),
+            # 2001 points whose noise variance overflows: still one short line
+            (["ber", "--frames", "1", "--snr=-5000:1:-3000"], None, "snr_grid"),
         ],
     )
     def test_unrunnable_config_exits_one(self, argv, config_text, fragment, tmp_path, capsys):
@@ -127,6 +150,7 @@ class TestCliErrors:
         err = capsys.readouterr().err
         assert err.startswith("error:") and fragment in err
         assert len(err.splitlines()) == 1
+        assert len(err) < 1000
 
     @pytest.mark.parametrize(
         "argv,config_text",

@@ -1,11 +1,13 @@
 import dataclasses
 import hashlib
 import io
+import itertools
 import math
 import os
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -28,7 +30,6 @@ from timnoma import (
     parse_config_text,
     parse_snr_grid,
     run_experiment,
-    single_user_rate_table,
 )
 from timnoma.harness import (
     _RATE_CHUNK,
@@ -37,7 +38,6 @@ from timnoma.harness import (
     ORDER_MODES,
     WORKERS_ENV,
     _scene,
-    replace,
 )
 
 import helpers
@@ -131,6 +131,50 @@ class TestSimConfig:
         assert "frames" in message and "seed" in message and "experiment" in message
 
 
+@st.composite
+def grid_configs(draw):
+    """The reference run's fields with a random buildable cell and a grid
+    of SNRs within +-5000 dB, in any order, that often spans a boundary:
+    where sigma^2 leaves its range or a mean-SNR rule starts to bind."""
+    count = draw(st.integers(1, 6))
+    exponent = draw(st.floats(0.1, 300.0))
+    # distinct distances whose path gains 1/d^n stay within 1e+-290
+    reach = min(3.0, 290.0 / exponent) / 100.0
+    steps = draw(st.lists(st.integers(-100, 100), min_size=count, max_size=count, unique=True))
+    power_db = 10.0 * draw(st.floats(-300.0, 300.0))
+    # sigma^2 = P * 10**(-SNR/10) is a positive finite float for SNRs from
+    # about P - 3083 dB to P + 3233 dB (P in dBW); start near that range
+    start = draw(st.floats(max(-5000.0, power_db - 3500.0), min(5000.0, power_db + 3500.0)))
+    grid = [min(snr, 5000.0) for snr in itertools.accumulate(
+        draw(st.lists(st.floats(0.0, 2000.0), max_size=5)), initial=start
+    )]
+    return SimConfig(
+        distances=tuple(sorted(10.0 ** (reach * i) for i in steps)),
+        cell_radius=1e3,
+        path_loss_exponent=exponent,
+        group_count=1,
+        total_power=10.0 ** (power_db / 10.0),
+        snr_grid_db=tuple(draw(st.permutations(grid))),
+    )
+
+
+def refused(config) -> bool:
+    try:
+        config.validated()
+    except ConfigError:
+        return True
+    return False
+
+
+class TestGridEnds:
+    @settings(max_examples=500, deadline=None)
+    @given(config=grid_configs())
+    def test_grid_is_refused_iff_one_point_alone_is(self, config):
+        alone = [refused(replace(config, snr_grid_db=(snr,))) for snr in config.snr_grid_db]
+        event("mixed" if 0 < sum(alone) < len(alone) else f"all refused: {all(alone)}")
+        assert refused(config) == any(alone)
+
+
 class TestParseConfig:
     def test_empty_text_gives_defaults(self):
         assert parse_config_text("") == SimConfig().validated()
@@ -188,7 +232,7 @@ class TestParseConfig:
 
     def test_invariant_violation_named(self):
         with pytest.raises(ConfigError, match="frames"):
-            parse_config_text("frames = 0\n")
+            parse_config_text("frames = 0\n").validated()
 
 
 class TestResultRow:
@@ -454,7 +498,7 @@ class TestChunkedRatePoints:
         fading_power = np.concatenate(draws, axis=1).T
         noise = NoiseModel(config.noise_variance(snr))
         hybrid = hybrid_rate_table(cell, fading_power, noise)
-        return hybrid, single_user_rate_table(cell, fading_power, noise, config.total_power)
+        return hybrid, hybrid_rate_table(helpers.lone_cell(cell, config.total_power), fading_power, noise)
 
     @pytest.mark.parametrize("experiment", ["rate", "rate_single_user", "ratio"])
     def test_matches_the_unchunked_statistics(self, experiment):

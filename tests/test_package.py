@@ -28,15 +28,16 @@ PUBLIC = [
     "parse_snr_grid",
     "qpsk_levels",
     "run_experiment",
-    "single_user_rate_table",
 ]
 
-# scalar copies of the rate tables, per-experiment runners, functions and
-# names only tests read, the physical chain the BER path no longer
-# simulates, and the cell's three dataclasses and four constructors that
-# Cell and build_cell replace; the tests keep add_noise, CONSTELLATION,
-# qpsk_modulate, qpsk_demodulate, draw_fading, make_basis, mixing_matrix
-# and project as references in helpers.py
+# scalar copies of the rate tables, the single-user rate table that
+# hybrid_rate_table computes on a cell of lone users, per-experiment
+# runners, the validating replace that run_experiment's own check made
+# redundant, functions and names only tests read, the physical chain the
+# BER path no longer simulates, and the cell's three dataclasses and four
+# constructors that Cell and build_cell replace; the tests keep add_noise,
+# CONSTELLATION, qpsk_modulate, qpsk_demodulate, draw_fading, make_basis,
+# mixing_matrix and project as references in helpers.py
 REMOVED = [
     "BITS_PER_SYMBOL",
     "CONSTELLATION",
@@ -62,10 +63,12 @@ REMOVED = [
     "qpsk_demodulate",
     "qpsk_modulate",
     "rate_ratio",
+    "replace",
     "run_ber_experiment",
     "run_rate_experiment",
     "run_single_user_experiment",
     "single_user_rate",
+    "single_user_rate_table",
     "squared_channel_gain",
     "tdma_sum_rate",
     "user_rate",
@@ -108,12 +111,21 @@ def test_import_does_not_load_the_process_pool():
     assert out.stdout.strip() == "False"
 
 
+def readme_text():
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+    with open(readme, encoding="utf-8") as handle:
+        return handle.read()
+
+
+def test_readme_config_block_is_the_default_config():
+    block = re.search(r"```ini\n(.*?)```", readme_text(), re.DOTALL).group(1)
+    assert timnoma.parse_config_text(block) == timnoma.SimConfig()
+
+
 def test_readme_library_block_runs_and_its_values_hold(tmp_path, monkeypatch):
     # the README's Library example, run as written, prints the values its
     # comments state
-    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
-    with open(readme, encoding="utf-8") as handle:
-        text = handle.read()
+    text = readme_text()
     library = text[text.index("## Library"):]
     block = re.search(r"```python\n(.*?)```", library, re.DOTALL).group(1)
     monkeypatch.chdir(tmp_path)

@@ -19,12 +19,12 @@ class TestBuildTopology:
     def test_reference_cell(self):
         cell = build_cell([0.5, 1.5, 2.5, 3.5, 4.5], 5.0, 3, 2, 40.0)
         assert cell.user_count == 5
-        assert cell.group_count == 2
+        assert cell.slots == 2
 
     def test_single_user_cell(self):
         cell = build_cell([1.0], 5.0, 3, 1, 40.0)
         assert cell.user_count == 1
-        assert cell.group_count == 1
+        assert cell.slots == 1
 
     @pytest.mark.parametrize(
         "distances,radius,exponent,groups,fragment",
@@ -69,7 +69,7 @@ class TestAssignGroups:
     def test_reference_split(self, ref_cell):
         assert members(ref_cell.group_of) == ((0, 2, 4), (1, 3))
         assert ref_cell.group_of == (0, 1, 0, 1, 0)
-        assert ref_cell.group_count == 2
+        assert ref_cell.slots == 2
 
     def test_single_group(self):
         cell = build_cell([1.0, 2.0, 3.0, 4.0], 5.0, 3, 1, 40.0)
@@ -86,7 +86,7 @@ class TestAssignGroups:
         cell = build_cell(
             [1.0 + 0.25 * k for k in range(user_count)], 10.0, 3, group_count, 40.0
         )
-        assert cell.group_count == group_count
+        assert cell.slots == group_count
         seen = sorted(u for member_list in members(cell.group_of) for u in member_list)
         assert seen == list(range(user_count))
         for member_list in members(cell.group_of):
