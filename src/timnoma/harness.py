@@ -1,16 +1,14 @@
 """Monte Carlo experiment runner, config parsing and CSV output.
 
 Config files are flat UTF-8 ``key = value`` text; ``#`` starts a comment and
-blank lines are ignored. Keys (all optional, defaults reproduce the 5-user
-reference cell):
+blank lines are ignored. Keys (all optional, each at most once, defaults
+reproduce the 5-user reference cell):
 
     distances            comma list, km, strictly increasing   0.5,1.5,2.5,3.5,4.5
-    cell_radius          km                                    5.0
     path_loss_exponent                                         3.0
     group_count                                                2
-    total_power          watts                                 40.0
     frames               frames (BER) / realizations (rate)    500
-    bits_per_frame       per user, even, divisible by 2*T      6144
+    bits_per_frame       per user, even, at most 2**20         6144
     snr_grid             "start:step:stop" (inclusive) or
                          comma list, dB                        0:2:30
     seed                 non-negative 64-bit integer           42
@@ -19,12 +17,12 @@ reference cell):
     experiment           ber | ber_single_user | rate |
                          rate_single_user | ratio              ber
 
-SNR is the transmit SNR total_power/sigma^2 in dB; the sweep varies the
-noise variance at fixed transmit power. Every (seed, SNR index, frame)
-triple seeds an independent substream, so results are byte-identical for
-any worker count. The ``TIMNOMA_WORKERS`` environment variable caps the
-process pool; unset means one worker per SNR point up to the CPU count.
-Each SNR point returns its own result rows, concatenated in grid order.
+SNR is the transmit SNR P/sigma^2 in dB at the fixed budget P =
+``SimConfig.total_power`` (40 W), which cancels out of every SINR. Every
+(seed, SNR index, frame) triple seeds an independent substream, so
+results are byte-identical for any worker count. ``TIMNOMA_WORKERS`` caps
+the process pool; unset means one worker per SNR point up to the CPU
+count. Each SNR point returns its own result rows, in grid order.
 
 A BER frame is simulated on the derotated real baseband (see ``receiver``):
 projection cancels the other groups exactly, so receiver k's signal on
@@ -53,6 +51,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -76,17 +75,18 @@ DEFAULT_DISTANCES = (0.5, 1.5, 2.5, 3.5, 4.5)
 DEFAULT_SNR_GRID = tuple(float(s) for s in range(0, 31, 2))
 # largest accepted full-power mean SNR, 2**-64 of the largest float
 _MEAN_SNR_CEILING = math.ldexp(sys.float_info.max, -64)
+# far above the figures' 6144, far below a frame that exhausts memory
+_MAX_BITS_PER_FRAME = 1 << 20
 
 
 @dataclass(frozen=True)
 class SimConfig:
     """Complete, immutable description of one experiment."""
 
+    total_power: ClassVar[float] = 40.0  # watts, no field: see the module docstring
     distances: tuple[float, ...] = DEFAULT_DISTANCES
-    cell_radius: float = 5.0
     path_loss_exponent: float = 3.0
     group_count: int = 2
-    total_power: float = 40.0
     frames: int = 500
     bits_per_frame: int = 6144
     snr_grid_db: tuple[float, ...] = DEFAULT_SNR_GRID
@@ -106,10 +106,10 @@ class SimConfig:
         listing all violations at once.
 
         The cell is built once by ``_scene``, the constructor the run uses,
-        which checks the cell fields and the power budget. Once every field
-        passes, the SNR rules are checked where they bind: sigma^2 falls
-        as the SNR rises, so a grid is refused exactly when one of its
-        points alone would be, and a config that passes cannot fail later.
+        which checks the cell fields. Once every field passes, the SNR
+        rules are checked where they bind: sigma^2 falls as the SNR rises,
+        so a grid is refused exactly when one of its points alone would
+        be, and a config that passes cannot fail later.
         """
         problems = []
         try:
@@ -121,10 +121,11 @@ class SimConfig:
         elif self.experiment in RATE_EXPERIMENTS and self.frames < 2:
             # a standard error needs at least two realizations
             problems.append("frames must be at least 2 for rate experiments")
-        if not (_is_int(self.bits_per_frame) and self.bits_per_frame >= 2):
+        bits = self.bits_per_frame
+        if not (_is_int(bits) and bits > 0 and bits % 2 == 0):
             problems.append("bits_per_frame must be a positive even integer")
-        elif _is_int(self.group_count) and self.bits_per_frame % (2 * max(1, self.group_count)):
-            problems.append("bits_per_frame must be divisible by 2*group_count")
+        elif bits > _MAX_BITS_PER_FRAME:
+            problems.append(f"bits_per_frame must be at most {_MAX_BITS_PER_FRAME}")
         if not self.snr_grid_db:
             problems.append("snr_grid must not be empty")
         elif any(not math.isfinite(s) for s in self.snr_grid_db):
@@ -200,7 +201,6 @@ class ResultRow:
 # config parsing
 
 _INT_KEYS = ("group_count", "frames", "bits_per_frame", "seed")
-_FLOAT_KEYS = ("cell_radius", "path_loss_exponent", "total_power")
 _STR_KEYS = ("decoding_order_mode", "fading_mode", "experiment")
 # far above any figure's grid, far below a grid that exhausts memory
 _MAX_SNR_POINTS = 100_000
@@ -239,10 +239,11 @@ def parse_config_text(text: str) -> SimConfig:
     """Parse config text into a SimConfig, not yet validated: the flags
     may still override its values before ``run_experiment`` checks them.
 
-    Unknown keys, malformed lines and bad values are reported together,
-    each with its line number.
+    Unknown or repeated keys, malformed lines and bad values are reported
+    together, each with its line number.
     """
     values: dict = {}
+    first_line: dict = {}
     errors = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -252,6 +253,9 @@ def parse_config_text(text: str) -> SimConfig:
             errors.append(f"line {lineno}: expected key = value, got {raw.strip()!r}")
             continue
         key, _, value = (part.strip() for part in line.partition("="))
+        if first_line.setdefault(key, lineno) != lineno:
+            errors.append(f"line {lineno}: key {key!r} already set on line {first_line[key]}")
+            continue
         try:
             if key == "distances":
                 values[key] = tuple(float(p) for p in value.split(","))
@@ -259,7 +263,7 @@ def parse_config_text(text: str) -> SimConfig:
                 values["snr_grid_db"] = parse_snr_grid(value)
             elif key in _INT_KEYS:
                 values[key] = int(value)
-            elif key in _FLOAT_KEYS:
+            elif key == "path_loss_exponent":
                 values[key] = float(value)
             elif key in _STR_KEYS:
                 values[key] = value
@@ -323,8 +327,7 @@ def _scene(config: SimConfig) -> Cell:
     """The config's cell; for ``ber_single_user`` every user is a group of
     one, so nothing is cancelled and nothing absorbed."""
     cell = build_cell(
-        config.distances, config.cell_radius, config.path_loss_exponent,
-        config.group_count, config.total_power,
+        config.distances, config.path_loss_exponent, config.group_count, config.total_power
     )
     if config.experiment == "ber_single_user":
         return dataclasses.replace(cell, group_of=tuple(range(cell.user_count)))
@@ -459,8 +462,7 @@ def _rate_point(config: SimConfig, snr_index: int, snr_db: float) -> list:
     """
     cell = _scene(config)
     count = cell.user_count
-    lone = dataclasses.replace(cell, group_of=tuple(range(count)),
-                               powers=(float(config.total_power),) * count)
+    lone = dataclasses.replace(cell, group_of=tuple(range(count)), powers=(config.total_power,) * count)
     noise = NoiseModel(config.noise_variance(snr_db))
     experiment = config.experiment
     n = config.frames

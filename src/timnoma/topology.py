@@ -51,7 +51,7 @@ def _require_positive_finite(name: str, value) -> float:
     return float(value)
 
 
-def build_cell(distances, cell_radius, path_loss_exponent, group_count, total_power) -> Cell:
+def build_cell(distances, path_loss_exponent, group_count, total_power) -> Cell:
     """Validate the cell parameters and return its immutable ``Cell``.
 
     Raises ValidationError naming the first violated rule. Users join groups
@@ -64,7 +64,6 @@ def build_cell(distances, cell_radius, path_loss_exponent, group_count, total_po
     distances = tuple(float(d) for d in distances)
     if not distances:
         raise ValidationError("distances must not be empty")
-    cell_radius = _require_positive_finite("cell_radius", cell_radius)
     exponent = _require_positive_finite("path_loss_exponent", path_loss_exponent)
     if any(not (d > 0 and math.isfinite(d)) for d in distances):
         raise ValidationError("distances must be positive finite numbers")
@@ -72,8 +71,6 @@ def build_cell(distances, cell_radius, path_loss_exponent, group_count, total_po
         raise ValidationError(
             "distances must be strictly increasing (nearest user first, no ties)"
         )
-    if distances[-1] > cell_radius:
-        raise ValidationError("distances must not exceed the cell radius")
     if not _is_int(group_count):
         raise ValidationError("group_count must be an integer")
     if not 1 <= group_count <= len(distances):

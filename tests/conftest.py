@@ -1,24 +1,19 @@
 import numpy as np
 import pytest
 
-from timnoma import SimConfig, build_cell
+from timnoma import build_cell
 
 from helpers import REFERENCE_DISTANCES, make_basis
 
 
 @pytest.fixture(scope="session")
 def ref_cell():
-    return build_cell(REFERENCE_DISTANCES, 5.0, 3.0, 2, 40.0)
+    return build_cell(REFERENCE_DISTANCES, 3.0, 2, 40.0)
 
 
 @pytest.fixture(scope="session")
 def ref_basis():
     return make_basis(2)
-
-
-@pytest.fixture(scope="session")
-def ref_config():
-    return SimConfig()
 
 
 @pytest.fixture

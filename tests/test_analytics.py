@@ -113,7 +113,7 @@ class TestUserRate:
         ]
         assert all(np.all(a > b) for a, b in zip(rates_in_noise, rates_in_noise[1:]))
         rates_in_power = [
-            hybrid_rates(build_cell(REFERENCE_DISTANCES, 5.0, 3.0, 2, p), UNIT_FADING, UNIT_NOISE)
+            hybrid_rates(build_cell(REFERENCE_DISTANCES, 3.0, 2, p), UNIT_FADING, UNIT_NOISE)
             for p in (1.0, 10.0, 40.0, 400.0)
         ]
         assert all(np.all(a < b) for a, b in zip(rates_in_power, rates_in_power[1:]))
@@ -159,7 +159,7 @@ class TestTdmaSumRate:
         assert got == pytest.approx(1.5318035, abs=1e-6)
 
     def test_single_user_cell_degenerates(self):
-        cell = build_cell([1.0], 5.0, 3, 1, 40.0)
+        cell = build_cell([1.0], 3, 1, 40.0)
         h = np.ones(1, dtype=complex)
         assert tdma_sum(cell, h, UNIT_NOISE, 40.0) == single_user_rates(
             cell, h, UNIT_NOISE, 40.0
@@ -227,7 +227,7 @@ class TestRateTables:
             np.testing.assert_array_equal(strided, contiguous)
 
     def test_instantaneous_ties_rank_the_smaller_index_first(self):
-        cell = build_cell([1.0, 2.0], 5.0, 3.0, 1, 10.0)  # gamma = 1 and 1/8
+        cell = build_cell([1.0, 2.0], 3.0, 1, 10.0)  # gamma = 1 and 1/8
         p0, p1 = cell.powers
         log2 = math.log2
         # gamma |h|^2 = 1 for both users: user 0 decodes first, user 1 absorbs it

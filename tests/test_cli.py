@@ -124,8 +124,9 @@ class TestCliErrors:
         [
             (["rate", "--frames", "1", "--snr", "10"], None, "frames"),
             (["ber", "--frames", "1", "--snr", "4000"], None, "snr_grid"),
+            # the budget is no setting: its old key is unknown, as is the
+            # removed single-value knob's
             (["rate", "--frames", "2", "--snr", "10"], "total_power = inf\n", "total_power"),
-            # the removed single-value knob is an unknown key like any other
             (["ratio", "--frames", "2", "--snr", "10"],
              "tdma_baseline_mode = full_power_time_share\n", "tdma_baseline_mode"),
             # a SINR of this cell overflows: refused before the run starts
@@ -139,6 +140,11 @@ class TestCliErrors:
             (["ber", "--frames", "1"], "snr_grid = 0:1e-300:10\n", "more than 100000 points"),
             # 2001 points whose noise variance overflows: still one short line
             (["ber", "--frames", "1", "--snr=-5000:1:-3000"], None, "snr_grid"),
+            (["ratio", "--frames", "2", "--snr", "10"], "total_power = 40\n", "'total_power'"),
+            (["ber", "--frames", "1", "--snr", "10"], "cell_radius = 5\n", "'cell_radius'"),
+            # a frame this long would fail to allocate its bits
+            (["ber", "--frames", "1", "--snr", "10"], "bits_per_frame = 4000000000000000000\n",
+             "bits_per_frame must be at most"),
         ],
     )
     def test_unrunnable_config_exits_one(self, argv, config_text, fragment, tmp_path, capsys):
@@ -185,7 +191,7 @@ class TestCliErrors:
 
     def test_user_mean_snr_underflow_exits_one(self, tmp_path, capsys):
         cfg = tmp_path / "faint.cfg"
-        cfg.write_text("distances = 1, 2, 3\ncell_radius = 5\npath_loss_exponent = 300\n")
+        cfg.write_text("distances = 1, 2, 3\npath_loss_exponent = 300\n")
         assert main(["ratio", "--frames", "2", "--snr=-2000", "--config", str(cfg)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "mean SNR" in err

@@ -64,7 +64,6 @@ class TestSimConfig:
     def test_defaults_are_the_reference_scenario(self):
         config = SimConfig().validated()
         assert config.distances == (0.5, 1.5, 2.5, 3.5, 4.5)
-        assert config.cell_radius == 5.0
         assert config.path_loss_exponent == 3.0
         assert config.group_count == 2
         assert config.total_power == 40.0
@@ -73,6 +72,14 @@ class TestSimConfig:
         assert config.seed == 42
         assert config.decoding_order_mode == "distance"
         assert config.experiment == "ber"
+
+    def test_power_budget_is_a_constant_not_a_field(self):
+        names = [field.name for field in dataclasses.fields(SimConfig)]
+        assert len(names) == 10
+        assert "total_power" not in names and "cell_radius" not in names
+        for key in ("total_power", "cell_radius"):
+            with pytest.raises(TypeError, match=key):
+                SimConfig(**{key: 40.0})
 
     def test_noise_variance_from_snr(self):
         config = SimConfig()
@@ -85,7 +92,7 @@ class TestSimConfig:
         [
             ({"frames": 0}, "frames"),
             ({"bits_per_frame": 7}, "bits_per_frame"),
-            ({"bits_per_frame": 6146}, "divisible"),  # not a multiple of 2*T
+            ({"bits_per_frame": 2**20 + 2}, "at most 1048576"),
             ({"snr_grid_db": ()}, "snr_grid"),
             ({"seed": -1}, "seed"),
             ({"decoding_order_mode": "sorted"}, "decoding_order_mode"),
@@ -93,8 +100,10 @@ class TestSimConfig:
             ({"experiment": "rate_single_user", "frames": 1}, "frames"),
             ({"experiment": "throughput"}, "experiment"),
             ({"distances": (2.0, 1.0)}, "strictly increasing"),
-            ({"total_power": -1.0}, "total_power"),
-            ({"total_power": math.inf}, "total_power"),
+            # the peak rule names the budget: a user's gain 1e291 from a
+            # tiny distance, then 1e296 from a steep exponent
+            ({"distances": (1e-97, 1.0), "group_count": 1}, "total_power"),
+            ({"distances": (0.01, 0.02), "path_loss_exponent": 148.0}, "total_power"),
             ({"snr_grid_db": (4000.0,)}, "snr_grid"),  # sigma^2 underflows to 0
             ({"snr_grid_db": (-4000.0,)}, "snr_grid"),  # sigma^2 overflows
             ({"frames": True}, "frames"),
@@ -110,12 +119,13 @@ class TestSimConfig:
             # user 1's full-power mean SNR is 1e309: a SINR would overflow
             ({"distances": (0.001, 0.002), "group_count": 1,
               "snr_grid_db": (3000.0,)}, "user 1 a mean SNR total_power"),
-            ({"total_power": True}, "total_power"),  # a bool is no power
-            ({"cell_radius": "5"}, "cell_radius"),
-            ({"cell_radius": True}, "cell_radius"),
+            # the peak rule binds at the top of a grid it spans
+            ({"distances": (0.001, 0.002), "group_count": 1,
+              "snr_grid_db": (0.0, 3000.0)}, "total_power"),
+            ({"bits_per_frame": 4 * 10**18}, "bits_per_frame"),  # np.empty would fail
+            ({"bits_per_frame": True}, "bits_per_frame"),
             ({"path_loss_exponent": "3"}, "path_loss_exponent"),
             ({"path_loss_exponent": True}, "path_loss_exponent"),
-            ({"total_power": 10**400}, "total_power"),  # an int beyond the float range
         ],
     )
     def test_validation_names_the_field(self, changes, fragment):
@@ -141,19 +151,16 @@ def grid_configs(draw):
     # distinct distances whose path gains 1/d^n stay within 1e+-290
     reach = min(3.0, 290.0 / exponent) / 100.0
     steps = draw(st.lists(st.integers(-100, 100), min_size=count, max_size=count, unique=True))
-    power_db = 10.0 * draw(st.floats(-300.0, 300.0))
-    # sigma^2 = P * 10**(-SNR/10) is a positive finite float for SNRs from
-    # about P - 3083 dB to P + 3233 dB (P in dBW); start near that range
-    start = draw(st.floats(max(-5000.0, power_db - 3500.0), min(5000.0, power_db + 3500.0)))
+    # sigma^2 = 40 W * 10**(-SNR/10) is a positive finite float for SNRs
+    # from about -3067 dB to +3250 dB; start near that range
+    start = draw(st.floats(-3500.0, 3500.0))
     grid = [min(snr, 5000.0) for snr in itertools.accumulate(
         draw(st.lists(st.floats(0.0, 2000.0), max_size=5)), initial=start
     )]
     return SimConfig(
         distances=tuple(sorted(10.0 ** (reach * i) for i in steps)),
-        cell_radius=1e3,
         path_loss_exponent=exponent,
         group_count=1,
-        total_power=10.0 ** (power_db / 10.0),
         snr_grid_db=tuple(draw(st.permutations(grid))),
     )
 
@@ -186,10 +193,8 @@ class TestParseConfig:
     def test_full_file(self, tmp_path):
         text = (
             "distances = 1.0, 2.0\n"
-            "cell_radius = 3.0\n"
             "path_loss_exponent = 2.0\n"
             "group_count = 2\n"
-            "total_power = 10.0\n"
             "frames = 4\n"
             "bits_per_frame = 64\n"
             "snr_grid = 0:10:20\n"
@@ -221,6 +226,13 @@ class TestParseConfig:
     def test_unknown_key_reports_line(self):
         with pytest.raises(ConfigError, match="line 2"):
             parse_config_text("frames = 3\nframez = 4\n")
+
+    def test_repeated_key_names_both_lines(self):
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config_text("frames = 10\nseed = 1\nframes = 20\nframez = 4\n")
+        message = str(excinfo.value)
+        assert "line 3: key 'frames' already set on line 1" in message
+        assert "line 4: unknown key 'framez'" in message
 
     def test_bad_value_reports_line_and_key(self):
         with pytest.raises(ConfigError, match="line 1.*frames"):
@@ -484,8 +496,7 @@ class TestChunkedRatePoints:
         """Every chunk's substream redrawn and concatenated: the whole
         point's (hybrid, single-user) rate tables in one piece."""
         cell = build_cell(
-            config.distances, config.cell_radius, config.path_loss_exponent,
-            config.group_count, config.total_power,
+            config.distances, config.path_loss_exponent, config.group_count, config.total_power
         )
         draws = [
             draw_fading_power(
@@ -631,21 +642,21 @@ class TestBerAgainstExact:
 def any_configs(draw):
     """A config from anywhere in the space its fields span: K from 1 to 8
     users at 1e-3 to 1e3 km, T from 1 to K, path-loss exponents from 0.1
-    to 300, powers of 10**+-300 W, SNRs of +-300 dB, every experiment and
-    mode, and the smallest frame and bit counts each experiment takes."""
+    to 300, SNRs of +-300 dB and of +-3300 dB, where sigma^2 reaches about
+    1e+-330, every experiment and mode, the smallest frame counts each
+    experiment takes and any even bit count up to 64."""
     count = draw(st.integers(1, 8))
     # a repeated distance is drawn now and then, and refused
     decades = draw(st.lists(st.floats(-3.0, 3.0), min_size=count, max_size=count))
     group_count = draw(st.integers(1, count))
+    snrs = st.one_of(st.floats(-300.0, 300.0), st.floats(-3300.0, 3300.0))
     return SimConfig(
         distances=tuple(sorted(10.0**e for e in decades)),
-        cell_radius=1e3,
         path_loss_exponent=draw(st.floats(0.1, 300.0)),
         group_count=group_count,
-        total_power=10.0 ** draw(st.floats(-300.0, 300.0)),
         frames=draw(st.sampled_from([2, 3])),
-        bits_per_frame=2 * group_count * draw(st.integers(1, 4)),
-        snr_grid_db=tuple(draw(st.lists(st.floats(-300.0, 300.0), min_size=1, max_size=3))),
+        bits_per_frame=2 * draw(st.integers(1, 32)),
+        snr_grid_db=tuple(draw(st.lists(snrs, min_size=1, max_size=3))),
         seed=draw(st.integers(0, 2**64 - 1)),
         decoding_order_mode=draw(st.sampled_from(ORDER_MODES)),
         fading_mode=draw(st.sampled_from(FADING_MODES)),

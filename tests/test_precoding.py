@@ -51,7 +51,7 @@ class TestAssembleTransmit:
         np.testing.assert_array_equal(out, np.zeros(2, dtype=complex))
 
     def test_scalar_cell(self):
-        cell = build_cell([1.0], 5.0, 3, 1, 4.0)
+        cell = build_cell([1.0], 3, 1, 4.0)
         mix = mixing_matrix(cell.powers, cell.group_of, make_basis(1))
         out = mix @ np.array([1 + 0j])
         np.testing.assert_allclose(out, [2.0 + 0j], rtol=1e-15)

@@ -343,7 +343,7 @@ class TestDecodeBank:
     )
     def test_matches_per_receiver_reference_loop(self, distances, group_count, order_mode, fading_mode):
         rng = np.random.default_rng(31)
-        cell = build_cell(distances, 5.0, 3.0, group_count, 40.0)
+        cell = build_cell(distances, 3.0, group_count, 40.0)
         basis = make_basis(group_count)
         count, n = len(distances), 600
         symbols = random_symbols(rng, (count, n))
@@ -390,13 +390,11 @@ def cells(draw):
     distances = tuple(np.cumsum(steps))
     return SimConfig(
         distances=distances,
-        cell_radius=float(distances[-1]) + 1.0,
         group_count=draw(st.integers(1, count)),
         decoding_order_mode=draw(st.sampled_from(["distance", "instantaneous"])),
         fading_mode=draw(st.sampled_from(["block", "frame"])),
         experiment=draw(st.sampled_from(["ber", "ber_single_user"])),
         snr_grid_db=(draw(st.floats(-10.0, 60.0)),),
-        bits_per_frame=1680,  # divisible by 2T for every T up to 8
     ).validated()
 
 
@@ -410,9 +408,7 @@ class TestRealBasebandMatchesPhysicalChain:
     @given(config=cells(), seed=st.integers(0, 2**32 - 1))
     def test_kernel_decides_what_the_physical_chain_decides(self, config, seed):
         rng = np.random.default_rng(seed)
-        cell = build_cell(
-            config.distances, config.cell_radius, 3.0, config.group_count, config.total_power
-        )
+        cell = build_cell(config.distances, 3.0, config.group_count, config.total_power)
         count, n = cell.user_count, 64
         sigma2 = config.noise_variance(config.snr_grid_db[0])
         single_user = config.experiment == "ber_single_user"

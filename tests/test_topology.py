@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,40 +19,45 @@ def distances_strategy(max_users=12):
 
 class TestBuildTopology:
     def test_reference_cell(self):
-        cell = build_cell([0.5, 1.5, 2.5, 3.5, 4.5], 5.0, 3, 2, 40.0)
+        cell = build_cell([0.5, 1.5, 2.5, 3.5, 4.5], 3, 2, 40.0)
         assert cell.user_count == 5
         assert cell.slots == 2
 
     def test_single_user_cell(self):
-        cell = build_cell([1.0], 5.0, 3, 1, 40.0)
+        cell = build_cell([1.0], 3, 1, 40.0)
         assert cell.user_count == 1
         assert cell.slots == 1
 
+    def test_no_radius_bounds_the_distances(self):
+        cell = build_cell([1.0, 1e6], 3, 1, 40.0)
+        assert cell.path_gains == (1.0, 1e-18)
+
     @pytest.mark.parametrize(
-        "distances,radius,exponent,groups,fragment",
+        "distances,power,exponent,groups,fragment",
         [
             ([2.0, 1.0], 5.0, 3, 1, "strictly increasing"),
             ([1.0, 1.0], 5.0, 3, 1, "strictly increasing"),
             ([], 5.0, 3, 1, "empty"),
             ([-1.0, 2.0], 5.0, 3, 1, "positive"),
             ([0.0, 2.0], 5.0, 3, 1, "positive"),
-            ([1.0, 6.0], 5.0, 3, 1, "cell radius"),
+            ([1.0, 2.0], True, 3, 1, "total_power"),  # a bool is no power
             ([1.0, 2.0], 5.0, 3, 0, "group_count"),
             ([1.0, 2.0], 5.0, 3, 3, "group_count"),
-            ([1.0, 2.0], -5.0, 3, 1, "cell_radius"),
+            ([1.0, 2.0], math.inf, 3, 1, "total_power"),
             ([1.0, 2.0], 5.0, 0.0, 1, "path_loss_exponent"),
             ([1.0, 4.5], 5.0, 1000.0, 1, "path loss"),  # d^n overflows
             ([1e-200, 1.0], 5.0, 3, 1, "path loss"),  # d^n underflows to 0
+            pytest.param([1.0, 2.0], 10**400, 3, 1, "total_power", id="int-beyond-float-range"),
         ],
     )
-    def test_rejects_invalid_parameters(self, distances, radius, exponent, groups, fragment):
+    def test_rejects_invalid_parameters(self, distances, power, exponent, groups, fragment):
         with pytest.raises(ValidationError, match=fragment):
-            build_cell(distances, radius, exponent, groups, 40.0)
+            build_cell(distances, exponent, groups, power)
 
 
 class TestPathLoss:
     def test_unit_distance(self):
-        cell = build_cell([1.0], 5.0, 3, 1, 40.0)
+        cell = build_cell([1.0], 3, 1, 40.0)
         assert list(cell.path_gains) == [1.0]
 
     def test_half_kilometre(self, ref_cell):
@@ -72,20 +79,18 @@ class TestAssignGroups:
         assert ref_cell.slots == 2
 
     def test_single_group(self):
-        cell = build_cell([1.0, 2.0, 3.0, 4.0], 5.0, 3, 1, 40.0)
+        cell = build_cell([1.0, 2.0, 3.0, 4.0], 3, 1, 40.0)
         assert members(cell.group_of) == ((0, 1, 2, 3),)
 
     def test_three_groups_of_six(self):
-        cell = build_cell([1.0, 1.5, 2.0, 2.5, 3.0, 3.5], 5.0, 3, 3, 40.0)
+        cell = build_cell([1.0, 1.5, 2.0, 2.5, 3.0, 3.5], 3, 3, 40.0)
         assert members(cell.group_of) == ((0, 3), (1, 4), (2, 5))
 
     @given(user_count=st.integers(1, 12), group_count=st.integers(1, 12))
     @settings(max_examples=60)
     def test_partition_and_interleaving(self, user_count, group_count):
         group_count = min(group_count, user_count)
-        cell = build_cell(
-            [1.0 + 0.25 * k for k in range(user_count)], 10.0, 3, group_count, 40.0
-        )
+        cell = build_cell([1.0 + 0.25 * k for k in range(user_count)], 3, group_count, 40.0)
         assert cell.slots == group_count
         seen = sorted(u for member_list in members(cell.group_of) for u in member_list)
         assert seen == list(range(user_count))
@@ -103,18 +108,18 @@ class TestAllocatePower:
             assert got == pytest.approx(want, rel=1e-15)
 
     def test_single_user_gets_everything(self):
-        assert build_cell([2.5], 5.0, 3, 1, 40.0).powers == (40.0,)
+        assert build_cell([2.5], 3, 1, 40.0).powers == (40.0,)
 
     def test_rejects_non_positive_power(self):
         with pytest.raises(ValidationError, match="total_power"):
-            build_cell(REFERENCE_DISTANCES, 5.0, 3, 2, 0.0)
+            build_cell(REFERENCE_DISTANCES, 3, 2, 0.0)
         with pytest.raises(ValidationError, match="total_power"):
-            build_cell(REFERENCE_DISTANCES, 5.0, 3, 2, -3.0)
+            build_cell(REFERENCE_DISTANCES, 3, 2, -3.0)
 
     @given(distances=distances_strategy(), total=st.floats(0.1, 1e4))
     @settings(max_examples=80)
     def test_conservation_and_ordering(self, distances, total):
-        powers = build_cell(distances, distances[-1], 3, 1, total).powers
+        powers = build_cell(distances, 3, 1, total).powers
         assert sum(powers) == pytest.approx(total, rel=1e-12)
         assert all(b > a for a, b in zip(powers, powers[1:]))
         # shares scale with squared distance
