@@ -17,6 +17,12 @@ from dataclasses import dataclass
 
 from .errors import ValidationError
 
+# a physical cell: every path gain 1/d^n lies in [1e-30, 1e30], and an
+# instantaneous-order (K, K, S) mask of a 2**20-bit frame takes 134 MB
+_MAX_USERS = 16
+_NEAREST_KM, _FARTHEST_KM = 1e-3, 1e3
+_MAX_EXPONENT = 10.0
+
 
 @dataclass(frozen=True)
 class Cell:
@@ -64,9 +70,13 @@ def build_cell(distances, path_loss_exponent, group_count, total_power) -> Cell:
     distances = tuple(float(d) for d in distances)
     if not distances:
         raise ValidationError("distances must not be empty")
+    if len(distances) > _MAX_USERS:
+        raise ValidationError(f"distances must list at most {_MAX_USERS} users")
     exponent = _require_positive_finite("path_loss_exponent", path_loss_exponent)
-    if any(not (d > 0 and math.isfinite(d)) for d in distances):
-        raise ValidationError("distances must be positive finite numbers")
+    if exponent > _MAX_EXPONENT:
+        raise ValidationError(f"path_loss_exponent must be at most {_MAX_EXPONENT:g}")
+    if any(not _NEAREST_KM <= d <= _FARTHEST_KM for d in distances):  # NaN included
+        raise ValidationError(f"distances must be from {_NEAREST_KM:g} to {_FARTHEST_KM:g} km")
     if any(b <= a for a, b in zip(distances, distances[1:])):
         raise ValidationError(
             "distances must be strictly increasing (nearest user first, no ties)"
@@ -78,14 +88,8 @@ def build_cell(distances, path_loss_exponent, group_count, total_power) -> Cell:
             "group_count must be between 1 and the number of users"
         )
     total_power = _require_positive_finite("total_power", total_power)
-    try:
-        # each gain in Python floats: numpy's pow may round differently
-        path_gains = tuple(1.0 / d**exponent for d in distances)
-        finite = all(0 < g < math.inf for g in path_gains)
-    except (OverflowError, ZeroDivisionError):
-        finite = False
-    if not finite:
-        raise ValidationError("path loss 1/d^n must be a positive finite number for every user")
+    # each gain in Python floats: numpy's pow may round differently
+    path_gains = tuple(1.0 / d**exponent for d in distances)
     squared = [d * d for d in distances]
     denom = sum(squared)
     powers = tuple(total_power * s / denom for s in squared)

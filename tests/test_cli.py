@@ -129,9 +129,9 @@ class TestCliErrors:
             (["rate", "--frames", "2", "--snr", "10"], "total_power = inf\n", "total_power"),
             (["ratio", "--frames", "2", "--snr", "10"],
              "tdma_baseline_mode = full_power_time_share\n", "tdma_baseline_mode"),
-            # a SINR of this cell overflows: refused before the run starts
+            # a SINR of this cell would overflow: refused before the run starts
             (["rate", "--frames", "2", "--snr", "3000"],
-             "distances = 0.001, 0.002\ngroup_count = 1\n", "user 1 a mean SNR"),
+             "distances = 0.001, 0.002\ngroup_count = 1\n", "snr_grid"),
             # (stop - start) / step is infinite, or about 1e301 points:
             # refused before the grid is built
             (["ber", "--frames", "1", "--snr", "0:5e-324:10"], None, "more than 100000 points"),
@@ -145,6 +145,20 @@ class TestCliErrors:
             # a frame this long would fail to allocate its bits
             (["ber", "--frames", "1", "--snr", "10"], "bits_per_frame = 4000000000000000000\n",
              "bits_per_frame must be at most"),
+            # just past each edge of the accepted box
+            (["rate", "--frames", "2", "--snr", "301"], None, "snr_grid"),
+            (["ratio", "--frames", "2", "--snr=-1000"], None, "snr_grid"),
+            (["ber", "--frames", "1", "--snr", "10"], "path_loss_exponent = 10.5\n",
+             "path_loss_exponent"),
+            (["ber", "--frames", "1", "--snr", "10"], "distances = 0.0009, 1\n", "distances"),
+            (["ber", "--frames", "1", "--snr", "10"], "distances = 1, 1001\n", "distances"),
+            (["ber", "--frames", "1", "--snr", "10"],
+             "distances = " + ", ".join(str(k) for k in range(1, 18)) + "\n",
+             "distances must list at most 16 users"),
+            # a non-finite value in a list is outside the box too
+            (["ber", "--frames", "1", "--snr", "nan"], None, "snr_grid"),
+            (["ber", "--frames", "1", "--snr", "inf,10"], None, "snr_grid"),
+            (["ber", "--frames", "1"], "snr_grid = 10, nan\n", "snr_grid"),
         ],
     )
     def test_unrunnable_config_exits_one(self, argv, config_text, fragment, tmp_path, capsys):
@@ -178,10 +192,9 @@ class TestCliErrors:
         assert err.startswith("error:") and "finite" in err
         assert len(err.splitlines()) == 1
 
-    @pytest.mark.parametrize("snr", ["-200", "-1000"])
+    @pytest.mark.parametrize("snr", ["-200", "-300"])
     def test_ratio_at_very_low_snr_is_finite(self, snr, capsys):
-        # log2(1 + x) rounded every TDMA rate to 0 below x ~ 1e-16, and the
-        # delta method squared sums that underflow further down
+        # log2(1 + x) rounded every TDMA rate to 0 below x ~ 1e-16
         assert main(["ratio", "--frames", "2", f"--snr={snr}"]) == 0
         rows = capsys.readouterr().out.splitlines()[1:]
         assert len(rows) == 3
@@ -190,11 +203,12 @@ class TestCliErrors:
             assert math.isfinite(value) and value > 0 and math.isfinite(stderr)
 
     def test_user_mean_snr_underflow_exits_one(self, tmp_path, capsys):
+        # a user's mean SNR here would underflow: both range rules refuse it
         cfg = tmp_path / "faint.cfg"
         cfg.write_text("distances = 1, 2, 3\npath_loss_exponent = 300\n")
         assert main(["ratio", "--frames", "2", "--snr=-2000", "--config", str(cfg)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "mean SNR" in err
+        assert err.startswith("error:") and "path_loss_exponent" in err and "snr_grid" in err
         assert len(err.splitlines()) == 1
 
     def test_unknown_command_exits_nonzero(self):

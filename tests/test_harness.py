@@ -38,6 +38,7 @@ from timnoma.harness import (
     ORDER_MODES,
     WORKERS_ENV,
     _scene,
+    _worker_count,
 )
 
 import helpers
@@ -100,28 +101,26 @@ class TestSimConfig:
             ({"experiment": "rate_single_user", "frames": 1}, "frames"),
             ({"experiment": "throughput"}, "experiment"),
             ({"distances": (2.0, 1.0)}, "strictly increasing"),
-            # the peak rule names the budget: a user's gain 1e291 from a
-            # tiny distance, then 1e296 from a steep exponent
-            ({"distances": (1e-97, 1.0), "group_count": 1}, "total_power"),
-            ({"distances": (0.01, 0.02), "path_loss_exponent": 148.0}, "total_power"),
-            ({"snr_grid_db": (4000.0,)}, "snr_grid"),  # sigma^2 underflows to 0
-            ({"snr_grid_db": (-4000.0,)}, "snr_grid"),  # sigma^2 overflows
+            # a distance below 0.001 km, then an exponent above 10
+            ({"distances": (1e-97, 1.0), "group_count": 1}, "distances"),
+            ({"distances": (0.01, 0.02), "path_loss_exponent": 148.0}, "path_loss_exponent"),
+            ({"snr_grid_db": (4000.0,)}, "snr_grid"),  # beyond +-300 dB
+            ({"snr_grid_db": (-4000.0,)}, "snr_grid"),
             ({"frames": True}, "frames"),
             ({"seed": False}, "seed"),
             ({"group_count": True}, "group_count"),
             ({"experiment": "rate", "frames": 1}, "frames"),  # stderr needs two samples
             ({"experiment": "ratio", "frames": 1}, "frames"),
-            ({"path_loss_exponent": 1000.0}, "path loss"),  # 4.5**1000 overflows
-            ({"distances": (1e-200, 1.0)}, "path loss"),  # 1/d^3 divides by 0
-            # user 3's mean SNR P*gamma/sigma^2 underflows to 0
+            ({"path_loss_exponent": 1000.0}, "path_loss_exponent"),
+            ({"distances": (1e-200, 1.0)}, "distances"),
+            # configs whose mean SNRs under- or overflowed, each refused by
+            # a range rule now: the exponent, then the SNR
             ({"distances": (1.0, 2.0, 3.0), "path_loss_exponent": 300.0,
-              "snr_grid_db": (-2000.0,)}, "user 3 a mean SNR"),
-            # user 1's full-power mean SNR is 1e309: a SINR would overflow
+              "snr_grid_db": (-2000.0,)}, "path_loss_exponent"),
             ({"distances": (0.001, 0.002), "group_count": 1,
-              "snr_grid_db": (3000.0,)}, "user 1 a mean SNR total_power"),
-            # the peak rule binds at the top of a grid it spans
+              "snr_grid_db": (3000.0,)}, "snr_grid"),
             ({"distances": (0.001, 0.002), "group_count": 1,
-              "snr_grid_db": (0.0, 3000.0)}, "total_power"),
+              "snr_grid_db": (0.0, 3000.0)}, "snr_grid"),
             ({"bits_per_frame": 4 * 10**18}, "bits_per_frame"),  # np.empty would fail
             ({"bits_per_frame": True}, "bits_per_frame"),
             ({"path_loss_exponent": "3"}, "path_loss_exponent"),
@@ -144,22 +143,18 @@ class TestSimConfig:
 @st.composite
 def grid_configs(draw):
     """The reference run's fields with a random buildable cell and a grid
-    of SNRs within +-5000 dB, in any order, that often spans a boundary:
-    where sigma^2 leaves its range or a mean-SNR rule starts to bind."""
+    of SNRs within +-500 dB, in any order, that often spans an end of the
+    accepted +-300 dB."""
     count = draw(st.integers(1, 6))
-    exponent = draw(st.floats(0.1, 300.0))
-    # distinct distances whose path gains 1/d^n stay within 1e+-290
-    reach = min(3.0, 290.0 / exponent) / 100.0
+    # distinct distances from 0.001 to 1000 km
     steps = draw(st.lists(st.integers(-100, 100), min_size=count, max_size=count, unique=True))
-    # sigma^2 = 40 W * 10**(-SNR/10) is a positive finite float for SNRs
-    # from about -3067 dB to +3250 dB; start near that range
-    start = draw(st.floats(-3500.0, 3500.0))
-    grid = [min(snr, 5000.0) for snr in itertools.accumulate(
-        draw(st.lists(st.floats(0.0, 2000.0), max_size=5)), initial=start
+    start = draw(st.floats(-400.0, 400.0))
+    grid = [min(snr, 500.0) for snr in itertools.accumulate(
+        draw(st.lists(st.floats(0.0, 200.0), max_size=5)), initial=start
     )]
     return SimConfig(
-        distances=tuple(sorted(10.0 ** (reach * i) for i in steps)),
-        path_loss_exponent=exponent,
+        distances=tuple(sorted(10.0 ** (0.03 * i) for i in steps)),
+        path_loss_exponent=draw(st.floats(0.1, 10.0)),
         group_count=1,
         snr_grid_db=tuple(draw(st.permutations(grid))),
     )
@@ -255,6 +250,26 @@ class TestResultRow:
         with pytest.raises(ValidationError, match="finite"):
             ResultRow(10.0, "1", "rate", value, 5, stderr)
 
+    @pytest.mark.parametrize(
+        "metric,value,samples,stderr,fragment",
+        [
+            ("rate", -1e-300, 5, 0.1, "out of range"),
+            ("ber", 1.0 + 2**-52, 5, 0.1, "out of range"),
+            ("ber_single", -0.5, 5, 0.1, "out of range"),
+            ("rate", 0.5, 5, -1e-300, "stderr must be non-negative"),
+            ("rate", 0.5, 0, 0.1, "samples must be positive"),
+            ("ber", 0.5, -3, 0.1, "samples must be positive"),
+        ],
+    )
+    def test_rejects_out_of_range(self, metric, value, samples, stderr, fragment):
+        with pytest.raises(ValidationError, match=fragment):
+            ResultRow(10.0, "1", metric, value, samples, stderr)
+
+    def test_range_ends_are_accepted(self):
+        ResultRow(10.0, "1", "ber", 1.0, 1, 0.0)
+        ResultRow(10.0, "sum", "rate", 0.0, 1, 0.0)
+        ResultRow(10.0, "sum", "rate_ratio", 1e300, 1, 0.0)  # only BER is capped at 1
+
 
 class TestEmitCsv:
     HEADER = "snr_db,entity,metric,value,samples,stderr\n"
@@ -334,6 +349,22 @@ class TestBerExperiment:
         monkeypatch.setenv(WORKERS_ENV, "2")
         parallel = csv_bytes(run_experiment(TINY_BER))
         assert serial == parallel
+
+    def test_worker_count_is_capped_by_the_usable_cpus(self, monkeypatch):
+        # _worker_count alone: a fork pool would start all its workers at once
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        monkeypatch.setenv(WORKERS_ENV, "100000")
+        assert _worker_count(99_991) == 3
+        monkeypatch.setenv(WORKERS_ENV, "2")
+        assert _worker_count(99_991) == 2
+        assert _worker_count(1) == 1
+        monkeypatch.delenv(WORKERS_ENV)
+        assert _worker_count(99_991) == 3
+        # where the affinity call does not exist, the CPU count caps it
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setenv(WORKERS_ENV, "100000")
+        assert _worker_count(99_991) == 4
 
     def test_invalid_worker_env(self, monkeypatch):
         monkeypatch.setenv(WORKERS_ENV, "many")
@@ -457,16 +488,15 @@ class TestRateExperiment:
 
 
     def test_stderr_survives_the_bottom_of_the_snr_range(self):
-        # squared deviations of rates near 1e-302 used to underflow to 0,
-        # and so did ratio's absolute hybrid x TDMA covariance below about
-        # -1550 dB; every point is in the linear regime and draws the same
-        # fading, so every row keeps the same stderr/value
+        # every point is in the linear regime and draws the same fading, so
+        # every row keeps the same stderr/value down to -300 dB, where the
+        # squared deviations of rates near 1e-31 stay normal doubles
         for experiment, row_count in (("rate", 6), ("ratio", 3)):
             mid, *lows = (
                 run_experiment(
                     replace(self.RATE_CONFIG, experiment=experiment, frames=50, snr_grid_db=(snr,))
                 )
-                for snr in (-1000.0, -2000.0, -3000.0)
+                for snr in (-100.0, -200.0, -300.0)
             )
             for low in lows:
                 assert len(low) == len(mid) == row_count
@@ -638,25 +668,65 @@ class TestBerAgainstExact:
                 assert abs(row.value - p) <= 4.0 * sigma, (snr, k, row.value, p)
 
 
+class TestBoxCorners:
+    """Every experiment, order and fading mode runs to finite rows, with
+    every numpy floating-point error raised, at the corners of the accepted
+    box: users packed at 0.001 km, packed at 1000 km or spread over both
+    ends, exponents 0.001 and 10, T of 1 and K, and SNRs of -300, 0 and
+    300 dB."""
+
+    RUNS = [("rate_single_user", "distance", "block")] + [
+        (experiment, order, fading)
+        for experiment in ("ber", "ber_single_user", "rate", "ratio")
+        for order in ORDER_MODES
+        for fading in (FADING_MODES if experiment.startswith("ber") else ("block",))
+    ]
+
+    @pytest.mark.parametrize("layout", ["near", "far", "both-ends"])
+    @pytest.mark.parametrize("count", [1, 2, 5, 8])
+    def test_corners_run_to_finite_rows(self, count, layout, monkeypatch):
+        monkeypatch.setenv(WORKERS_ENV, "1")
+        distances = {
+            "near": [0.001 * (1.0 + 1e-3 * k) for k in range(count)],
+            "far": [1000.0 * (1.0 - 1e-3 * k) for k in reversed(range(count))],
+            "both-ends": list(np.geomspace(0.001, 1000.0, count)),
+        }[layout]
+        for exponent, groups, (experiment, order, fading) in itertools.product(
+            (0.001, 10.0), sorted({1, count}), self.RUNS
+        ):
+            config = SimConfig(
+                distances=tuple(distances), path_loss_exponent=exponent, group_count=groups,
+                frames=2, bits_per_frame=2, snr_grid_db=(-300.0, 0.0, 300.0),
+                decoding_order_mode=order, fading_mode=fading, experiment=experiment,
+            )
+            with warnings.catch_warnings(), np.errstate(all="raise"):
+                warnings.simplefilter("error")
+                result = run_experiment(config)
+            for row in result:
+                assert math.isfinite(row.value) and math.isfinite(row.stderr), (config, row)
+                if row.metric.startswith("rate"):
+                    # no rate has lost its precision as a subnormal or 0
+                    assert row.value >= sys.float_info.min, (config, row)
+
+
 @st.composite
 def any_configs(draw):
-    """A config from anywhere in the space its fields span: K from 1 to 8
-    users at 1e-3 to 1e3 km, T from 1 to K, path-loss exponents from 0.1
-    to 300, SNRs of +-300 dB and of +-3300 dB, where sigma^2 reaches about
-    1e+-330, every experiment and mode, the smallest frame counts each
-    experiment takes and any even bit count up to 64."""
-    count = draw(st.integers(1, 8))
-    # a repeated distance is drawn now and then, and refused
-    decades = draw(st.lists(st.floats(-3.0, 3.0), min_size=count, max_size=count))
+    """A config from the accepted box or just past one of its edges: K from
+    1 to 17 users at 10**-3.1 to 10**3.1 km, T from 1 to K, path-loss
+    exponents from 0.001 to 11, SNRs within +-310 dB, every experiment and
+    mode, the smallest frame counts each experiment takes and any even bit
+    count up to 64."""
+    count = draw(st.integers(1, 17))
+    # distinct thousandths of a decade, so no two users tie
+    steps = draw(st.lists(st.integers(-3100, 3100), min_size=count, max_size=count, unique=True))
     group_count = draw(st.integers(1, count))
-    snrs = st.one_of(st.floats(-300.0, 300.0), st.floats(-3300.0, 3300.0))
     return SimConfig(
-        distances=tuple(sorted(10.0**e for e in decades)),
-        path_loss_exponent=draw(st.floats(0.1, 300.0)),
+        distances=tuple(sorted(10.0 ** (i / 1000) for i in steps)),
+        path_loss_exponent=draw(st.floats(0.001, 11.0)),
         group_count=group_count,
         frames=draw(st.sampled_from([2, 3])),
         bits_per_frame=2 * draw(st.integers(1, 32)),
-        snr_grid_db=tuple(draw(st.lists(snrs, min_size=1, max_size=3))),
+        snr_grid_db=tuple(draw(st.lists(st.floats(-310.0, 310.0), min_size=1, max_size=3))),
         seed=draw(st.integers(0, 2**64 - 1)),
         decoding_order_mode=draw(st.sampled_from(ORDER_MODES)),
         fading_mode=draw(st.sampled_from(FADING_MODES)),
@@ -679,7 +749,7 @@ class TestEveryAcceptedConfigRuns:
         event("ran")
         with mock.patch.dict(os.environ, {WORKERS_ENV: "1"}), warnings.catch_warnings():
             warnings.simplefilter("error")
-            with np.errstate(divide="raise", over="raise", invalid="raise"):
+            with np.errstate(all="raise"):
                 result = run_experiment(config)
         assert result
         for row in result:

@@ -28,9 +28,19 @@ class TestBuildTopology:
         assert cell.user_count == 1
         assert cell.slots == 1
 
-    def test_no_radius_bounds_the_distances(self):
-        cell = build_cell([1.0, 1e6], 3, 1, 40.0)
-        assert cell.path_gains == (1.0, 1e-18)
+    def test_box_edges_are_accepted_and_just_beyond_refused(self):
+        edges = build_cell([0.001, 1000.0], 10, 1, 40.0)
+        assert edges.path_gains == pytest.approx((1e30, 1e-30), rel=1e-15)
+        assert build_cell([1.0 + k for k in range(16)], 3, 16, 40.0).user_count == 16
+        for distances, exponent, fragment in [
+            ([0.000999, 1.0], 3, "distances must be from 0.001 to 1000 km"),
+            ([1.0, 1000.001], 3, "distances must be from 0.001 to 1000 km"),
+            ([1.0, math.nan], 3, "distances must be from 0.001 to 1000 km"),
+            ([1.0, 2.0], 10.000001, "path_loss_exponent must be at most 10"),
+            ([1.0 + k for k in range(17)], 3, "distances must list at most 16 users"),
+        ]:
+            with pytest.raises(ValidationError, match=fragment):
+                build_cell(distances, exponent, 1, 40.0)
 
     @pytest.mark.parametrize(
         "distances,power,exponent,groups,fragment",
@@ -38,15 +48,15 @@ class TestBuildTopology:
             ([2.0, 1.0], 5.0, 3, 1, "strictly increasing"),
             ([1.0, 1.0], 5.0, 3, 1, "strictly increasing"),
             ([], 5.0, 3, 1, "empty"),
-            ([-1.0, 2.0], 5.0, 3, 1, "positive"),
-            ([0.0, 2.0], 5.0, 3, 1, "positive"),
+            ([-1.0, 2.0], 5.0, 3, 1, "distances"),
+            ([0.0, 2.0], 5.0, 3, 1, "distances"),
             ([1.0, 2.0], True, 3, 1, "total_power"),  # a bool is no power
             ([1.0, 2.0], 5.0, 3, 0, "group_count"),
             ([1.0, 2.0], 5.0, 3, 3, "group_count"),
             ([1.0, 2.0], math.inf, 3, 1, "total_power"),
             ([1.0, 2.0], 5.0, 0.0, 1, "path_loss_exponent"),
-            ([1.0, 4.5], 5.0, 1000.0, 1, "path loss"),  # d^n overflows
-            ([1e-200, 1.0], 5.0, 3, 1, "path loss"),  # d^n underflows to 0
+            ([1.0, 4.5], 5.0, 1000.0, 1, "path_loss_exponent"),
+            ([1e-200, 1.0], 5.0, 3, 1, "distances"),
             pytest.param([1.0, 2.0], 10**400, 3, 1, "total_power", id="int-beyond-float-range"),
         ],
     )
