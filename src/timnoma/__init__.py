@@ -10,7 +10,7 @@ SNR and writes per-user BER and achievable-rate tables as CSV.
 """
 
 from .analytics import hybrid_rate_table
-from .channel import NoiseModel, draw_fading_power
+from .channel import draw_fading_power
 from .errors import ConfigError, ValidationError
 from .harness import (
     ResultRow,
@@ -30,7 +30,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Cell",
     "ConfigError",
-    "NoiseModel",
     "ResultRow",
     "SimConfig",
     "ValidationError",

@@ -4,8 +4,8 @@ Rates are in bits per time slot, log base 2, with the 1/T prefactor that
 accounts for each user receiving one symbol per T-slot block. A user's
 denominator collects the same-group signals ranked before it in the
 decoding order of ``receiver.cancel_mask`` (the ones it cannot cancel)
-plus noise; projection removed every other group exactly, so no
-inter-group term ever appears.
+plus the noise variance sigma^2, a plain float; projection removed every
+other group exactly, so no inter-group term ever appears.
 
 The rate formula is one (N, K) table over N fading realizations; the rates
 of one realization are the N = 1 table. It reads one ``Cell``: its path
@@ -23,24 +23,16 @@ import math
 import numpy as np
 
 from .errors import ValidationError
-from .channel import NoiseModel
 from .receiver import cancel_mask
 from .topology import Cell
 
 ORDER_MODES = ("distance", "instantaneous")
 
 
-def _channel_gains(cell: Cell, fading_power) -> np.ndarray:
-    """gamma_k |h_k|^2 for an (N, K) array of |h|^2, in a new buffer."""
-    if np.iscomplexobj(fading_power):
-        raise ValidationError("fading_power must be the real |h|^2, not complex fading")
-    return np.multiply(fading_power, cell.path_gains)
-
-
 def hybrid_rate_table(
     cell: Cell,
     fading_power: np.ndarray,
-    noise: NoiseModel,
+    noise_variance: float,
     order_mode: str = "distance",
 ) -> np.ndarray:
     """Vectorized per-user hybrid rates for a batch of fading realizations.
@@ -48,10 +40,11 @@ def hybrid_rate_table(
     ``fading_power`` is the real (N, K) array of |h|^2; returns (N, K)
     rates. Entry (n, k) is user k's log2(1 + SINR) / T in realization n, the
     numerator being P_k gamma_k |h_k|^2 and the denominator the powers of
-    its uncancelled same-group users times the same gain, plus noise; the
-    powers, path gains gamma, groups and T all come from ``cell``. On a
-    cell of lone users at full power these are the single-user rates, and a
-    row's mean is the TDMA sum rate. The decoding order is
+    its uncancelled same-group users times the same gain, plus
+    ``noise_variance`` sigma^2, a positive finite float; the powers, path
+    gains gamma, groups and T all come from ``cell``. On a cell of lone
+    users at full power these are the single-user rates, and a row's mean
+    is the TDMA sum rate. The decoding order is
     ``cancel_mask``'s: by distance, or by gamma |h|^2 in each realization.
     One new (N, K) buffer goes from channel gains to rates in place,
     beside the (K, K, N) mask, its power-weighted copy and, unless nobody
@@ -60,18 +53,22 @@ def hybrid_rate_table(
     """
     if order_mode not in ORDER_MODES:
         raise ValidationError(f"unknown order mode {order_mode!r}")
+    if not (noise_variance > 0 and math.isfinite(noise_variance)):
+        raise ValidationError("noise variance must be a positive finite number")
+    if np.iscomplexobj(fading_power):
+        raise ValidationError("fading_power must be the real |h|^2, not complex fading")
     p = np.asarray(cell.powers)
-    out = _channel_gains(cell, fading_power)
+    out = np.multiply(fading_power, cell.path_gains)  # gamma_k |h_k|^2
     cancel = cancel_mask(cell.group_of, None if order_mode == "distance" else out.T)
     # user k cannot cancel user j exactly when receiver j cancels k, so
     # k's interference is sum_j cancel[j, k] * P_j times its own gain
     absorbed = np.sum(cancel * p[:, np.newaxis, np.newaxis], axis=0).T
     if absorbed.any():
         interference = out * absorbed
-        interference += noise.variance
+        interference += noise_variance
     else:
         # nothing absorbed: skip a fresh (N, K) array that would be sigma^2
-        interference = noise.variance
+        interference = noise_variance
     out *= p
     out /= interference  # SINR
     np.log1p(out, out=out)

@@ -1,9 +1,10 @@
-"""Rayleigh block fading and the AWGN model.
+"""Rayleigh block fading.
 
 Each user's channel over one coherence block of T slots is a single complex
 scalar h with unit variance, so the T x T channel matrix is sqrt(gamma)*h
-times the identity. Noise variance is the total per complex sample
-(sigma^2/2 per real dimension).
+times the identity. The AWGN is one number, sigma^2, the total variance
+per complex sample (sigma^2/2 per real dimension), which the harness
+derives from the SNR and passes on as a float.
 
 Nothing downstream needs the phase of h. The rate formulas read |h|^2, and
 a receiver that derotates its projected signal by conj(h)/|h| sees
@@ -13,23 +14,7 @@ still N(0, sigma^2/2) per axis. So only the power gain is drawn.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
-
-from .errors import ValidationError
-
-
-@dataclass(frozen=True)
-class NoiseModel:
-    """Complex AWGN with total variance E|z|^2 = variance per sample."""
-
-    variance: float
-
-    def __post_init__(self) -> None:
-        if not (self.variance > 0 and math.isfinite(self.variance)):
-            raise ValidationError("noise variance must be a positive finite number")
 
 
 def draw_fading_power(rng: np.random.Generator, user_count: int, blocks: int) -> np.ndarray:
@@ -41,6 +26,4 @@ def draw_fading_power(rng: np.random.Generator, user_count: int, blocks: int) ->
     |h|^2 ~ Exp(1) in distribution. One ``standard_exponential`` call draws
     all samples in C order: user by user, each user's blocks in a row.
     """
-    if user_count < 1:
-        raise ValidationError("user_count must be at least 1")
     return rng.standard_exponential((user_count, int(blocks)))

@@ -8,7 +8,8 @@ reproduce the 5-user reference cell):
                          0.001-1000 km, strictly increasing
     path_loss_exponent   in (0, 10]                            3.0
     group_count                                                2
-    frames               frames (BER) / realizations (rate)    500
+    frames               frames (BER) / realizations (rate),   500
+                         at least 2
     bits_per_frame       per user, even, at most 2**20         6144
     snr_grid             "start:step:stop" (inclusive) or
                          comma list, dB, within +-300 dB       0:2:30
@@ -19,10 +20,10 @@ reproduce the 5-user reference cell):
                          rate_single_user | ratio              ber
 
 SNR is the transmit SNR P/sigma^2 in dB at the fixed budget P =
-``SimConfig.total_power`` (40 W), which cancels out of every SINR. Within
-these ranges every path gain lies in [1e-30, 1e30] and sigma^2 in
-[4e-29, 4e31] W, so every rate, squared deviation and SINR stays a normal
-double.
+``SimConfig.total_power`` (40 W), which cancels out of every SINR; each
+point passes sigma^2 on as a plain float. Within these ranges every path
+gain lies in [1e-30, 1e30] and sigma^2 in [4e-29, 4e31] W, so every rate,
+squared deviation and SINR stays a normal double.
 
 Every (seed, SNR index, frame) triple seeds an independent substream, so
 results are byte-identical for any worker count. The pool runs one worker
@@ -34,7 +35,8 @@ A BER frame is simulated on the derotated real baseband (see ``receiver``):
 projection cancels the other groups exactly, so receiver k's signal on
 each real axis is |g_k| times its group's superposed levels plus
 N(0, sigma^2/2) noise. Each frame draws the power gains |h|^2, then the
-bits, then one (K, S, 2) block of standard normals for the noise. A
+bits, then one (K, S, 2) block of standard normals for the noise; a BER
+row's stderr comes from its per-frame error counts (see ``_ber_point``). A
 single-user BER run is the same simulation on a scene where every user is
 a group of one, so nothing is cancelled or absorbed; it differs from the
 hybrid run only by that scene and by having no ``sum`` row.
@@ -59,7 +61,7 @@ from typing import ClassVar
 import numpy as np
 
 from .analytics import ORDER_MODES, hybrid_rate_table
-from .channel import NoiseModel, draw_fading_power
+from .channel import draw_fading_power
 from .errors import ConfigError, ValidationError
 from .modem import qpsk_levels
 from .receiver import cancel_mask, decode
@@ -117,11 +119,9 @@ class SimConfig:
             _scene(self)
         except ValidationError as exc:
             problems.append(str(exc))
-        if not (_is_int(self.frames) and self.frames >= 1):
-            problems.append("frames must be a positive integer")
-        elif self.experiment in RATE_EXPERIMENTS and self.frames < 2:
-            # a standard error needs at least two realizations
-            problems.append("frames must be at least 2 for rate experiments")
+        # a standard error needs at least two frames or realizations
+        if not (_is_int(self.frames) and self.frames >= 2):
+            problems.append("frames must be an integer of at least 2")
         bits = self.bits_per_frame
         if not (_is_int(bits) and bits > 0 and bits % 2 == 0):
             problems.append("bits_per_frame must be a positive even integer")
@@ -322,10 +322,6 @@ def _received(levels, channels, amplitudes, group_of) -> np.ndarray:
     return signal
 
 
-def _binomial_stderr(p: float, n: int) -> float:
-    return math.sqrt(max(p * (1.0 - p), 0.0) / n)
-
-
 def _ber_point(config: SimConfig, snr_index: int, snr_db: float) -> list:
     """BER rows of one SNR point: each user's and, for the hybrid scheme,
     the pooled ``sum`` row.
@@ -333,24 +329,33 @@ def _ber_point(config: SimConfig, snr_index: int, snr_db: float) -> list:
     Every frame decodes all K receivers at once. The group sums are loops
     over at most K users and the rest is elementwise, so no BLAS call runs
     per frame.
+
+    The bits of a frame share its fading, and the two bits of a symbol
+    share one block, so bits are not independent trials; the frames are.
+    A row's stderr is therefore the sample standard deviation of its
+    per-frame error counts over sqrt(frames), per bit of a frame. The
+    counts and their squares are summed as Python ints, which stay exact
+    however the frames are split.
     """
     cell = _scene(config)
     count = cell.user_count
     symbols_per_frame = config.bits_per_frame // 2
     gamma = np.array(cell.path_gains)
     amp = np.sqrt(np.asarray(cell.powers))
-    scale = math.sqrt(NoiseModel(config.noise_variance(snr_db)).variance / 2.0)
+    scale = math.sqrt(config.noise_variance(snr_db) / 2.0)
     blocks = symbols_per_frame if config.fading_mode == "block" else 1
     per_frame_order = config.decoding_order_mode == "instantaneous"
     cancel = cancel_mask(cell.group_of)
     # receiver k's noise on block s is normals[k, s, 0] on the real axis
     # and normals[k, s, 1] on the imaginary axis
     normals = np.empty((count, symbols_per_frame, 2))
-    errors = np.zeros(count, dtype=np.int64)
+    # per user, then for the whole frame: sums of error counts and squares
+    errors, squares = [0] * (count + 1), [0] * (count + 1)
     for frame in range(config.frames):
         rng = np.random.default_rng(np.random.SeedSequence((config.seed, snr_index, frame)))
         gains = gamma[:, np.newaxis] * draw_fading_power(rng, count, blocks)  # (K, S) or (K, 1)
-        bits = rng.integers(0, 2, size=(count, config.bits_per_frame))
+        # int32 draws the same bits as int64 and leaves the stream in place
+        bits = rng.integers(0, 2, size=(count, config.bits_per_frame), dtype=np.int32)
         rng.standard_normal(out=normals)
         if per_frame_order:
             cancel = cancel_mask(cell.group_of, gains)
@@ -359,19 +364,22 @@ def _ber_point(config: SimConfig, snr_index: int, snr_db: float) -> list:
         normals *= scale
         signal += normals
         decided = decode(signal, channels, amp, cancel)
-        errors += np.count_nonzero(decided != bits, axis=1)
+        frame_errors = np.count_nonzero(decided != bits, axis=1).tolist()
+        frame_errors.append(sum(frame_errors))
+        for k, frame_count in enumerate(frame_errors):
+            errors[k] += frame_count
+            squares[k] += frame_count * frame_count
     metric = "ber" if config.experiment == "ber" else "ber_single"
-    bits_per_user = config.frames * config.bits_per_frame
+    entities = [str(k + 1) for k in range(count)] + (["sum"] if config.experiment == "ber" else [])
+    frames = config.frames
     rows = []
-    for k in range(count):
-        p = int(errors[k]) / bits_per_user
-        rows.append(
-            ResultRow(snr_db, str(k + 1), metric, p, bits_per_user, _binomial_stderr(p, bits_per_user))
-        )
-    if config.experiment == "ber":
-        total_bits = count * bits_per_user
-        p = int(errors.sum()) / total_bits
-        rows.append(ResultRow(snr_db, "sum", metric, p, total_bits, _binomial_stderr(p, total_bits)))
+    for k, entity in enumerate(entities):
+        bits = config.bits_per_frame * (count if entity == "sum" else 1)  # per frame
+        # frames^2 (frames - 1) times the variance of the mean count, exactly
+        spread = frames * squares[k] - errors[k] * errors[k]
+        stderr = math.sqrt(spread / (frames * frames * (frames - 1))) / bits
+        samples = frames * bits
+        rows.append(ResultRow(snr_db, entity, metric, errors[k] / samples, samples, stderr))
     return rows
 
 
@@ -426,7 +434,7 @@ def _rate_point(config: SimConfig, snr_index: int, snr_db: float) -> list:
     cell = _scene(config)
     count = cell.user_count
     lone = dataclasses.replace(cell, group_of=tuple(range(count)), powers=(config.total_power,) * count)
-    noise = NoiseModel(config.noise_variance(snr_db))
+    noise_variance = config.noise_variance(snr_db)
     experiment = config.experiment
     n = config.frames
     per_user = _Moments(spread=experiment != "ratio")
@@ -438,14 +446,14 @@ def _rate_point(config: SimConfig, snr_index: int, snr_db: float) -> list:
         # contiguous, which keeps the reductions over realizations fast
         fading_power = draw_fading_power(rng, count, min(_RATE_CHUNK, n - start)).T
         if experiment == "rate_single_user":
-            per_user.add(hybrid_rate_table(lone, fading_power, noise))
+            per_user.add(hybrid_rate_table(lone, fading_power, noise_variance))
             continue
-        table = hybrid_rate_table(cell, fading_power, noise, config.decoding_order_mode)
+        table = hybrid_rate_table(cell, fading_power, noise_variance, config.decoding_order_mode)
         per_user.add(table)
         sum_deviations = sums.add(table.sum(axis=1))
         del table  # freed before the baseline allocates its own (n, K) table
         if experiment == "ratio":
-            baseline = hybrid_rate_table(lone, fading_power, noise).mean(axis=1)
+            baseline = hybrid_rate_table(lone, fading_power, noise_variance).mean(axis=1)
             tdma_deviations = tdma.add(baseline)
             # a sum of products, not np.cov, whose dot product would call BLAS
             sum_deviations *= tdma_deviations

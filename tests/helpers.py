@@ -280,11 +280,11 @@ def exact_sum_rates(distances, exponent, total_power, sigma2, noise_sets, slots)
     return hybrid, tdma
 
 
-def add_noise(rng, signal, noise):
-    """Add i.i.d. complex Gaussian noise of variance ``noise.variance`` per
-    entry: sigma^2/2 on each real axis, real parts drawn before imaginary."""
+def add_noise(rng, signal, sigma2):
+    """Add i.i.d. complex Gaussian noise of variance ``sigma2`` per entry:
+    sigma^2/2 on each real axis, real parts drawn before imaginary."""
     signal = np.asarray(signal)
-    scale = math.sqrt(noise.variance / 2.0)
+    scale = math.sqrt(sigma2 / 2.0)
     re = rng.standard_normal(signal.shape)
     im = rng.standard_normal(signal.shape)
     return signal + scale * (re + 1j * im)

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from timnoma import (
-    NoiseModel,
     SimConfig,
     cancel_mask,
     decode,
@@ -98,7 +97,7 @@ def test_criterion_02_projection_exactness(ref_cell, ref_basis):
     exact = worst <= 1e-12
 
     # projected noise keeps its variance
-    noise = add_noise(np.random.default_rng(102), np.zeros((2, 100_000)), NoiseModel(0.8))
+    noise = add_noise(np.random.default_rng(102), np.zeros((2, 100_000)), 0.8)
     variance = float(np.mean(np.abs(ref_basis[0] @ noise) ** 2))
     white = abs(variance - 0.8) <= 0.02 * 0.8
 
@@ -117,7 +116,7 @@ def test_criterion_03_genie_sic_cancellation(ref_cell, ref_basis):
     n = 10_000
     symbols = CONSTELLATION[rng.integers(0, 4, size=(5, n))]
     fading = draw_fading(rng, 5, blocks=n)
-    noise = add_noise(rng, np.zeros((5, 2, n)), NoiseModel(0.5))
+    noise = add_noise(rng, np.zeros((5, 2, n)), 0.5)
     transmit = mixing_matrix(ref_cell.powers, ref_cell.group_of, ref_basis) @ symbols
     gamma = np.array([1.0 / d**3 for d in REFERENCE_DISTANCES])
     channels = np.sqrt(gamma)[:, None] * fading
@@ -226,7 +225,6 @@ def test_criterion_06_single_user_dominance(hybrid_ber, single_ber):
 
 def test_criterion_07_rate_golden_values(ref_cell):
     fading = np.ones(5, dtype=complex)
-    noise = NoiseModel(1.0)
     # confirm the goldens live against the brute-force matrix oracle first
     oracle = matrix_rate_oracle(
         REFERENCE_DISTANCES, 3.0, 40.0, 1.0, fading,
@@ -241,7 +239,7 @@ def test_criterion_07_rate_golden_values(ref_cell):
     )
     oracle_consistent = all(abs(o - g) <= 1e-12 for o, g in zip(oracle, golden))
     # one realization is the rate table at N = 1
-    rates = hybrid_rate_table(ref_cell, np.abs(fading)[None] ** 2, noise)[0]
+    rates = hybrid_rate_table(ref_cell, np.abs(fading)[None] ** 2, 1.0)[0]
     within = all(abs(r - g) <= 1e-4 for r, g in zip(rates, golden))
     passed = oracle_consistent and within
     report(
@@ -334,10 +332,10 @@ def test_criterion_10_degrees_of_freedom(ref_cell):
     slots = ref_cell.slots
 
     def rise(rates_at):
-        return rates_at(NoiseModel(0.5e-20)) - rates_at(NoiseModel(1e-20))
+        return rates_at(0.5e-20) - rates_at(1e-20)
 
-    single = rise(lambda noise: hybrid_rate_table(helpers.lone_cell(ref_cell, 40.0), gains, noise)[0])
-    hybrid = rise(lambda noise: hybrid_rate_table(ref_cell, gains, noise)[0])
+    single = rise(lambda sigma2: hybrid_rate_table(helpers.lone_cell(ref_cell, 40.0), gains, sigma2)[0])
+    hybrid = rise(lambda sigma2: hybrid_rate_table(ref_cell, gains, sigma2)[0])
     each_alone = all(abs(r - 1.0 / slots) <= 1e-12 for r in single)
     all_together = abs(float(np.sum(single)) - 5 / slots) <= 5e-12
     # one user per group keeps an SINR that grows without bound

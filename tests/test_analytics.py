@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from timnoma import (
-    NoiseModel,
     ValidationError,
     build_cell,
     hybrid_rate_table,
@@ -21,22 +20,22 @@ from helpers import (
 )
 
 UNIT_FADING = np.ones(5, dtype=complex)
-UNIT_NOISE = NoiseModel(1.0)
+UNIT_NOISE = 1.0
 
 
-def hybrid_rates(cell, h, noise, order_mode="distance"):
+def hybrid_rates(cell, h, sigma2, order_mode="distance"):
     """Per-user hybrid rates of one realization h: the table at N = 1."""
-    return hybrid_rate_table(cell, np.abs(h)[None] ** 2, noise, order_mode)[0]
+    return hybrid_rate_table(cell, np.abs(h)[None] ** 2, sigma2, order_mode)[0]
 
 
-def single_user_rates(cell, h, noise, total_power):
+def single_user_rates(cell, h, sigma2, total_power):
     """Full-power single-user rates of one realization h: the table at N = 1."""
-    return hybrid_rate_table(lone_cell(cell, total_power), np.abs(h)[None] ** 2, noise)[0]
+    return hybrid_rate_table(lone_cell(cell, total_power), np.abs(h)[None] ** 2, sigma2)[0]
 
 
-def tdma_sum(cell, h, noise, total_power):
+def tdma_sum(cell, h, sigma2, total_power):
     """TDMA baseline sum rate: each user alone at full power for 1/K of the time."""
-    return float(np.mean(single_user_rates(cell, h, noise, total_power)))
+    return float(np.mean(single_user_rates(cell, h, sigma2, total_power)))
 
 
 def channel_gain(cell, h, user):
@@ -75,7 +74,7 @@ class TestUserRate:
                 oracle = matrix_rate_oracle(
                     REFERENCE_DISTANCES, 3.0, 40.0, sigma2, h, sets, vectors
                 )
-                got = hybrid_rates(ref_cell, h, NoiseModel(sigma2), order_mode)
+                got = hybrid_rates(ref_cell, h, sigma2, order_mode)
                 np.testing.assert_allclose(got, oracle, rtol=1e-12, atol=0)
 
     def test_numerator_identity(self, ref_cell, rng):
@@ -102,13 +101,12 @@ class TestUserRate:
             assert rates[k] == pytest.approx(expected, rel=1e-14)
 
     def test_vanishes_with_infinite_noise(self, ref_cell):
-        loud = NoiseModel(1e30)
-        rates = hybrid_rates(ref_cell, UNIT_FADING, loud)
+        rates = hybrid_rates(ref_cell, UNIT_FADING, 1e30)
         assert np.all(rates < 1e-25)
 
     def test_monotone_in_noise_and_power(self, ref_cell):
         rates_in_noise = [
-            hybrid_rates(ref_cell, UNIT_FADING, NoiseModel(s2))
+            hybrid_rates(ref_cell, UNIT_FADING, s2)
             for s2 in (0.1, 1.0, 10.0, 100.0)
         ]
         assert all(np.all(a > b) for a, b in zip(rates_in_noise, rates_in_noise[1:]))
@@ -143,9 +141,8 @@ class TestSingleUserRate:
         for _ in range(50):
             h = draw_fading(rng, 5)
             sigma2 = float(rng.uniform(0.01, 10.0))
-            noise = NoiseModel(sigma2)
-            solo = single_user_rates(ref_cell, h, noise, 40.0)
-            hybrid = hybrid_rates(ref_cell, h, noise)
+            solo = single_user_rates(ref_cell, h, sigma2, 40.0)
+            hybrid = hybrid_rates(ref_cell, h, sigma2)
             assert np.all(solo >= hybrid)
 
 
@@ -185,8 +182,8 @@ class TestRateTables:
         # every row of a batch against the matrix oracle for its realization
         rng = np.random.default_rng(7)
         fading = draw_fading(rng, 5, blocks=64).T
-        noise = NoiseModel(0.37)
-        table = hybrid_rate_table(ref_cell, np.abs(fading) ** 2, noise, order_mode)
+        sigma2 = 0.37
+        table = hybrid_rate_table(ref_cell, np.abs(fading) ** 2, sigma2, order_mode)
         for n in range(0, 64, 7):
             if order_mode == "distance":
                 sets = reference_noise_sets()
@@ -194,7 +191,7 @@ class TestRateTables:
                 gains = [channel_gain(ref_cell, fading[n], k) for k in range(5)]
                 sets = instantaneous_noise_sets(gains, ref_cell.group_of)
             oracle = matrix_rate_oracle(
-                REFERENCE_DISTANCES, 3.0, 40.0, noise.variance, fading[n], sets,
+                REFERENCE_DISTANCES, 3.0, 40.0, sigma2, fading[n], sets,
                 reference_group_vectors(),
             )
             np.testing.assert_allclose(table[n], oracle, rtol=1e-12, atol=0)
@@ -202,11 +199,11 @@ class TestRateTables:
     def test_single_user_table_matches_scalar(self, ref_cell):
         rng = np.random.default_rng(8)
         fading = draw_fading(rng, 5, blocks=32).T
-        noise = NoiseModel(1.3)
-        table = hybrid_rate_table(lone_cell(ref_cell, 40.0), np.abs(fading) ** 2, noise)
+        sigma2 = 1.3
+        table = hybrid_rate_table(lone_cell(ref_cell, 40.0), np.abs(fading) ** 2, sigma2)
         for n in range(0, 32, 5):
             for k in range(5):
-                snr = 40.0 * channel_gain(ref_cell, fading[n], k) / noise.variance
+                snr = 40.0 * channel_gain(ref_cell, fading[n], k) / sigma2
                 assert table[n, k] == pytest.approx(0.5 * math.log2(1 + snr), rel=1e-12)
 
     @pytest.mark.parametrize("order_mode", ["distance", "instantaneous"])
@@ -214,11 +211,11 @@ class TestRateTables:
         user_major = np.abs(draw_fading(np.random.default_rng(10), 5, blocks=50)) ** 2
         fading_power = user_major.T  # (N, K), each user's realizations contiguous
         before = fading_power.copy()
-        noise = NoiseModel(0.8)
+        sigma2 = 0.8
         tables = [
             (
-                hybrid_rate_table(ref_cell, gains, noise, order_mode),
-                hybrid_rate_table(lone_cell(ref_cell, 40.0), gains, noise),
+                hybrid_rate_table(ref_cell, gains, sigma2, order_mode),
+                hybrid_rate_table(lone_cell(ref_cell, 40.0), gains, sigma2),
             )
             for gains in (fading_power, np.ascontiguousarray(fading_power))
         ]
@@ -246,6 +243,11 @@ class TestRateTables:
         with pytest.raises(ValidationError, match="real"):
             hybrid_rate_table(lone_cell(ref_cell, 40.0), fading, UNIT_NOISE)
 
+    @pytest.mark.parametrize("sigma2", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_bad_noise_variance(self, ref_cell, sigma2):
+        with pytest.raises(ValidationError, match="noise variance"):
+            hybrid_rate_table(ref_cell, np.ones((1, 5)), sigma2)
+
     def test_ratio_approaches_two_from_above_at_high_snr(self, ref_cell):
         # asymptotically the hybrid sum grows twice as fast as the baseline;
         # at finite SNR the ratio sits above 2 and decays toward it
@@ -254,9 +256,9 @@ class TestRateTables:
         fading_power = np.abs(fading) ** 2
         deviations = []
         for snr_db in (60.0, 70.0, 80.0):
-            noise = NoiseModel(40.0 * 10 ** (-snr_db / 10))
-            hybrid = hybrid_rate_table(ref_cell, fading_power, noise).sum(axis=1).mean()
-            baseline = hybrid_rate_table(lone_cell(ref_cell, 40.0), fading_power, noise).mean()
+            sigma2 = 40.0 * 10 ** (-snr_db / 10)
+            hybrid = hybrid_rate_table(ref_cell, fading_power, sigma2).sum(axis=1).mean()
+            baseline = hybrid_rate_table(lone_cell(ref_cell, 40.0), fading_power, sigma2).mean()
             ratio = float(hybrid) / float(baseline)
             assert 1.9 < ratio < 2.5
             deviations.append(abs(ratio - 2.0))

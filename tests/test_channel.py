@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from timnoma import NoiseModel, ValidationError, draw_fading_power
+from timnoma import draw_fading_power
 
 from helpers import add_noise, draw_fading
 
@@ -66,37 +66,27 @@ class TestDrawFadingPower:
             empirical = np.count_nonzero(power <= x) / n
             assert abs(empirical - exact) < 4.0 * stderr, name
 
-    def test_rejects_empty(self, rng):
-        with pytest.raises(ValidationError):
-            draw_fading_power(rng, 0, 5)
-
 
 class TestAddNoise:
     def test_noiseless_limit(self, rng):
         signal = np.array([1 + 1j, -2 + 0.5j])
-        out = add_noise(rng, signal, NoiseModel(1e-30))
+        out = add_noise(rng, signal, 1e-30)
         np.testing.assert_allclose(out, signal, atol=1e-12)
 
     def test_empirical_variance(self):
         rng = np.random.default_rng(17)
-        noise = add_noise(rng, np.zeros(100_000), NoiseModel(0.7))
+        noise = add_noise(rng, np.zeros(100_000), 0.7)
         assert np.mean(np.abs(noise) ** 2) == pytest.approx(0.7, rel=0.02)
 
     def test_deterministic_given_seed(self):
-        out1 = add_noise(np.random.default_rng(3), np.zeros(8), NoiseModel(2.0))
-        out2 = add_noise(np.random.default_rng(3), np.zeros(8), NoiseModel(2.0))
+        out1 = add_noise(np.random.default_rng(3), np.zeros(8), 2.0)
+        out2 = add_noise(np.random.default_rng(3), np.zeros(8), 2.0)
         np.testing.assert_array_equal(out1, out2)
-
-    def test_rejects_bad_variance(self):
-        with pytest.raises(ValidationError):
-            NoiseModel(0.0)
-        with pytest.raises(ValidationError):
-            NoiseModel(-1.0)
 
 
 class TestProjectionKeepsNoiseWhite:
     def test_variance_preserved_along_unit_vector(self, ref_basis):
         rng = np.random.default_rng(23)
-        noise = add_noise(rng, np.zeros((2, 100_000)), NoiseModel(0.5))
+        noise = add_noise(rng, np.zeros((2, 100_000)), 0.5)
         projected = ref_basis[0] @ noise
         assert np.mean(np.abs(projected) ** 2) == pytest.approx(0.5, rel=0.02)

@@ -63,9 +63,10 @@ class TestCliRuns:
         assert len(read_csv_lines(out)) == 1 + 6
 
     def test_subcommand_overrides_a_file_experiment_judged_alone(self, tmp_path, capsys):
-        # one frame is too few for the file's ratio, not for the ber it runs
+        # the file's experiment is unknown: only the subcommand's ber makes
+        # the file runnable, so the file must not be validated on its own
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("experiment = ratio\nframes = 1\nbits_per_frame = 8\n")
+        cfg.write_text("experiment = throughput\nframes = 2\nbits_per_frame = 8\n")
         assert main(["ber", "--config", str(cfg), "--snr", "10"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 1 + 6
 
@@ -114,7 +115,7 @@ class TestCliErrors:
     @pytest.mark.parametrize("workers", ["0", "many"])
     def test_bad_worker_env_exits_one(self, workers, monkeypatch, capsys):
         monkeypatch.setenv("TIMNOMA_WORKERS", workers)
-        assert main(["ber", "--frames", "1", "--snr", "10"]) == 1
+        assert main(["ber", "--frames", "2", "--snr", "10"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "TIMNOMA_WORKERS" in err
         assert len(err.splitlines()) == 1
@@ -123,7 +124,7 @@ class TestCliErrors:
         "argv,config_text,fragment",
         [
             (["rate", "--frames", "1", "--snr", "10"], None, "frames"),
-            (["ber", "--frames", "1", "--snr", "4000"], None, "snr_grid"),
+            (["ber", "--frames", "2", "--snr", "4000"], None, "snr_grid"),
             # the budget is no setting: its old key is unknown, as is the
             # removed single-value knob's
             (["rate", "--frames", "2", "--snr", "10"], "total_power = inf\n", "total_power"),
@@ -134,31 +135,33 @@ class TestCliErrors:
              "distances = 0.001, 0.002\ngroup_count = 1\n", "snr_grid"),
             # (stop - start) / step is infinite, or about 1e301 points:
             # refused before the grid is built
-            (["ber", "--frames", "1", "--snr", "0:5e-324:10"], None, "more than 100000 points"),
-            (["ber", "--frames", "1", "--snr", "0:1e-300:10"], None, "more than 100000 points"),
-            (["ber", "--frames", "1"], "snr_grid = 0:5e-324:10\n", "more than 100000 points"),
-            (["ber", "--frames", "1"], "snr_grid = 0:1e-300:10\n", "more than 100000 points"),
+            (["ber", "--frames", "2", "--snr", "0:5e-324:10"], None, "more than 100000 points"),
+            (["ber", "--frames", "2", "--snr", "0:1e-300:10"], None, "more than 100000 points"),
+            (["ber", "--frames", "2"], "snr_grid = 0:5e-324:10\n", "more than 100000 points"),
+            (["ber", "--frames", "2"], "snr_grid = 0:1e-300:10\n", "more than 100000 points"),
             # 2001 points whose noise variance overflows: still one short line
-            (["ber", "--frames", "1", "--snr=-5000:1:-3000"], None, "snr_grid"),
+            (["ber", "--frames", "2", "--snr=-5000:1:-3000"], None, "snr_grid"),
             (["ratio", "--frames", "2", "--snr", "10"], "total_power = 40\n", "'total_power'"),
-            (["ber", "--frames", "1", "--snr", "10"], "cell_radius = 5\n", "'cell_radius'"),
+            (["ber", "--frames", "2", "--snr", "10"], "cell_radius = 5\n", "'cell_radius'"),
             # a frame this long would fail to allocate its bits
-            (["ber", "--frames", "1", "--snr", "10"], "bits_per_frame = 4000000000000000000\n",
+            (["ber", "--frames", "2", "--snr", "10"], "bits_per_frame = 4000000000000000000\n",
              "bits_per_frame must be at most"),
             # just past each edge of the accepted box
             (["rate", "--frames", "2", "--snr", "301"], None, "snr_grid"),
             (["ratio", "--frames", "2", "--snr=-1000"], None, "snr_grid"),
-            (["ber", "--frames", "1", "--snr", "10"], "path_loss_exponent = 10.5\n",
+            (["ber", "--frames", "2", "--snr", "10"], "path_loss_exponent = 10.5\n",
              "path_loss_exponent"),
-            (["ber", "--frames", "1", "--snr", "10"], "distances = 0.0009, 1\n", "distances"),
-            (["ber", "--frames", "1", "--snr", "10"], "distances = 1, 1001\n", "distances"),
-            (["ber", "--frames", "1", "--snr", "10"],
+            (["ber", "--frames", "2", "--snr", "10"], "distances = 0.0009, 1\n", "distances"),
+            (["ber", "--frames", "2", "--snr", "10"], "distances = 1, 1001\n", "distances"),
+            (["ber", "--frames", "2", "--snr", "10"],
              "distances = " + ", ".join(str(k) for k in range(1, 18)) + "\n",
              "distances must list at most 16 users"),
             # a non-finite value in a list is outside the box too
-            (["ber", "--frames", "1", "--snr", "nan"], None, "snr_grid"),
-            (["ber", "--frames", "1", "--snr", "inf,10"], None, "snr_grid"),
-            (["ber", "--frames", "1"], "snr_grid = 10, nan\n", "snr_grid"),
+            (["ber", "--frames", "2", "--snr", "nan"], None, "snr_grid"),
+            (["ber", "--frames", "2", "--snr", "inf,10"], None, "snr_grid"),
+            (["ber", "--frames", "2"], "snr_grid = 10, nan\n", "snr_grid"),
+            # a BER stderr needs two frames, as a rate's needs two realizations
+            (["ber", "--frames", "1", "--snr", "10"], None, "frames"),
         ],
     )
     def test_unrunnable_config_exits_one(self, argv, config_text, fragment, tmp_path, capsys):
@@ -175,11 +178,11 @@ class TestCliErrors:
     @pytest.mark.parametrize(
         "argv,config_text",
         [
-            (["ber", "--frames", "1", "--snr=0:1:inf"], None),
-            (["ber", "--frames", "1", "--snr=0:nan:10"], None),
-            (["ber", "--frames", "1", "--snr=-inf:1:0"], None),
-            (["ber", "--frames", "1"], "snr_grid = 0:1:inf\n"),
-            (["ber", "--frames", "1"], "snr_grid = 0:nan:10\n"),
+            (["ber", "--frames", "2", "--snr=0:1:inf"], None),
+            (["ber", "--frames", "2", "--snr=0:nan:10"], None),
+            (["ber", "--frames", "2", "--snr=-inf:1:0"], None),
+            (["ber", "--frames", "2"], "snr_grid = 0:1:inf\n"),
+            (["ber", "--frames", "2"], "snr_grid = 0:nan:10\n"),
         ],
     )
     def test_non_finite_snr_range_exits_one(self, argv, config_text, tmp_path, capsys):

@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 import timnoma
 from timnoma import (
     ConfigError,
-    NoiseModel,
     ResultRow,
     SimConfig,
     ValidationError,
@@ -125,6 +124,9 @@ class TestSimConfig:
             ({"bits_per_frame": True}, "bits_per_frame"),
             ({"path_loss_exponent": "3"}, "path_loss_exponent"),
             ({"path_loss_exponent": True}, "path_loss_exponent"),
+            # a BER stderr needs two frames too (ber is the default)
+            ({"frames": 1}, "frames"),
+            ({"experiment": "ber_single_user", "frames": 1}, "frames"),
         ],
     )
     def test_validation_names_the_field(self, changes, fragment):
@@ -325,12 +327,36 @@ class TestBerExperiment:
         assert helpers.row(result, 20.0, "1", "ber").samples == bits
         assert helpers.row(result, 20.0, "sum", "ber").samples == 5 * bits
 
-    def test_binomial_stderr(self):
-        result = run_experiment(TINY_BER)
-        row = helpers.row(result, 20.0, "1", "ber")
-        assert row.stderr == pytest.approx(
-            math.sqrt(row.value * (1 - row.value) / row.samples), rel=1e-12
-        )
+    def test_stderr_is_the_spread_of_frame_error_counts(self):
+        # frame f draws from its own substream, so a run of F frames holds
+        # the run of F - 1 and each later frame's error count is a difference
+        # of totals; the two-frame stderr, |c0 - c1| / (2 bits), splits the
+        # first pair
+        config = replace(TINY_BER, snr_grid_db=(20.0,), fading_mode="frame")
+        runs = {frames: run_experiment(replace(config, frames=frames)) for frames in range(2, 7)}
+        entities = [(str(k + 1), config.bits_per_frame) for k in range(5)]
+        for entity, bits in entities + [("sum", 5 * config.bits_per_frame)]:
+            rows = {frames: helpers.row(result, 20.0, entity, "ber") for frames, result in runs.items()}
+            totals = {frames: round(row.value * row.samples) for frames, row in rows.items()}
+            gap = round(2 * bits * rows[2].stderr)
+            counts = [(totals[2] + gap) // 2, (totals[2] - gap) // 2]
+            counts += [totals[frames] - totals[frames - 1] for frames in range(3, 7)]
+            assert sum(counts) == totals[6] and min(counts) >= 0, entity
+            expected = float(np.std(counts, ddof=1)) / math.sqrt(6) / bits
+            assert rows[6].stderr == pytest.approx(expected, rel=1e-12), entity
+
+    @pytest.mark.parametrize("shape", [(1, 2), (5, 6144), (16, 65536)])
+    @pytest.mark.parametrize("seed", [0, 1, 42])
+    def test_int32_bits_draw_the_int64_stream(self, shape, seed):
+        # a frame draws its bits as int32: the same bits as the int64 draw,
+        # and the noise drawn after them is the same too
+        streams = []
+        for dtype in (np.int64, np.int32):
+            rng = np.random.default_rng(seed)
+            streams.append((rng.integers(0, 2, size=shape, dtype=dtype), rng.standard_normal(8)))
+        (wide, wide_noise), (narrow, narrow_noise) = streams
+        np.testing.assert_array_equal(narrow, wide)
+        assert narrow_noise.tobytes() == wide_noise.tobytes()
 
     def test_deterministic_given_seed(self):
         first = run_experiment(TINY_BER)
@@ -537,9 +563,9 @@ class TestChunkedRatePoints:
             for chunk, start in enumerate(range(0, config.frames, _RATE_CHUNK))
         ]
         fading_power = np.concatenate(draws, axis=1).T
-        noise = NoiseModel(config.noise_variance(snr))
-        hybrid = hybrid_rate_table(cell, fading_power, noise)
-        return hybrid, hybrid_rate_table(helpers.lone_cell(cell, config.total_power), fading_power, noise)
+        sigma2 = config.noise_variance(snr)
+        hybrid = hybrid_rate_table(cell, fading_power, sigma2)
+        return hybrid, hybrid_rate_table(helpers.lone_cell(cell, config.total_power), fading_power, sigma2)
 
     @pytest.mark.parametrize("experiment", ["rate", "rate_single_user", "ratio"])
     def test_matches_the_unchunked_statistics(self, experiment):
@@ -668,6 +694,38 @@ class TestBerAgainstExact:
                 assert abs(row.value - p) <= 4.0 * sigma, (snr, k, row.value, p)
 
 
+class TestBerStderrAgainstSpread:
+    """A BER row's reported stderr is the spread that independent runs show.
+    Over ``SEEDS`` runs, (runs - 1) times the sample variance of a row's BER
+    over its mean reported variance is about chi-squared with runs - 1
+    degrees of freedom, and must lie in that law's central 99.9 % band. A
+    binomial stderr over bits fails this under frame fading, where every
+    bit of a frame shares one fading draw."""
+
+    SEEDS = range(24)
+    CONFIG = SimConfig(frames=40, bits_per_frame=64, snr_grid_db=(30.0,))
+
+    @staticmethod
+    def chi2_quantile(dof, z):
+        """The chi-squared quantile at standard normal quantile z, by the
+        Wilson-Hilferty cube-root approximation."""
+        spread = 2.0 / (9.0 * dof)
+        return dof * (1.0 - spread + z * math.sqrt(spread)) ** 3
+
+    @pytest.mark.parametrize("fading_mode", ["block", "frame"])
+    def test_seed_spread_matches_reported_stderr(self, fading_mode, monkeypatch):
+        monkeypatch.setenv(WORKERS_ENV, "1")
+        config = replace(self.CONFIG, fading_mode=fading_mode)
+        runs = [run_experiment(replace(config, seed=seed)) for seed in self.SEEDS]
+        dof = len(runs) - 1
+        low, high = (self.chi2_quantile(dof, z) / dof for z in (-3.2905, 3.2905))
+        for index, row in enumerate(runs[0]):
+            values = np.array([result[index].value for result in runs])
+            reported = np.mean([result[index].stderr ** 2 for result in runs])
+            ratio = float(np.var(values, ddof=1) / reported)
+            assert low <= ratio <= high, (row.entity, ratio, low, high)
+
+
 class TestBoxCorners:
     """Every experiment, order and fading mode runs to finite rows, with
     every numpy floating-point error raised, at the corners of the accepted
@@ -791,11 +849,15 @@ class TestTransmitEnergyAudit:
 
 
 class TestPinnedBerBytes:
-    """SHA-256 of small BER CSVs, recorded when the BER frame moved to the
-    derotated real baseband (power gains, bits, then (K, S, 2) normals per
-    frame), after that kernel was shown to decide what the physical chain
-    decides and to match the exact BER. Any change to the RNG stream, the
-    decoding order or the detector's tie rule changes these bytes."""
+    """SHA-256 of small BER CSVs. The value and samples columns were pinned
+    when the BER frame moved to the derotated real baseband (power gains,
+    bits, then (K, S, 2) normals per frame), after that kernel was shown to
+    decide what the physical chain decides and to match the exact BER; any
+    change to the RNG stream, the decoding order or the detector's tie rule
+    changes them. ``VALUE_SHA256`` hashes the CSVs without their stderr
+    column; it was recorded before, and held across, the move of the
+    stderr from a binomial over bits to the spread of per-frame error
+    counts, when the whole-file ``SHA256`` was re-recorded."""
 
     BASE = SimConfig(frames=3, bits_per_frame=192, snr_grid_db=(10.0, 25.0, 40.0))
     CASES = {
@@ -812,26 +874,43 @@ class TestPinnedBerBytes:
         },
     }
     SHA256 = {
-        ("distance-block", "ber"): "25789e6a027d1eaac759df325755584bcebd80110ab136f6335a18b878515e73",
-        ("distance-block", "ber_single_user"): "e41abeb9fab0ff86a397b15aec2eecd01a2d450fd9f1c09de3c120c7426af3aa",
-        ("distance-frame", "ber"): "29833de1193ed81cfbd93bded821a120fdff1f19f609b369d9689cf41bea200c",
-        ("distance-frame", "ber_single_user"): "248c195aeb6bfe641b93eb6f46dadf10785d71649eb8de6fbea2c09794b9bd41",
-        ("instantaneous-block", "ber"): "8010b8c9eb3a8d202222ce4a5eda2126a689376a805d3362c62133dc6a3941e5",
-        ("instantaneous-block", "ber_single_user"): "e41abeb9fab0ff86a397b15aec2eecd01a2d450fd9f1c09de3c120c7426af3aa",
-        ("instantaneous-frame", "ber"): "36c992d81c5ca9506cc04f4d98706552162855bad2e6cbf1919d985c18181ddd",
-        ("instantaneous-frame", "ber_single_user"): "248c195aeb6bfe641b93eb6f46dadf10785d71649eb8de6fbea2c09794b9bd41",
-        ("one-user", "ber"): "5d927b517a9d757f03f8a21ded1c84760027d3608e7a26e9accd25d573c77e38",
-        ("one-user", "ber_single_user"): "3e328dd2f27bcfe059d6c0c673b84478490c9f3b68d48c5339319a76d7601cc9",
-        ("three-groups", "ber"): "329e9b8066cf5fa39c8ca427ac799c98653e1f80e1c0f7734e97258b146893e6",
-        ("three-groups", "ber_single_user"): "0e24318a45739b4146302370fc64a0eb13f84a892bc26b79dbd2426826aff54f",
+        ("distance-block", "ber"): "bb2c05b171c87bc79eee7dc7f2be092ca8abe0044621a645d837acade214f3ef",
+        ("distance-block", "ber_single_user"): "4542307f9126f35acaba4715468b36469a5a8c81087c26d9d6688e7071563849",
+        ("distance-frame", "ber"): "b3fe733f66701f1d39254b32dd3138200167d7cb6891add7ba8c1712c8902907",
+        ("distance-frame", "ber_single_user"): "240ea7550d83a4fb3147f72cbf37df6225ce415fa39cbb23d6694cf48c38f39c",
+        ("instantaneous-block", "ber"): "9278e39d04035c69d7c7fe0c209a7ed421cc329a5d9a0afdfbd1319f034ca184",
+        ("instantaneous-block", "ber_single_user"): "4542307f9126f35acaba4715468b36469a5a8c81087c26d9d6688e7071563849",
+        ("instantaneous-frame", "ber"): "f710012cd386e19918d4bef7347eec24de46297f7bd3824ec7bc12418dc52a2e",
+        ("instantaneous-frame", "ber_single_user"): "240ea7550d83a4fb3147f72cbf37df6225ce415fa39cbb23d6694cf48c38f39c",
+        ("one-user", "ber"): "93f158006a8aaa264ea0883b01be5ff8cb9dbff0dcd6eb4b3c93b88fa31866a9",
+        ("one-user", "ber_single_user"): "f9e04f07d6c28153eb83a3511c39a16b5e8c8adc1231c1ff9fd3f1c56d2c82bc",
+        ("three-groups", "ber"): "e884dcf8ee2c9b088fe42dc12fec737ea46445cd8985885348ad60ba5562dfa1",
+        ("three-groups", "ber_single_user"): "e5843b86c51f343a94795855ad09effb9cdcc6bb5c07c597bfa40981f2d9cbe0",
+    }
+
+    VALUE_SHA256 = {
+        ("distance-block", "ber"): "cae9e8acb07c0e62b9ede93d50cae74d2f36cecf38ae6d8bb9d0fa2d6369b137",
+        ("distance-block", "ber_single_user"): "ad6258cc7d4be99fbdc418c54be0f40d69106e84209fdfe0b41a1589755d198c",
+        ("distance-frame", "ber"): "5383e41298574ff52590d80399ea21157ad2c356fc7a0519d8fd284f4b2bd9c3",
+        ("distance-frame", "ber_single_user"): "e0cb2b2390d2cdf0f8519275130fa402282b4d424693e67a457fc9b9f1a30f0d",
+        ("instantaneous-block", "ber"): "437be09aea53c3e3e74a5a4f39e572f0fc2b869e53f57d5afac1852fc404ac99",
+        ("instantaneous-block", "ber_single_user"): "ad6258cc7d4be99fbdc418c54be0f40d69106e84209fdfe0b41a1589755d198c",
+        ("instantaneous-frame", "ber"): "e5dca96f842ad6bb21a55d9d02b2dbf30eeaee25f9480b4154e05acc6c119c98",
+        ("instantaneous-frame", "ber_single_user"): "e0cb2b2390d2cdf0f8519275130fa402282b4d424693e67a457fc9b9f1a30f0d",
+        ("one-user", "ber"): "d2348b4bdcef28994e0dba1ba12211902adbed22fa121d00f2d76938144d3826",
+        ("one-user", "ber_single_user"): "b2dd890e1dc46262a996937dc1d341d2a61bed3746a167e0999181c804ca191d",
+        ("three-groups", "ber"): "412d1f694125004e8aef16098c2199b552922ffab92b22258770158ee10258a6",
+        ("three-groups", "ber_single_user"): "8ce2856348f580a5761fe32d9721d8e40f6701624bd0bcce661f22367a53de2e",
     }
 
     @pytest.mark.parametrize("case,experiment", sorted(SHA256))
     def test_csv_bytes_unchanged(self, case, experiment, monkeypatch):
         monkeypatch.setenv(WORKERS_ENV, "1")
         config = dataclasses.replace(self.BASE, experiment=experiment, **self.CASES[case])
-        digest = hashlib.sha256(csv_bytes(run_experiment(config.validated()))).hexdigest()
-        assert digest == self.SHA256[(case, experiment)]
+        data = csv_bytes(run_experiment(config.validated()))
+        without_stderr = b"".join(line.rsplit(b",", 1)[0] + b"\n" for line in data.splitlines())
+        assert hashlib.sha256(without_stderr).hexdigest() == self.VALUE_SHA256[(case, experiment)]
+        assert hashlib.sha256(data).hexdigest() == self.SHA256[(case, experiment)]
 
 
 class TestPinnedRateBytes:

@@ -66,13 +66,13 @@ BIT_ARRAYS = arrays(
 )
 
 
-@given(BIT_ARRAYS)
+@given(BIT_ARRAYS, st.sampled_from([bool, np.int32, np.int64, np.uint8, np.uint16]))
 @settings(max_examples=50)
-def test_levels_are_the_reference_modems_symbols(bits):
+def test_levels_are_the_reference_modems_symbols(bits, dtype):
     # the package's real levels are, bit for bit, the float64 view of the
-    # reference chain's complex symbols
+    # reference chain's complex symbols, whatever the bits' integer type
     expected = levels(qpsk_modulate(bits))
-    got = qpsk_levels(bits)
+    got = qpsk_levels(bits.astype(dtype))
     assert got.dtype == np.float64 and got.shape == expected.shape
     assert got.tobytes() == expected.tobytes()
 

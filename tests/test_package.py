@@ -13,7 +13,6 @@ import timnoma
 PUBLIC = [
     "Cell",
     "ConfigError",
-    "NoiseModel",
     "ResultRow",
     "SimConfig",
     "ValidationError",
@@ -43,6 +42,7 @@ REMOVED = [
     "CONSTELLATION",
     "ExperimentResult",
     "GroupAssignment",
+    "NoiseModel",
     "PowerAllocation",
     "PrecodingBasis",
     "Topology",

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from timnoma import (
-    NoiseModel,
     SimConfig,
     ValidationError,
     build_cell,
@@ -255,7 +254,7 @@ class TestSicDecode:
         rng = np.random.default_rng(5)
         symbols = random_symbols(rng, (5, 200))
         fading = draw_fading(rng, 5, blocks=200)
-        noise = add_noise(rng, np.zeros((5, 2, 200)), NoiseModel(0.3))
+        noise = add_noise(rng, np.zeros((5, 2, 200)), 0.3)
         projected, channels = bank_signal(
             ref_cell, ref_basis, symbols, fading, noise
         )
@@ -348,7 +347,7 @@ class TestDecodeBank:
         count, n = len(distances), 600
         symbols = random_symbols(rng, (count, n))
         fading = draw_fading(rng, count, blocks=n if fading_mode == "block" else 1)
-        noise = add_noise(rng, np.zeros((count, group_count, n)), NoiseModel(0.004))
+        noise = add_noise(rng, np.zeros((count, group_count, n)), 0.004)
         projected, channels = bank_signal(cell, basis, symbols, fading, noise)
         gamma = np.array(cell.path_gains)
         if order_mode == "distance":
@@ -414,7 +413,7 @@ class TestRealBasebandMatchesPhysicalChain:
         single_user = config.experiment == "ber_single_user"
         h = draw_fading(rng, count, blocks=n if config.fading_mode == "block" else 1)
         symbols = qpsk_modulate(rng.integers(0, 2, size=(count, 2 * n)))
-        z = add_noise(rng, np.zeros((count, n)), NoiseModel(sigma2))
+        z = add_noise(rng, np.zeros((count, n)), sigma2)
         gamma = np.array(cell.path_gains)
         gains = gamma[:, None] * np.abs(h) ** 2
 
