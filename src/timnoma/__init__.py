@@ -22,7 +22,7 @@ from .harness import (
     run_experiment,
 )
 from .modem import qpsk_levels
-from .receiver import cancel_mask, decode
+from .receiver import decode, ranks_ahead
 from .topology import Cell, build_cell
 
 __version__ = "0.1.0"
@@ -34,7 +34,6 @@ __all__ = [
     "SimConfig",
     "ValidationError",
     "build_cell",
-    "cancel_mask",
     "decode",
     "draw_fading_power",
     "emit_csv",
@@ -43,5 +42,6 @@ __all__ = [
     "parse_config_text",
     "parse_snr_grid",
     "qpsk_levels",
+    "ranks_ahead",
     "run_experiment",
 ]

@@ -2,8 +2,8 @@
 
 Rates are in bits per time slot, log base 2, with the 1/T prefactor that
 accounts for each user receiving one symbol per T-slot block. A user's
-denominator collects the same-group signals ranked before it in the
-decoding order of ``receiver.cancel_mask`` (the ones it cannot cancel)
+denominator collects the same-group signals ranked ahead of it by
+``receiver.ranks_ahead``, the decoding order (the ones it cannot cancel),
 plus the noise variance sigma^2, a plain float; projection removed every
 other group exactly, so no inter-group term ever appears.
 
@@ -23,7 +23,7 @@ import math
 import numpy as np
 
 from .errors import ValidationError
-from .receiver import cancel_mask
+from .receiver import ranks_ahead
 from .topology import Cell
 
 ORDER_MODES = ("distance", "instantaneous")
@@ -44,12 +44,13 @@ def hybrid_rate_table(
     ``noise_variance`` sigma^2, a positive finite float; the powers, path
     gains gamma, groups and T all come from ``cell``. On a cell of lone
     users at full power these are the single-user rates, and a row's mean
-    is the TDMA sum rate. The decoding order is
-    ``cancel_mask``'s: by distance, or by gamma |h|^2 in each realization.
-    One new (N, K) buffer goes from channel gains to rates in place,
-    beside the (K, K, N) mask, its power-weighted copy and, unless nobody
-    absorbs anybody, one interference array; the caller's array is never
-    written. Every sum over users is a broadcast sum, so no BLAS call runs.
+    is the TDMA sum rate. The decoding order is ``ranks_ahead``'s: by
+    distance, or by gamma |h|^2 in each realization. Any other shape than
+    (N, K) is refused, where numpy would broadcast it silently. One (N, K)
+    buffer goes from channel gains to rates in place, beside the
+    interference and, under instantaneous order, the absorbed powers and
+    (N,) temporaries; distance order adds K^2 floats at most. The caller's
+    array is never written, and no BLAS call runs.
     """
     if order_mode not in ORDER_MODES:
         raise ValidationError(f"unknown order mode {order_mode!r}")
@@ -57,14 +58,19 @@ def hybrid_rate_table(
         raise ValidationError("noise variance must be a positive finite number")
     if np.iscomplexobj(fading_power):
         raise ValidationError("fading_power must be the real |h|^2, not complex fading")
-    p = np.asarray(cell.powers)
+    group_of, p = cell.group_of, cell.powers
+    if np.ndim(fading_power) != 2 or np.shape(fading_power)[1] != len(group_of):
+        raise ValidationError(f"fading_power is {np.shape(fading_power)}, not (N, {len(group_of)})")
     out = np.multiply(fading_power, cell.path_gains)  # gamma_k |h_k|^2
-    cancel = cancel_mask(cell.group_of, None if order_mode == "distance" else out.T)
-    # user k cannot cancel user j exactly when receiver j cancels k, so
-    # k's interference is sum_j cancel[j, k] * P_j times its own gain
-    absorbed = np.sum(cancel * p[:, np.newaxis, np.newaxis], axis=0).T
-    if absorbed.any():
-        interference = out * absorbed
+    gains = None if order_mode == "distance" else out.T
+    # P_j of each j ranked ahead of k, added in ascending j: np.sum adds pairwise
+    absorbed = [0.0] * len(group_of) if gains is None else np.zeros_like(gains)
+    for k, group in enumerate(group_of):
+        for j, other in enumerate(group_of):
+            if other == group and j != k:
+                absorbed[k] += p[j] * ranks_ahead(j, k, gains)
+    if np.any(absorbed):
+        interference = out * np.transpose(absorbed)  # (K,) or (K, N) absorbed
         interference += noise_variance
     else:
         # nothing absorbed: skip a fresh (N, K) array that would be sigma^2

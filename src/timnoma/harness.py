@@ -64,7 +64,7 @@ from .analytics import ORDER_MODES, hybrid_rate_table
 from .channel import draw_fading_power
 from .errors import ConfigError, ValidationError
 from .modem import qpsk_levels
-from .receiver import cancel_mask, decode
+from .receiver import decode
 from .topology import Cell, _is_int, build_cell
 
 WORKERS_ENV = "TIMNOMA_WORKERS"
@@ -345,7 +345,6 @@ def _ber_point(config: SimConfig, snr_index: int, snr_db: float) -> list:
     scale = math.sqrt(config.noise_variance(snr_db) / 2.0)
     blocks = symbols_per_frame if config.fading_mode == "block" else 1
     per_frame_order = config.decoding_order_mode == "instantaneous"
-    cancel = cancel_mask(cell.group_of)
     # receiver k's noise on block s is normals[k, s, 0] on the real axis
     # and normals[k, s, 1] on the imaginary axis
     normals = np.empty((count, symbols_per_frame, 2))
@@ -357,13 +356,11 @@ def _ber_point(config: SimConfig, snr_index: int, snr_db: float) -> list:
         # int32 draws the same bits as int64 and leaves the stream in place
         bits = rng.integers(0, 2, size=(count, config.bits_per_frame), dtype=np.int32)
         rng.standard_normal(out=normals)
-        if per_frame_order:
-            cancel = cancel_mask(cell.group_of, gains)
         channels = np.sqrt(gains)
         signal = _received(qpsk_levels(bits), channels, amp, cell.group_of)
         normals *= scale
         signal += normals
-        decided = decode(signal, channels, amp, cancel)
+        decided = decode(signal, channels, amp, cell.group_of, gains if per_frame_order else None)
         frame_errors = np.count_nonzero(decided != bits, axis=1).tolist()
         frame_errors.append(sum(frame_errors))
         for k, frame_count in enumerate(frame_errors):
@@ -429,7 +426,7 @@ def _rate_point(config: SimConfig, snr_index: int, snr_db: float) -> list:
     whatever the realization count. The single-user rates and the TDMA
     baseline are ``hybrid_rate_table`` on ``lone``, each user alone in its
     group at full power with the cell's T kept. Nobody there absorbs
-    anybody, so the order cannot matter: distance order spares the mask.
+    anybody, so the order cannot matter and distance order costs least.
     """
     cell = _scene(config)
     count = cell.user_count

@@ -17,12 +17,11 @@ strongest uncancelled signal is always detected first), then detects its
 own symbol. Same-group signals ranked before the receiver are absorbed as
 noise.
 
-``decode`` runs this for every receiver of a frame at once. Which user a
-receiver cancels on which block is a boolean (receiver, interferer, block)
-mask from ``cancel_mask``, so the static distance order and the per-block
-instantaneous order share one kernel; a single-user run is a cell of
-one-user groups, whose mask is all false. ``cancel_mask`` is the only
-statement of the decoding order: the rate tables read it too.
+``decode`` runs this for every receiver of a frame at once. The decoding
+order is one pairwise rule, ``ranks_ahead``, by distance or block by block
+by instantaneous gain, so both orders share one kernel; a single-user run
+is a cell of one-user groups, where nobody ranks ahead of anybody. The
+rule is the only statement of the order: the rate tables read it too.
 
 Nothing here calls BLAS: every sum runs over an axis of length at most K,
 where a broadcast is cheaper than a BLAS call and never starts BLAS
@@ -37,33 +36,27 @@ from .errors import ValidationError
 from .modem import LEVEL
 
 
-def cancel_mask(group_of, gains=None) -> np.ndarray:
-    """Boolean (receiver, interferer, block) SIC cancel mask.
+def ranks_ahead(j, k, gains=None):
+    """Whether user j is decoded before user k in their group's SIC order.
 
-    ``mask[k, j, s]`` is true when receiver k detects and subtracts user j
-    on block s: j shares k's group (``group_of`` holds one group index per
-    user) and ranks after k in the decoding order.
-    Without ``gains`` the order is by distance (user index), so the mask is
-    ``same_group & (j > k)`` with a single block axis entry. With ``gains``
-    of shape (K,) or (K, S), the instantaneous channel gains gamma |h|^2,
-    the order is by decreasing gain, block by block: j ranks after k where
-    its gain is smaller, ties going to the larger index. The gains are
-    taken unscaled: dividing them by sigma^2 cannot change the order, only
-    add ties by rounding.
+    Without ``gains`` the order is by distance: j < k, the nearer user
+    first. With ``gains`` of shape (K,) or (K, S), the instantaneous
+    channel gains gamma |h|^2, the order is by decreasing gain, block by
+    block, a tie going to the smaller index; the result then has the
+    gains' block axis. ``j`` may be an index array, which gives one row per
+    entry. The gains are taken unscaled: dividing them by sigma^2 cannot
+    change the order, only add ties by rounding.
     """
-    users = np.arange(len(group_of))
-    group_of = np.asarray(group_of)
-    later = (users[np.newaxis, :] > users[:, np.newaxis])[:, :, np.newaxis]
-    same_group = (group_of[np.newaxis, :] == group_of[:, np.newaxis])[:, :, np.newaxis]
+    nearer = j < k
     if gains is None:
-        return same_group & later
-    gains = np.asarray(gains, dtype=float).reshape(len(users), -1)
-    own = gains[:, np.newaxis, :]
-    other = gains[np.newaxis, :, :]
-    return same_group & ((other < own) | ((other == own) & later))
+        return nearer
+    gains = np.asarray(gains)
+    nearer = np.reshape(nearer, np.shape(nearer) + (1,) * (gains.ndim - 1))
+    gain_j, gain_k = gains[j], gains[k]
+    return (gain_j > gain_k) | ((gain_j == gain_k) & nearer)
 
 
-def decode(signal, channels, amplitudes, cancel, genie_symbols=None) -> np.ndarray:
+def decode(signal, channels, amplitudes, group_of, gains=None, genie_symbols=None) -> np.ndarray:
     """Run every receiver's SIC chain and return the bits it decides.
 
     ``signal`` is (K, S, 2) real: receiver k's derotated signal on block s,
@@ -72,17 +65,18 @@ def decode(signal, channels, amplitudes, cancel, genie_symbols=None) -> np.ndarr
     ``channels`` holds each receiver's channel magnitude
     |g_k| = sqrt(gamma_k |h_k|^2), shape (K, S), or (K, 1) when it is
     constant over the frame. ``amplitudes`` are the transmit amplitudes
-    sqrt(P_j). ``cancel`` is a (K, K, S) or (K, K, 1) mask from
-    ``cancel_mask``.
+    sqrt(P_j), ``group_of`` holds one group index per user, and ``gains``
+    picks the decoding order as ``ranks_ahead`` does: None for distance
+    order, or the (K,), (K, 1) or (K, S) instantaneous gains.
 
-    Interferers are swept in descending transmit power. Each one is
+    Interferers are swept in descending transmit power. Each one, j, is
     detected on every axis by the sign of the running residual of every
-    receiver that cancels it on some block, and its reconstruction
-    |g| * sqrt(P_j) * level is subtracted on the blocks the mask selects,
-    so detection errors propagate exactly as in a real chain. If
-    ``genie_symbols`` ((K, S, 2), the transmitted levels) is given, the
-    true levels are subtracted instead, which isolates each receiver's own
-    detection from propagation effects.
+    member of its group that ranks ahead of it on some block, and its
+    reconstruction |g| * sqrt(P_j) * level is subtracted on the blocks
+    where that member ranks ahead, so detection errors propagate exactly
+    as in a real chain. If ``genie_symbols`` ((K, S, 2), the transmitted
+    levels) is given, the true levels are subtracted instead, which
+    isolates each receiver's own detection from propagation effects.
 
     Returns (K, 2S) booleans in the bit order ``qpsk_levels`` reads: a
     negative residual decides bit 1, and an exact zero decides bit 0.
@@ -90,13 +84,16 @@ def decode(signal, channels, amplitudes, cancel, genie_symbols=None) -> np.ndarr
     residual = signal
     amplitudes = np.asarray(amplitudes, dtype=float)
     count = len(amplitudes)
-    cancel = np.asarray(cancel, dtype=bool)
-    if residual.shape[:1] + residual.shape[2:] != (count, 2) or cancel.shape[:2] != (count, count):
+    group_of = np.asarray(group_of)
+    if residual.shape[:1] + residual.shape[2:] != (count, 2) or group_of.shape != (count,):
         raise ValidationError(
-            f"signal {residual.shape} and cancel mask {cancel.shape} do not match {count} users"
+            f"signal {residual.shape} and groups {group_of.shape} do not match {count} users"
         )
     for j in np.argsort(-amplitudes, kind="stable"):
-        rows = np.flatnonzero(cancel[:, j, :].any(axis=1))
+        rows = np.flatnonzero(group_of == group_of[j])
+        ahead = ranks_ahead(rows, j, gains).reshape(rows.size, -1)  # (rows, S) or (rows, 1)
+        cancels = ahead.any(axis=1)
+        rows, ahead = rows[cancels], ahead[cancels]
         if rows.size == 0:
             continue
         running = residual[rows]
@@ -105,6 +102,6 @@ def decode(signal, channels, amplitudes, cancel, genie_symbols=None) -> np.ndarr
         else:
             estimate = genie_symbols[j]
         reconstruction = channels[rows, :, np.newaxis] * amplitudes[j] * estimate
-        np.subtract(running, reconstruction, out=running, where=cancel[rows, j, :, np.newaxis])
+        np.subtract(running, reconstruction, out=running, where=ahead[:, :, np.newaxis])
         residual[rows] = running
     return (residual < 0).reshape(count, -1)

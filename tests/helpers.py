@@ -80,6 +80,29 @@ def instantaneous_noise_sets(gains, group_of):
     }
 
 
+def cancel_mask(group_of, gains=None):
+    """Boolean (receiver, interferer, block) SIC cancel mask: the decoding
+    order written out in full, as the package once built it per frame.
+
+    ``mask[k, j, s]`` is true when receiver k detects and subtracts user j
+    on block s: j shares k's group and ranks after k. Without ``gains`` the
+    order is by distance (user index), with a single block axis entry.
+    With ``gains`` of shape (K,) or (K, S) the order is by decreasing gain,
+    block by block: j ranks after k where its gain is smaller, ties going
+    to the larger index. Kept as the oracle of ``receiver.ranks_ahead``.
+    """
+    users = np.arange(len(group_of))
+    group_of = np.asarray(group_of)
+    later = (users[np.newaxis, :] > users[:, np.newaxis])[:, :, np.newaxis]
+    same_group = (group_of[np.newaxis, :] == group_of[:, np.newaxis])[:, :, np.newaxis]
+    if gains is None:
+        return same_group & later
+    gains = np.asarray(gains, dtype=float).reshape(len(users), -1)
+    own = gains[:, np.newaxis, :]
+    other = gains[np.newaxis, :, :]
+    return same_group & ((other < own) | ((other == own) & later))
+
+
 def givens_basis(size):
     """Precoding vectors from pi/3 Givens rotations, in plain Python floats.
 

@@ -15,7 +15,6 @@ import pytest
 
 from timnoma import (
     SimConfig,
-    cancel_mask,
     decode,
     emit_csv,
     hybrid_rate_table,
@@ -125,15 +124,14 @@ def test_criterion_03_genie_sic_cancellation(ref_cell, ref_basis):
     # the receiver works on the derotated real baseband: conj(g)/|g| * r
     signal, magnitudes = derotate(project(received, ref_basis, group_of), channels)
     scale = np.hypot(signal[..., 0], signal[..., 1])
-    mask = cancel_mask(ref_cell.group_of)
     amplitudes = np.sqrt(np.asarray(ref_cell.powers))
-    decode(signal, magnitudes, amplitudes, mask, genie_symbols=levels(symbols))
+    decode(signal, magnitudes, amplitudes, ref_cell.group_of, genie_symbols=levels(symbols))
     residual = signal.view(complex)[..., 0]
     # after genie cancellation each receiver keeps its own signal, the
     # same-group signals ranked before it, and its projected noise
     worst = 0.0
     for k in range(5):
-        kept = mask[:, k, 0] | (np.arange(5) == k)
+        kept = sorted(reference_noise_sets()[k] + [k])
         own_and_uncancelled = amplitudes[kept] @ symbols[kept]
         expected = channels[k] * own_and_uncancelled + ref_basis[group_of[k]] @ noise[k]
         expected = np.conj(channels[k]) / magnitudes[k] * expected

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -60,7 +61,7 @@ class TestUserRate:
 
     def test_matches_matrix_oracle(self, ref_cell):
         # both decoding orders; the instantaneous noise sets come from the
-        # ranking rule in helpers, not from the package's cancel mask
+        # ranking rule in helpers, not from the package's ranks_ahead
         rng = np.random.default_rng(3)
         vectors = reference_group_vectors()
         for _ in range(25):
@@ -235,6 +236,38 @@ class TestRateTables:
         ahead = hybrid_rate_table(cell, np.array([[1.0, 8.5]]), UNIT_NOISE, "instantaneous")
         assert ahead[0, 0] == pytest.approx(log2(1 + p0 / (p1 + 1)), rel=1e-12)
         assert ahead[0, 1] == pytest.approx(log2(1 + p1 * 1.0625), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "distances, shape",
+        [
+            ((1.0,), (4, 5)),  # was a (4, 5) table for one user
+            (REFERENCE_DISTANCES, (4, 1)),  # was one fading value for all five users
+            (REFERENCE_DISTANCES, (4, 5, 1)),  # was a (4, 5, 5) table
+            (REFERENCE_DISTANCES, (4, 3)),  # was numpy's broadcast ValueError
+            (REFERENCE_DISTANCES, (5,)),  # was numpy's broadcast ValueError
+        ],
+    )
+    @pytest.mark.parametrize("order_mode", ["distance", "instantaneous"])
+    def test_rejects_wrong_shaped_fading(self, distances, shape, order_mode):
+        cell = build_cell(distances, 3.0, 1, 40.0)
+        with pytest.raises(ValidationError, match="fading_power is"):
+            hybrid_rate_table(cell, np.ones(shape), UNIT_NOISE, order_mode)
+        with pytest.raises(ValidationError, match="fading_power is"):
+            hybrid_rate_table(lone_cell(cell, 40.0), np.ones(shape), UNIT_NOISE)
+
+    def test_instantaneous_order_memory_stays_near_the_fading(self):
+        # one full rate chunk of the largest cell at T = 4: the (K, K, N)
+        # mask and its float64 copy took 20 times the fading's bytes; the
+        # rule's temporaries are (N,) arrays beside three (N, K) arrays
+        cell = build_cell([0.5 + 0.25 * k for k in range(16)], 3.0, 4, 40.0)
+        fading_power = np.random.default_rng(14).exponential(size=(16, 16384)).T
+        tracemalloc.start()
+        try:
+            hybrid_rate_table(cell, fading_power, UNIT_NOISE, "instantaneous")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * fading_power.nbytes
 
     def test_rejects_complex_fading(self, ref_cell):
         fading = draw_fading(np.random.default_rng(12), 5, blocks=4).T

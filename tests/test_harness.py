@@ -51,6 +51,9 @@ from helpers import (
     reference_noise_sets,
 )
 
+# the largest accepted cell, 0.5 to 4.25 km: past 8 users a numpy sum over
+# users may add pairwise, so only these pins see the order of additions
+K16_DISTANCES = tuple(0.5 + 0.25 * k for k in range(16))
 TINY_BER = SimConfig(frames=3, bits_per_frame=128, snr_grid_db=(20.0, 30.0))
 
 
@@ -857,7 +860,9 @@ class TestPinnedBerBytes:
     changes them. ``VALUE_SHA256`` hashes the CSVs without their stderr
     column; it was recorded before, and held across, the move of the
     stderr from a binomial over bits to the spread of per-frame error
-    counts, when the whole-file ``SHA256`` was re-recorded."""
+    counts, when the whole-file ``SHA256`` was re-recorded. The 16-user
+    ``k16-*`` cases were recorded before the (K, K, S) cancel mask gave way
+    to the pairwise order rule, and held across it."""
 
     BASE = SimConfig(frames=3, bits_per_frame=192, snr_grid_db=(10.0, 25.0, 40.0))
     CASES = {
@@ -871,6 +876,17 @@ class TestPinnedBerBytes:
             "distances": (0.4, 0.9, 1.5, 2.2, 3.0, 3.9, 4.8),
             "group_count": 3,
             "decoding_order_mode": "instantaneous",
+        },
+        **{
+            f"k16-t{slots}-{order}-{fading}": {
+                "distances": K16_DISTANCES,
+                "group_count": slots,
+                "decoding_order_mode": order,
+                "fading_mode": fading,
+            }
+            for slots in (1, 4)
+            for order in ("distance", "instantaneous")
+            for fading in ("block", "frame")
         },
     }
     SHA256 = {
@@ -886,6 +902,14 @@ class TestPinnedBerBytes:
         ("one-user", "ber_single_user"): "f9e04f07d6c28153eb83a3511c39a16b5e8c8adc1231c1ff9fd3f1c56d2c82bc",
         ("three-groups", "ber"): "e884dcf8ee2c9b088fe42dc12fec737ea46445cd8985885348ad60ba5562dfa1",
         ("three-groups", "ber_single_user"): "e5843b86c51f343a94795855ad09effb9cdcc6bb5c07c597bfa40981f2d9cbe0",
+        ("k16-t1-distance-block", "ber"): "72e220cd18cfac4d62cc628116efe80e0316f175f082699fa457984596902769",
+        ("k16-t1-distance-frame", "ber"): "05e76b0000e948a01c7a79b91713769b21ac4b050419c56e57e787d963506faf",
+        ("k16-t1-instantaneous-block", "ber"): "149af2a4cd2e27dea9754edc92b657c774117c5ac5519eb42429ae120e47a207",
+        ("k16-t1-instantaneous-frame", "ber"): "caeb59bd92296a90b693175845b4ad63a34359f4b5c1ac7489344262e2f69cf7",
+        ("k16-t4-distance-block", "ber"): "995616f8f2d0e643d77158b7b13fd1f9602cf12db4c476c3b51a34b073e25abf",
+        ("k16-t4-distance-frame", "ber"): "bd619d02d23352b9c5193a26f731aa8e0f601a3a4d825e371de57088fb8ffc85",
+        ("k16-t4-instantaneous-block", "ber"): "1fa01fe918ad8fcf78d2cbca4322c45822b68bb3c95e40a249084f48b4640e0a",
+        ("k16-t4-instantaneous-frame", "ber"): "796780aab9301136e5bfd779bc8bb112d62f9c20e47a838e9a7f44f9a79a2caa",
     }
 
     VALUE_SHA256 = {
@@ -901,6 +925,14 @@ class TestPinnedBerBytes:
         ("one-user", "ber_single_user"): "b2dd890e1dc46262a996937dc1d341d2a61bed3746a167e0999181c804ca191d",
         ("three-groups", "ber"): "412d1f694125004e8aef16098c2199b552922ffab92b22258770158ee10258a6",
         ("three-groups", "ber_single_user"): "8ce2856348f580a5761fe32d9721d8e40f6701624bd0bcce661f22367a53de2e",
+        ("k16-t1-distance-block", "ber"): "e98fb36609ae39031a448ebb8a5a2958eee13c76d8668457da5b0ac017c2a84c",
+        ("k16-t1-distance-frame", "ber"): "f8335aba67c1b1494d9ac448ccee387756cf5a5f22778442571e5490a95cf5be",
+        ("k16-t1-instantaneous-block", "ber"): "6b1288a290b8caa94c083f1fa6e6dcc770c30cbd101740068d3c90973bff0610",
+        ("k16-t1-instantaneous-frame", "ber"): "d913f18c029744e790b13626b8dd7e1a6e7a5cf534546e260bd698cbbff075a7",
+        ("k16-t4-distance-block", "ber"): "0a200335e5dd68f450c134c243cf59e48494a729ceadedd3cace67ef5981098a",
+        ("k16-t4-distance-frame", "ber"): "67b501edbf22bcd3f317d87c949d4cd1ea9481ee19881db78cf9b9caaa78a0b2",
+        ("k16-t4-instantaneous-block", "ber"): "17dcc6577f811fa9c407f400423d1a8ca6222028408fef8e55ed218259115081",
+        ("k16-t4-instantaneous-frame", "ber"): "9289087fa8cfdaf9db41456d63170fb3d9731630a7037b2ddd197962e4f84602",
     }
 
     @pytest.mark.parametrize("case,experiment", sorted(SHA256))
@@ -921,7 +953,10 @@ class TestPinnedRateBytes:
     statistics' arithmetic changes them. The multi-chunk case (two full
     chunks of 16 384 realizations and a ragged one) was recorded when rate
     points moved to chunked draws and merged moments; every other case has
-    a single chunk and kept its bytes."""
+    a single chunk and kept its bytes. The 16-user ``k16-*`` cases were
+    recorded before the (K, K, S) cancel mask gave way to the pairwise
+    order rule, and held across it: 15 absorbed powers per user are enough
+    for a pairwise numpy sum to move a byte."""
 
     BASE = SimConfig(frames=40, snr_grid_db=(0.0, 20.0, 40.0))
     CASES = {
@@ -933,6 +968,15 @@ class TestPinnedRateBytes:
             "decoding_order_mode": "instantaneous",
         },
         "multi-chunk": {"frames": 2 * 16384 + 7},
+        **{
+            f"k16-t{slots}-{order}": {
+                "distances": K16_DISTANCES,
+                "group_count": slots,
+                "decoding_order_mode": order,
+            }
+            for slots in (1, 4)
+            for order in ("distance", "instantaneous")
+        },
     }
     SHA256 = {
         ("distance", "rate"): "f5de9e3bde402fdd7a297db3dceaf94fc531ce40a0949c8389cae6b3160f82bb",
@@ -945,6 +989,14 @@ class TestPinnedRateBytes:
         ("three-groups", "rate_single_user"): "084f1b28cef6e9b122dd18268739e972b31b1735b4da00c0d98b90b4d6e55078",
         ("three-groups", "ratio"): "8951152ddda3c14a0521181e24ebca270bb1c7298346c55b63a569a2df8b5414",
         ("multi-chunk", "ratio"): "44efd7e4f78daac489a1b29d4845bab6bf2d24898727c985518b5443584b1de4",
+        ("k16-t1-distance", "rate"): "af275eed40d6ca1070b0bc773ab1825df63823bfd748c0905129950b554549a9",
+        ("k16-t1-distance", "ratio"): "a0e4aa01d33ca32b7b80d3193c78299e80e7063ff9368b1e4bfb7279f6cd7d10",
+        ("k16-t1-instantaneous", "rate"): "aa1dea83f398b9b734fb67a0f6ca11808b26c109668caaf3b06c0544e5e1d0e6",
+        ("k16-t1-instantaneous", "ratio"): "8675e0530869b3fb4891f91a7073a924da263ac96f7e9f286a6e45dd2be2bae2",
+        ("k16-t4-distance", "rate"): "a290b7b07c1a0990be0276110488f275290c9020472eb5833181e40b9f3a8269",
+        ("k16-t4-distance", "ratio"): "f5a340ae9bb4bdf0acbacbd7167f44550d86298d66ac06500b5bb6a6e0014fa8",
+        ("k16-t4-instantaneous", "rate"): "1f2ca35ca574a214fe37f68a53b1f8b3baf388e3db34d36b71ebbdc81de35ba9",
+        ("k16-t4-instantaneous", "ratio"): "6e140b91962313280af20d2712f6b55371545088994abaf71fe49312bb13696a",
     }
 
     @pytest.mark.parametrize("case,experiment", sorted(SHA256))

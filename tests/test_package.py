@@ -17,7 +17,6 @@ PUBLIC = [
     "SimConfig",
     "ValidationError",
     "build_cell",
-    "cancel_mask",
     "decode",
     "draw_fading_power",
     "emit_csv",
@@ -26,10 +25,12 @@ PUBLIC = [
     "parse_config_text",
     "parse_snr_grid",
     "qpsk_levels",
+    "ranks_ahead",
     "run_experiment",
 ]
 
-# scalar copies of the rate tables, the single-user rate table that
+# the (K, K, S) cancel mask that the pairwise ``receiver.ranks_ahead``
+# replaced, scalar copies of the rate tables, the single-user rate table that
 # hybrid_rate_table computes on a cell of lone users, per-experiment
 # runners, the validating replace that run_experiment's own check made
 # redundant, functions and names only tests read, the physical chain the
@@ -51,6 +52,7 @@ REMOVED = [
     "assemble_transmit",
     "assign_groups",
     "build_topology",
+    "cancel_mask",
     "channel_matrix",
     "dof_total",
     "draw_fading",

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ from timnoma import (
     SimConfig,
     ValidationError,
     build_cell,
-    cancel_mask,
     decode,
+    ranks_ahead,
 )
 from timnoma.harness import _received, _scene
 
@@ -18,6 +19,7 @@ from helpers import (
     CONSTELLATION,
     REFERENCE_DISTANCES,
     add_noise,
+    cancel_mask,
     derotate,
     draw_fading,
     levels,
@@ -36,18 +38,29 @@ def random_symbols(rng, shape):
     return CONSTELLATION[rng.integers(0, 4, size=shape)]
 
 
-def one_group(count):
-    return (0,) * count
+def cancel_sets(group_of, gains=None):
+    """Users each receiver cancels, in sweep order (descending power): the
+    members of its group that it ranks ahead of."""
+    users = range(len(group_of))
+    return tuple(
+        tuple(j for j in reversed(users) if group_of[j] == group_of[k] and ranks_ahead(k, j, gains))
+        for k in users
+    )
 
 
-def cancel_sets(mask):
-    """Users each receiver cancels, in sweep order (descending power)."""
-    return tuple(tuple(int(j) for j in np.flatnonzero(row[:, 0])[::-1]) for row in mask)
+def noise_sets(group_of, gains=None):
+    """Same-group users ranked ahead of each receiver: never cancelled."""
+    users = range(len(group_of))
+    return tuple(
+        tuple(j for j in users if group_of[j] == group_of[k] and ranks_ahead(j, k, gains))
+        for k in users
+    )
 
 
-def noise_sets(mask):
-    """Same-group users ranked before each receiver: never cancelled."""
-    return tuple(tuple(int(j) for j in np.flatnonzero(mask[:, k, 0])) for k in range(len(mask)))
+def order_matrix(gains):
+    """entry [k, j]: user k ranks ahead of user j, so j ranks after k."""
+    users = range(len(gains))
+    return np.array([[ranks_ahead(k, j, gains) for j in users] for k in users])
 
 
 def amplitudes(cell):
@@ -101,21 +114,54 @@ class TestProject:
 
 
 class TestDecodingOrder:
-    # one group of users, so the mask is the decoding order itself:
-    # mask[k, j] says j ranks after k
+    # order_matrix(gains)[k, j] says j ranks after k
 
     def test_reference_gains(self):
         gains = [8.0, 0.29630, 0.064, 0.02332, 0.01097]
-        mask = cancel_mask(one_group(5), gains)[:, :, 0]
-        np.testing.assert_array_equal(mask, np.triu(np.ones((5, 5), dtype=bool), k=1))
+        np.testing.assert_array_equal(order_matrix(gains), np.triu(np.ones((5, 5), dtype=bool), k=1))
 
     def test_ties_break_by_index(self):
-        mask = cancel_mask(one_group(3), [1.0, 1.0, 1.0])[:, :, 0]
-        np.testing.assert_array_equal(mask, np.triu(np.ones((3, 3), dtype=bool), k=1))
+        np.testing.assert_array_equal(
+            order_matrix([1.0, 1.0, 1.0]), np.triu(np.ones((3, 3), dtype=bool), k=1)
+        )
 
     def test_fading_can_flip_the_order(self):
-        mask = cancel_mask(one_group(2), [1.0, 5.0])[:, :, 0]
-        np.testing.assert_array_equal(mask, [[False, False], [True, False]])
+        np.testing.assert_array_equal(order_matrix([1.0, 5.0]), [[False, False], [True, False]])
+
+
+@st.composite
+def orders(draw):
+    """A grouping of 1 to 16 users into 1 to K groups, and no gains (distance
+    order) or (K,) or (K, S) gains from a small set, so that ties occur."""
+    count = draw(st.integers(1, 16))
+    group_count = draw(st.integers(1, count))
+    group_of = tuple(draw(st.lists(st.integers(0, group_count - 1), min_size=count, max_size=count)))
+    shape = draw(st.sampled_from([None, (count,), (count, draw(st.integers(1, 4)))]))
+    if shape is None:
+        return group_of, None
+    size = math.prod(shape)
+    values = draw(st.lists(st.sampled_from([0.25, 1.0, 3.0]), min_size=size, max_size=size))
+    return group_of, np.reshape(values, shape)
+
+
+class TestRanksAheadMatchesTheMask:
+    """The pairwise rule against the (receiver, interferer, block) mask it
+    replaced, over every same-group pair, as scalars and as the index rows
+    ``decode`` passes."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(order=orders())
+    def test_every_same_group_pair(self, order):
+        group_of, gains = order
+        mask = cancel_mask(group_of, gains)
+        for j in range(len(group_of)):
+            rows = np.flatnonzero(np.asarray(group_of) == group_of[j])
+            ahead = ranks_ahead(rows, j, gains).reshape(rows.size, -1)
+            np.testing.assert_array_equal(ahead, np.broadcast_to(mask[rows, j], ahead.shape))
+            for k in rows:
+                np.testing.assert_array_equal(
+                    np.broadcast_to(ranks_ahead(k, j, gains), mask[k, j].shape), mask[k, j]
+                )
 
 
 def ml_detect(residual, channel):
@@ -124,7 +170,7 @@ def ml_detect(residual, channel):
     residual = np.atleast_1d(residual)
     channel = np.broadcast_to(channel, residual.shape)
     signal, magnitudes = derotate(residual[np.newaxis], channel[np.newaxis])
-    bits = decode(signal, magnitudes, [1.0], np.zeros((1, 1, 1), dtype=bool))[0]
+    bits = decode(signal, magnitudes, [1.0], [0])[0]
     decided = CONSTELLATION[2 * bits[0::2] + bits[1::2]]
     return complex(decided[0]) if decided.shape == (1,) else decided
 
@@ -177,14 +223,11 @@ class TestMlDetect:
 
 class TestSicPlan:
     def test_distance_order_reference_cell(self, ref_cell):
-        mask = cancel_mask(ref_cell.group_of)
-        assert mask.shape == (5, 5, 1)
-        assert cancel_sets(mask) == ((4, 2), (3,), (4,), (), ())
-        assert noise_sets(mask) == ((), (), (0,), (1,), (0, 2))
+        assert cancel_sets(ref_cell.group_of) == ((4, 2), (3,), (4,), (), ())
+        assert noise_sets(ref_cell.group_of) == ((), (), (0,), (1,), (0, 2))
 
     def test_sets_partition_the_group(self, ref_cell):
-        mask = cancel_mask(ref_cell.group_of)
-        cancels, noises = cancel_sets(mask), noise_sets(mask)
+        cancels, noises = cancel_sets(ref_cell.group_of), noise_sets(ref_cell.group_of)
         for user in range(5):
             combined = set(cancels[user]) | set(noises[user]) | {user}
             assert combined == set(members(ref_cell.group_of)[ref_cell.group_of[user]])
@@ -192,9 +235,9 @@ class TestSicPlan:
 
     def test_flipped_order_swaps_sets(self, ref_cell):
         # gains rising with index reverse the order to (4, 3, 2, 1, 0)
-        mask = cancel_mask(ref_cell.group_of, [1.0, 2.0, 3.0, 4.0, 5.0])
-        assert cancel_sets(mask)[4] == (2, 0)
-        assert noise_sets(mask)[0] == (2, 4)
+        gains = [1.0, 2.0, 3.0, 4.0, 5.0]
+        assert cancel_sets(ref_cell.group_of, gains)[4] == (2, 0)
+        assert noise_sets(ref_cell.group_of, gains)[0] == (2, 4)
 
     def test_cancellation_runs_strongest_power_first(self, ref_cell, ref_basis):
         # receiver 0 must cancel user 4 before user 2: detecting user 2
@@ -205,7 +248,7 @@ class TestSicPlan:
         signal, magnitudes = real_bank(
             ref_cell, ref_basis, symbols, fading
         )
-        bits = decode(signal, magnitudes, amplitudes(ref_cell), cancel_mask(ref_cell.group_of))
+        bits = decode(signal, magnitudes, amplitudes(ref_cell), ref_cell.group_of)
         np.testing.assert_array_equal(bits[0], [False, False])
         own = magnitudes[0, :, None] * math.sqrt(ref_cell.powers[0]) * levels(symbols[0])
         np.testing.assert_allclose(signal[0], own, rtol=1e-12)
@@ -218,7 +261,7 @@ class TestSicDecode:
         signal, magnitudes = real_bank(
             ref_cell, ref_basis, symbols, fading
         )
-        bits = decode(signal, magnitudes, amplitudes(ref_cell), cancel_mask(ref_cell.group_of))
+        bits = decode(signal, magnitudes, amplitudes(ref_cell), ref_cell.group_of)
         np.testing.assert_array_equal(bits, qpsk_demodulate(symbols))
 
     def test_strongest_power_user_detects_without_cancelling(self, ref_cell, ref_basis, rng):
@@ -228,9 +271,8 @@ class TestSicDecode:
             ref_cell, ref_basis, symbols, fading
         )
         projected = signal.copy()
-        mask = cancel_mask(ref_cell.group_of)
-        decode(signal, magnitudes, amplitudes(ref_cell), mask)
-        assert cancel_sets(mask)[4] == ()
+        decode(signal, magnitudes, amplitudes(ref_cell), ref_cell.group_of)
+        assert cancel_sets(ref_cell.group_of)[4] == ()
         np.testing.assert_array_equal(signal[4, 0], projected[4, 0])
 
     def test_middle_user_cancels_exactly_one(self, ref_cell, ref_basis, rng):
@@ -240,9 +282,8 @@ class TestSicDecode:
         signal, magnitudes = real_bank(
             ref_cell, ref_basis, symbols, fading
         )
-        mask = cancel_mask(ref_cell.group_of)
-        decode(signal, magnitudes, amplitudes(ref_cell), mask)
-        assert cancel_sets(mask)[2] == (4,)
+        decode(signal, magnitudes, amplitudes(ref_cell), ref_cell.group_of)
+        assert cancel_sets(ref_cell.group_of)[2] == (4,)
         # the residual still carries user 0's signal (treated as noise)
         leftover = magnitudes[2, 0] * (
             math.sqrt(ref_cell.powers[0]) * levels(symbols[0, 0])
@@ -259,7 +300,7 @@ class TestSicDecode:
             ref_cell, ref_basis, symbols, fading, noise
         )
         signal, magnitudes = derotate(projected, channels)
-        decode(signal, magnitudes, amplitudes(ref_cell), cancel_mask(ref_cell.group_of),
+        decode(signal, magnitudes, amplitudes(ref_cell), ref_cell.group_of,
                genie_symbols=levels(symbols))
         expected = (
             channels[0] * math.sqrt(ref_cell.powers[0]) * symbols[0]
@@ -277,7 +318,7 @@ class TestSicDecode:
         signal, magnitudes = real_bank(
             ref_cell, ref_basis, symbols, fading
         )
-        decode(signal, magnitudes, amplitudes(ref_cell), cancel_mask(ref_cell.group_of))
+        decode(signal, magnitudes, amplitudes(ref_cell), ref_cell.group_of)
         own = magnitudes[0, :, None] * math.sqrt(ref_cell.powers[0]) * levels(symbols[0])
         np.testing.assert_allclose(signal[0], own, rtol=1e-12)
 
@@ -311,9 +352,9 @@ class TestPerBlockSic:
         signal, magnitudes = real_bank(
             ref_cell, ref_basis, symbols, fading, noise
         )
-        static = decode(signal.copy(), magnitudes, amplitudes(ref_cell), cancel_mask(ref_cell.group_of, gains))
-        per_block = cancel_mask(ref_cell.group_of, np.repeat(gains[:, None], n, axis=1))
-        dynamic = decode(signal, magnitudes, amplitudes(ref_cell), per_block)
+        static = decode(signal.copy(), magnitudes, amplitudes(ref_cell), ref_cell.group_of, gains)
+        per_block = np.repeat(gains[:, None], n, axis=1)
+        dynamic = decode(signal, magnitudes, amplitudes(ref_cell), ref_cell.group_of, per_block)
         np.testing.assert_array_equal(static, dynamic)
 
     def test_blocks_where_user_ranks_last_skip_cancellation(self, ref_cell, ref_basis):
@@ -327,7 +368,7 @@ class TestPerBlockSic:
         channels = np.ones((5, 1), dtype=complex)
         projected = project(np.broadcast_to(x, (5,) + x.shape), ref_basis, np.asarray(ref_cell.group_of))
         signal, magnitudes = derotate(projected, channels)
-        bits = decode(signal, magnitudes, amplitudes(ref_cell), cancel_mask(ref_cell.group_of, gains))
+        bits = decode(signal, magnitudes, amplitudes(ref_cell), ref_cell.group_of, gains)
         # block 0 cancels users 4 and 2, leaving the clean own symbol;
         # block 1 cancels nothing, so user 4's stronger signal dominates
         np.testing.assert_array_equal(bits[0], qpsk_demodulate(CONSTELLATION[[0, 3]]))
@@ -351,13 +392,12 @@ class TestDecodeBank:
         projected, channels = bank_signal(cell, basis, symbols, fading, noise)
         gamma = np.array(cell.path_gains)
         if order_mode == "distance":
-            gains, mask = np.repeat(gamma[:, None], n, axis=1), cancel_mask(cell.group_of)
+            gains, order = np.repeat(gamma[:, None], n, axis=1), None
         else:
-            gains = gamma[:, None] * np.abs(fading) ** 2
-            mask = cancel_mask(cell.group_of, gains)
+            gains = order = gamma[:, None] * np.abs(fading) ** 2
         expected = reference_sic_bits(projected, channels, cell.powers, cell.group_of, gains)
         signal, magnitudes = derotate(projected, channels)
-        bits = decode(signal, magnitudes, amplitudes(cell), mask)
+        bits = decode(signal, magnitudes, amplitudes(cell), cell.group_of, order)
         np.testing.assert_array_equal(bits, expected)
         # the run is noisy enough that SIC errors are exercised
         assert 0 < np.count_nonzero(bits != qpsk_demodulate(symbols)) < bits.size // 4
@@ -367,18 +407,36 @@ class TestDecodeBank:
         channels = rng.standard_normal((5, 1)) + 1j * rng.standard_normal((5, 1))
         signal, magnitudes = derotate(projected, channels)
         untouched = signal.copy()
-        bits = decode(signal, magnitudes, amplitudes(ref_cell), np.zeros((5, 5, 1), dtype=bool))
+        # every user alone in its group: nobody ranks ahead of anybody
+        bits = decode(signal, magnitudes, amplitudes(ref_cell), range(5))
         np.testing.assert_array_equal(signal, untouched)
         own = minimum_distance_detect(projected, channels, 1.0)
         np.testing.assert_array_equal(bits, qpsk_demodulate(own))
 
     def test_rejects_mismatched_shapes(self, ref_cell):
         with pytest.raises(ValidationError):
-            decode(np.zeros((4, 8, 2)), np.ones((4, 1)), amplitudes(ref_cell),
-                   cancel_mask(ref_cell.group_of))
+            decode(np.zeros((4, 8, 2)), np.ones((4, 1)), amplitudes(ref_cell), ref_cell.group_of)
         with pytest.raises(ValidationError):
-            decode(np.zeros((5, 16)), np.ones((5, 1)), amplitudes(ref_cell),
-                   cancel_mask(ref_cell.group_of))
+            decode(np.zeros((5, 16)), np.ones((5, 1)), amplitudes(ref_cell), ref_cell.group_of)
+        with pytest.raises(ValidationError):
+            decode(np.zeros((5, 8, 2)), np.ones((5, 1)), amplitudes(ref_cell), (0, 1, 0))
+
+    def test_instantaneous_order_memory_stays_near_the_signal(self):
+        # the largest cell at T = 4 with per-block order: a (K, K, S) mask
+        # took 3.5 times the signal's bytes; the rule needs a few (rows, S)
+        # arrays at a time
+        rng = np.random.default_rng(41)
+        cell = build_cell([0.5 + 0.25 * k for k in range(16)], 3.0, 4, 40.0)
+        gains = np.array(cell.path_gains)[:, None] * rng.exponential(size=(16, 16384))
+        channels = np.sqrt(gains)
+        signal = rng.standard_normal((16, 16384, 2))
+        tracemalloc.start()
+        try:
+            decode(signal, channels, amplitudes(cell), cell.group_of, gains)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * signal.nbytes
 
 
 @st.composite
@@ -443,9 +501,6 @@ class TestRealBasebandMatchesPhysicalChain:
         magnitudes = np.sqrt(gains)
         w = levels(np.conj(h) / np.abs(h) * z)
         signal = _received(levels(symbols), magnitudes, amplitudes(cell), kernel_groups) + w
-        if config.decoding_order_mode == "distance":
-            mask = cancel_mask(kernel_groups)
-        else:
-            mask = cancel_mask(kernel_groups, gains)
-        bits = decode(signal, magnitudes, amplitudes(cell), mask)
+        order = None if config.decoding_order_mode == "distance" else gains
+        bits = decode(signal, magnitudes, amplitudes(cell), kernel_groups, order)
         np.testing.assert_array_equal(bits, expected)
