@@ -21,7 +21,6 @@ from .harness import (
     parse_snr_grid,
     run_experiment,
 )
-from .modem import qpsk_levels
 from .receiver import decode, ranks_ahead
 from .topology import Cell, build_cell
 
@@ -41,7 +40,6 @@ __all__ = [
     "parse_config",
     "parse_config_text",
     "parse_snr_grid",
-    "qpsk_levels",
     "ranks_ahead",
     "run_experiment",
 ]

@@ -35,11 +35,13 @@ A BER frame is simulated on the derotated real baseband (see ``receiver``):
 projection cancels the other groups exactly, so receiver k's signal on
 each real axis is |g_k| times its group's superposed levels plus
 N(0, sigma^2/2) noise. Each frame draws the power gains |h|^2, then the
-bits, then one (K, S, 2) block of standard normals for the noise; a BER
-row's stderr comes from its per-frame error counts (see ``_ber_point``). A
-single-user BER run is the same simulation on a scene where every user is
-a group of one, so nothing is cancelled or absorbed; it differs from the
-hybrid run only by that scene and by having no ``sum`` row.
+bits, then one (K, S, 2) block of standard normals for the noise, into a
+buffer that the signal is added to and that SIC leaves the residual in; a
+BER row's stderr comes from its per-frame error counts (see
+``_ber_point``). A single-user BER run is the same simulation on a scene
+where every user is a group of one, so nothing is cancelled or absorbed;
+it differs from the hybrid run only by that scene and by having no
+``sum`` row.
 
 A rate point runs over chunks of ``_RATE_CHUNK`` (16 384) realizations,
 chunk c drawn from its own (seed, SNR index, c) substream, so its memory is
@@ -63,7 +65,7 @@ import numpy as np
 from .analytics import ORDER_MODES, hybrid_rate_table
 from .channel import draw_fading_power
 from .errors import ConfigError, ValidationError
-from .modem import qpsk_levels
+from .modem import LEVEL
 from .receiver import decode
 from .topology import Cell, _is_int, build_cell
 
@@ -307,28 +309,45 @@ def _scene(config: SimConfig) -> Cell:
     return cell
 
 
-def _received(levels, channels, amplitudes, group_of) -> np.ndarray:
-    """Every receiver's noiseless derotated signal, (K, S, 2) real.
+def _superpose(frame, bits, channels, amplitudes, group_of) -> None:
+    """Add every receiver's noiseless derotated signal to its noise, in place.
 
-    Receiver k sees |g_k| times the superposed levels sqrt(P_j) x_j of its
-    own group ``group_of[k]``, which is what is left of the transmit after
-    projection. ``levels`` are the (K, S, 2) QPSK levels of ``qpsk_levels``.
+    ``frame`` is the contiguous (K, S, 2) noise, ``bits`` the (K, 2S)
+    bits, and ``channels`` each receiver's |g_k| per axis, contiguous
+    (K, S, 2), or (K, 1, 1) when it holds for the frame. Receiver k's row
+    gets |g_k| times its group's total: the sum, in ascending user order, of
+    the members' signed amplitudes (1 - 2 b) sqrt(P_j) LEVEL, which are
+    their QPSK levels (bit 0 -> +, 1 -> -) times sqrt(P_j). That is what
+    is left of the transmit after projection.
     """
-    totals = np.zeros((max(group_of) + 1,) + levels.shape[1:])
+    count = len(group_of)
+    rows = frame.reshape(count, -1)  # views, so the additions land in frame
+    magnitudes = channels.reshape(count, -1)  # (K, 2S) or (K, 1)
+    signs = bits * -2  # 1 - 2 b, with one temporary
+    signs += 1
+    levels = amplitudes * LEVEL
+    total, term = np.empty(rows.shape[1]), np.empty(rows.shape[1])
+    members = {}
     for user, group in enumerate(group_of):
-        totals[group] += amplitudes[user] * levels[user]
-    signal = totals[list(group_of)]
-    signal *= channels[:, :, np.newaxis]
-    return signal
+        members.setdefault(group, []).append(user)
+    for users in members.values():
+        np.multiply(signs[users[0]], levels[users[0]], out=total)
+        for user in users[1:]:
+            np.multiply(signs[user], levels[user], out=term)
+            total += term
+        for k in users:
+            np.multiply(total, magnitudes[k], out=term)
+            rows[k] += term
 
 
 def _ber_point(config: SimConfig, snr_index: int, snr_db: float) -> list:
     """BER rows of one SNR point: each user's and, for the hybrid scheme,
     the pooled ``sum`` row.
 
-    Every frame decodes all K receivers at once. The group sums are loops
-    over at most K users and the rest is elementwise, so no BLAS call runs
-    per frame.
+    Every frame decodes all K receivers at once in one per-point buffer:
+    the noise is drawn into it, the signal is added to it and SIC leaves
+    the residual in it. The group sums are loops over at most K users and
+    the rest is elementwise, so no BLAS call runs per frame.
 
     The bits of a frame share its fading, and the two bits of a symbol
     share one block, so bits are not independent trials; the frames are.
@@ -340,27 +359,33 @@ def _ber_point(config: SimConfig, snr_index: int, snr_db: float) -> list:
     cell = _scene(config)
     count = cell.user_count
     symbols_per_frame = config.bits_per_frame // 2
-    gamma = np.array(cell.path_gains)
+    gamma = np.array(cell.path_gains)[:, np.newaxis]
     amp = np.sqrt(np.asarray(cell.powers))
     scale = math.sqrt(config.noise_variance(snr_db) / 2.0)
     blocks = symbols_per_frame if config.fading_mode == "block" else 1
     per_frame_order = config.decoding_order_mode == "instantaneous"
-    # receiver k's noise on block s is normals[k, s, 0] on the real axis
-    # and normals[k, s, 1] on the imaginary axis
-    normals = np.empty((count, symbols_per_frame, 2))
+    # receiver k's noise, then signal, then residual on block s is
+    # frame[k, s, 0] on the real axis and frame[k, s, 1] on the imaginary
+    # axis
+    frame = np.empty((count, symbols_per_frame, 2))
+    # |g| on both axes of each block, read by the signal and by SIC; under
+    # frame fading one (K, 1, 1) value, so the copy to the second axis is
+    # empty
+    channels = np.empty((count, blocks, 2 if blocks > 1 else 1))
     # per user, then for the whole frame: sums of error counts and squares
     errors, squares = [0] * (count + 1), [0] * (count + 1)
-    for frame in range(config.frames):
-        rng = np.random.default_rng(np.random.SeedSequence((config.seed, snr_index, frame)))
-        gains = gamma[:, np.newaxis] * draw_fading_power(rng, count, blocks)  # (K, S) or (K, 1)
+    for frame_index in range(config.frames):
+        rng = np.random.default_rng(np.random.SeedSequence((config.seed, snr_index, frame_index)))
+        gains = draw_fading_power(rng, count, blocks)  # (K, S) or (K, 1)
+        gains *= gamma
         # int32 draws the same bits as int64 and leaves the stream in place
         bits = rng.integers(0, 2, size=(count, config.bits_per_frame), dtype=np.int32)
-        rng.standard_normal(out=normals)
-        channels = np.sqrt(gains)
-        signal = _received(qpsk_levels(bits), channels, amp, cell.group_of)
-        normals *= scale
-        signal += normals
-        decided = decode(signal, channels, amp, cell.group_of, gains if per_frame_order else None)
+        rng.standard_normal(out=frame)
+        frame *= scale
+        np.sqrt(gains, out=channels[:, :, 0])
+        channels[:, :, 1:] = channels[:, :, :1]
+        _superpose(frame, bits, channels, amp, cell.group_of)
+        decided = decode(frame, channels, amp, cell.group_of, gains if per_frame_order else None)
         frame_errors = np.count_nonzero(decided != bits, axis=1).tolist()
         frame_errors.append(sum(frame_errors))
         for k, frame_count in enumerate(frame_errors):

@@ -17,7 +17,8 @@ strongest uncancelled signal is always detected first), then detects its
 own symbol. Same-group signals ranked before the receiver are absorbed as
 noise.
 
-``decode`` runs this for every receiver of a frame at once. The decoding
+``decode`` runs this for every receiver of a frame at once, subtracting
+each interferer from each cancelling receiver's row in place. The decoding
 order is one pairwise rule, ``ranks_ahead``, by distance or block by block
 by instantaneous gain, so both orders share one kernel; a single-user run
 is a cell of one-user groups, where nobody ranks ahead of anybody. The
@@ -64,22 +65,25 @@ def decode(signal, channels, amplitudes, group_of, gains=None, genie_symbols=Non
     final residual, the one its own symbols were detected from.
     ``channels`` holds each receiver's channel magnitude
     |g_k| = sqrt(gamma_k |h_k|^2), shape (K, S), or (K, 1) when it is
-    constant over the frame. ``amplitudes`` are the transmit amplitudes
-    sqrt(P_j), ``group_of`` holds one group index per user, and ``gains``
-    picks the decoding order as ``ranks_ahead`` does: None for distance
-    order, or the (K,), (K, 1) or (K, S) instantaneous gains.
+    constant over the frame; (K, S, 2) or (K, 1, 1) gives it per axis,
+    which spares every subtraction a broadcast. ``amplitudes`` are the
+    transmit amplitudes sqrt(P_j), ``group_of`` holds one group index per
+    user, and ``gains`` picks the decoding order as ``ranks_ahead`` does:
+    None for distance order, or the (K,), (K, 1) or (K, S) instantaneous
+    gains.
 
     Interferers are swept in descending transmit power. Each one, j, is
-    detected on every axis by the sign of the running residual of every
-    member of its group that ranks ahead of it on some block, and its
-    reconstruction |g| * sqrt(P_j) * level is subtracted on the blocks
-    where that member ranks ahead, so detection errors propagate exactly
-    as in a real chain. If ``genie_symbols`` ((K, S, 2), the transmitted
-    levels) is given, the true levels are subtracted instead, which
-    isolates each receiver's own detection from propagation effects.
+    detected on every axis of every member r of its group that ranks ahead
+    of it on some block, by the sign of r's running residual, and its
+    reconstruction |g_r| * sqrt(P_j) * level is subtracted from that
+    residual in place, on the blocks where r ranks ahead, so detection
+    errors propagate exactly as in a real chain. If ``genie_symbols``
+    ((K, S, 2), the transmitted levels) is given, the true levels are
+    subtracted instead, which isolates each receiver's own detection from
+    propagation effects.
 
-    Returns (K, 2S) booleans in the bit order ``qpsk_levels`` reads: a
-    negative residual decides bit 1, and an exact zero decides bit 0.
+    Returns (K, 2S) booleans, two per symbol, in-phase first: a negative
+    residual decides bit 1, and an exact zero of either sign bit 0.
     """
     residual = signal
     amplitudes = np.asarray(amplitudes, dtype=float)
@@ -89,19 +93,33 @@ def decode(signal, channels, amplitudes, group_of, gains=None, genie_symbols=Non
         raise ValidationError(
             f"signal {residual.shape} and groups {group_of.shape} do not match {count} users"
         )
-    for j in np.argsort(-amplitudes, kind="stable"):
-        rows = np.flatnonzero(group_of == group_of[j])
-        ahead = ranks_ahead(rows, j, gains).reshape(rows.size, -1)  # (rows, S) or (rows, 1)
-        cancels = ahead.any(axis=1)
-        rows, ahead = rows[cancels], ahead[cancels]
-        if rows.size == 0:
-            continue
-        running = residual[rows]
-        if genie_symbols is None:
-            estimate = np.where(running < 0, -LEVEL, LEVEL)
+    channels = np.asarray(channels)
+    if channels.ndim == 2:
+        channels = channels[:, :, np.newaxis]  # one |g| for both axes
+    groups = group_of.tolist()
+    members = {group: [k for k in range(count) if groups[k] == group] for group in set(groups)}
+    reconstruction = np.empty(channels.shape[1:])
+    subtrahend = np.empty(residual.shape[1:])
+    for j in np.argsort(-amplitudes, kind="stable").tolist():
+        rows = members[groups[j]]
+        # each row that cancels j, and the blocks on which it does
+        if gains is None:
+            plan = [(r, True) for r in rows if ranks_ahead(r, j)]
         else:
-            estimate = genie_symbols[j]
-        reconstruction = channels[rows, :, np.newaxis] * amplitudes[j] * estimate
-        np.subtract(running, reconstruction, out=running, where=ahead[:, :, np.newaxis])
-        residual[rows] = running
+            ahead = ranks_ahead(np.array(rows), j, gains).reshape(len(rows), -1)
+            plan = [(r, blocks) for r, blocks in zip(rows, ahead) if blocks.any()]
+        for r, blocks in plan:
+            if blocks is not True:  # every block, or a mask repeated per axis
+                blocks = blocks.all() or np.repeat(blocks, 2).reshape(subtrahend.shape)
+            row = residual[r]
+            np.multiply(channels[r], amplitudes[j], out=reconstruction)
+            if genie_symbols is None:
+                np.multiply(reconstruction, LEVEL, out=reconstruction)
+                # the estimate's sign is the residual's, where -0.0 counts
+                # as +0.0: an exact zero decides the positive level
+                np.add(row, 0.0, out=subtrahend)
+                np.copysign(reconstruction, subtrahend, out=subtrahend)
+            else:
+                np.multiply(reconstruction, genie_symbols[j], out=subtrahend)
+            np.subtract(row, subtrahend, out=row, where=blocks)
     return (residual < 0).reshape(count, -1)

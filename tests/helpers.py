@@ -9,7 +9,10 @@ The physical chain lives here too: the complex QPSK modem
 the precoding basis (``make_basis``), the transmit mixing (``mixing_matrix``),
 projection (``project``) and the one-receiver-at-a-time SIC loop
 (``reference_sic_bits``). The package simulates only the derotated real
-baseband that is left after projection; tests hold it to this chain.
+baseband that is left after projection; tests hold it to this chain. The
+real per-axis frame as the package once built and decoded it
+(``qpsk_levels``, ``received_signal``, ``gathering_decode``) stays here as
+the bit-for-bit reference of its in-place frame.
 """
 
 import dataclasses
@@ -18,6 +21,8 @@ import math
 import sys
 
 import numpy as np
+
+from timnoma.errors import ValidationError
 
 REFERENCE_DISTANCES = (0.5, 1.5, 2.5, 3.5, 4.5)
 SQRT3 = math.sqrt(3.0)
@@ -214,6 +219,82 @@ def levels(values):
     """Per-axis levels of complex values: shape + (2,), real then imaginary."""
     values = np.array(values, dtype=complex)
     return values.reshape(-1).view(float).reshape(values.shape + (2,))
+
+
+# the package's per-axis QPSK level, computed as ``timnoma.modem`` does
+LEVEL = 1.0 / np.sqrt(2.0)
+_LEVELS = np.array([LEVEL, -LEVEL])  # indexed by bit
+
+
+def qpsk_levels(bits) -> np.ndarray:
+    """Map bits to per-axis QPSK levels, two bits per symbol.
+
+    Accepts any integer or boolean array-like of 0/1, signed or unsigned,
+    whose last axis has even length; returns float64 of shape (..., S, 2),
+    the last axis holding the in-phase then the quadrature level of each
+    symbol. Bits are consumed in order. The package's modem before BER
+    frames took signed amplitudes; kept as the reference of the frame
+    builder.
+    """
+    bits = np.asarray(bits)
+    if bits.shape[-1] % 2 != 0:
+        raise ValidationError("bit count must be even (two bits per symbol)")
+    pairs = bits.reshape(bits.shape[:-1] + (-1, 2))
+    # a lookup, not 1 - 2 * bits, which wraps around for unsigned bits
+    return np.take(_LEVELS, pairs)
+
+
+def received_signal(levels, channels, amplitudes, group_of) -> np.ndarray:
+    """Every receiver's noiseless derotated signal, (K, S, 2) real.
+
+    Receiver k sees |g_k| times the superposed levels sqrt(P_j) x_j of its
+    own group ``group_of[k]``, which is what is left of the transmit after
+    projection. ``levels`` are the (K, S, 2) QPSK levels of ``qpsk_levels``
+    and ``channels`` the (K, S) or (K, 1) magnitudes. The package's frame
+    builder before it added the signal to the noise in place; kept as its
+    reference.
+    """
+    totals = np.zeros((max(group_of) + 1,) + levels.shape[1:])
+    for user, group in enumerate(group_of):
+        totals[group] += amplitudes[user] * levels[user]
+    signal = totals[list(group_of)]
+    signal *= channels[:, :, np.newaxis]
+    return signal
+
+
+def gathering_decode(signal, channels, amplitudes, group_of, gains=None, genie_symbols=None):
+    """The receiver bank as the package ran it before SIC subtracted row by
+    row, kept as the oracle of ``receiver.decode``; the order is read from
+    ``cancel_mask``.
+
+    Per interferer j, in descending power, the residual rows of the
+    members that rank ahead of j on some block are gathered, j is detected
+    on them by ``np.where`` on their sign, its broadcast reconstruction is
+    subtracted where they rank ahead, and the rows are written back.
+    ``channels`` are (K, S) or (K, 1). Overwrites ``signal`` with the
+    residual and returns (K, 2S) booleans, negative deciding bit 1.
+    """
+    residual = signal
+    amplitudes = np.asarray(amplitudes, dtype=float)
+    count = len(amplitudes)
+    group_of = np.asarray(group_of)
+    mask = cancel_mask(group_of, gains)
+    for j in np.argsort(-amplitudes, kind="stable"):
+        rows = np.flatnonzero(group_of == group_of[j])
+        ahead = mask[rows, j]  # (rows, S) or (rows, 1)
+        cancels = ahead.any(axis=1)
+        rows, ahead = rows[cancels], ahead[cancels]
+        if rows.size == 0:
+            continue
+        running = residual[rows]
+        if genie_symbols is None:
+            estimate = np.where(running < 0, -LEVEL, LEVEL)
+        else:
+            estimate = genie_symbols[j]
+        reconstruction = channels[rows, :, np.newaxis] * amplitudes[j] * estimate
+        np.subtract(running, reconstruction, out=running, where=ahead[:, :, np.newaxis])
+        residual[rows] = running
+    return (residual < 0).reshape(count, -1)
 
 
 def derotate(projected, channels):

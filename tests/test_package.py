@@ -24,20 +24,20 @@ PUBLIC = [
     "parse_config",
     "parse_config_text",
     "parse_snr_grid",
-    "qpsk_levels",
     "ranks_ahead",
     "run_experiment",
 ]
 
 # the (K, K, S) cancel mask that the pairwise ``receiver.ranks_ahead``
-# replaced, scalar copies of the rate tables, the single-user rate table that
+# replaced, the level lookup that signed amplitudes replaced, scalar
+# copies of the rate tables, the single-user rate table that
 # hybrid_rate_table computes on a cell of lone users, per-experiment
 # runners, the validating replace that run_experiment's own check made
 # redundant, functions and names only tests read, the physical chain the
 # BER path no longer simulates, and the cell's three dataclasses and four
 # constructors that Cell and build_cell replace; the tests keep add_noise,
-# CONSTELLATION, qpsk_modulate, qpsk_demodulate, draw_fading, make_basis,
-# mixing_matrix and project as references in helpers.py
+# CONSTELLATION, qpsk_modulate, qpsk_demodulate, qpsk_levels, draw_fading,
+# make_basis, mixing_matrix and project as references in helpers.py
 REMOVED = [
     "BITS_PER_SYMBOL",
     "CONSTELLATION",
@@ -63,6 +63,7 @@ REMOVED = [
     "path_loss",
     "project",
     "qpsk_demodulate",
+    "qpsk_levels",
     "qpsk_modulate",
     "rate_ratio",
     "replace",

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from timnoma import (
     SimConfig,
@@ -13,15 +14,17 @@ from timnoma import (
     decode,
     ranks_ahead,
 )
-from timnoma.harness import _received, _scene
+from timnoma.harness import _scene, _superpose
 
 from helpers import (
     CONSTELLATION,
+    LEVEL,
     REFERENCE_DISTANCES,
     add_noise,
     cancel_mask,
     derotate,
     draw_fading,
+    gathering_decode,
     levels,
     make_basis,
     members,
@@ -29,7 +32,9 @@ from helpers import (
     mixing_matrix,
     project,
     qpsk_demodulate,
+    qpsk_levels,
     qpsk_modulate,
+    received_signal,
     reference_sic_bits,
 )
 
@@ -82,6 +87,13 @@ def bank_signal(cell, basis, symbols, fading, noise=None):
 def real_bank(*args, **kwargs):
     """The derotated (K, S, 2) signal and the |g| the receiver bank takes."""
     return derotate(*bank_signal(*args, **kwargs))
+
+
+def per_axis(magnitudes):
+    """(K, S) or (K, 1) channel magnitudes laid out as the harness lays
+    them out: (K, S, 2), or (K, 1, 1) when constant over the frame."""
+    magnitudes = np.asarray(magnitudes)[:, :, np.newaxis]
+    return magnitudes if magnitudes.shape[1] == 1 else np.repeat(magnitudes, 2, axis=2)
 
 
 class TestProject:
@@ -438,6 +450,98 @@ class TestDecodeBank:
             tracemalloc.stop()
         assert peak < 2 * signal.nbytes
 
+    @pytest.mark.parametrize("order_mode, bound", [("distance", 1.5), ("instantaneous", 2.5)])
+    def test_one_group_memory_stays_near_the_signal(self, order_mode, bound):
+        # 16 users in one group, where each receiver cancels up to 15
+        # interferers: gathering the cancelling rows per interferer took
+        # about 4 times the signal's bytes; subtracting in place on each row
+        # needs a few one-row buffers
+        rng = np.random.default_rng(43)
+        cell = build_cell([0.5 + 0.25 * k for k in range(16)], 3.0, 1, 40.0)
+        gains = np.array(cell.path_gains)[:, None] * rng.exponential(size=(16, 16384))
+        channels = np.sqrt(gains)
+        signal = rng.standard_normal((16, 16384, 2))
+        order = gains if order_mode == "instantaneous" else None
+        tracemalloc.start()
+        try:
+            decode(signal, channels, amplitudes(cell), cell.group_of, order)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * signal.nbytes
+
+
+# exact zeros of both signs, which every detection must read as +0.0, and
+# finite values around the levels
+SIGNAL_VALUES = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-8.0, 8.0))
+
+
+@st.composite
+def bank_frames(draw):
+    """A frame for the receiver bank: 1 to 16 users in free groups, 1 to 6
+    blocks, transmit amplitudes from a small set so that powers tie,
+    distance order or instantaneous (K,), (K, 1) or (K, S) gains from a
+    small set so that gains tie, (K, S) or (K, 1) channels, a signal
+    seeded with exact +0.0 and -0.0, and genie levels or none."""
+    count = draw(st.integers(1, 16))
+    group_of = tuple(draw(st.lists(st.integers(0, count - 1), min_size=count, max_size=count)))
+    blocks = draw(st.integers(1, 6))
+    amps = draw(arrays(np.float64, count, elements=st.sampled_from([0.5, 1.0, 2.0, 3.5])))
+    gains_shape = draw(st.sampled_from([None, (count,), (count, 1), (count, blocks)]))
+    gains = None
+    if gains_shape is not None:
+        gains = draw(arrays(np.float64, gains_shape, elements=st.sampled_from([0.25, 1.0, 3.0])))
+    width = draw(st.sampled_from([1, blocks]))
+    channels = draw(arrays(np.float64, (count, width), elements=st.floats(0.125, 4.0)))
+    signal = draw(arrays(np.float64, (count, blocks, 2), elements=SIGNAL_VALUES))
+    genie = None
+    if draw(st.booleans()):
+        genie = draw(arrays(np.float64, signal.shape, elements=st.sampled_from([LEVEL, -LEVEL])))
+    return signal, channels, amps, group_of, gains, genie
+
+
+class TestDecodeMatchesTheGatheringKernel:
+    """The in-place row-by-row kernel against the kernel that gathered the
+    cancelling rows per interferer: the same bits and, byte for byte, the
+    same residual, with the channels per block or per axis."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(frame=bank_frames())
+    def test_same_bits_and_residual_bytes(self, frame):
+        signal, channels, amps, group_of, gains, genie = frame
+        expected = signal.copy()
+        expected_bits = gathering_decode(expected, channels, amps, group_of, gains, genie)
+        for layout in (channels, per_axis(channels)):
+            residual = signal.copy()
+            bits = decode(residual, layout, amps, group_of, gains, genie)
+            np.testing.assert_array_equal(bits, expected_bits)
+            assert residual.tobytes() == expected.tobytes()
+
+
+class TestSuperposeMatchesLevelsThenSum:
+    """The frame builder, which adds signed amplitudes times |g| to the
+    noise in place, against the QPSK level lookup, the group sums and the
+    noise added last: the same frame, byte for byte."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        count=st.integers(1, 16),
+        blocks=st.integers(1, 6),
+        frame_fading=st.booleans(),
+        data=st.data(),
+    )
+    def test_same_frame_bytes(self, count, blocks, frame_fading, data):
+        group_of = tuple(data.draw(st.lists(st.integers(0, count - 1), min_size=count, max_size=count)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        amps = np.sqrt(rng.uniform(0.01, 40.0, size=count))
+        bits = rng.integers(0, 2, size=(count, 2 * blocks), dtype=np.int32)
+        magnitudes = np.sqrt(rng.exponential(size=(count, 1 if frame_fading else blocks)))
+        noise = 0.3 * rng.standard_normal((count, blocks, 2))
+        expected = received_signal(qpsk_levels(bits), magnitudes, amps, group_of) + noise
+        frame = noise.copy()
+        _superpose(frame, bits, per_axis(magnitudes), amps, group_of)
+        assert frame.tobytes() == expected.tobytes()
+
 
 @st.composite
 def cells(draw):
@@ -470,7 +574,8 @@ class TestRealBasebandMatchesPhysicalChain:
         sigma2 = config.noise_variance(config.snr_grid_db[0])
         single_user = config.experiment == "ber_single_user"
         h = draw_fading(rng, count, blocks=n if config.fading_mode == "block" else 1)
-        symbols = qpsk_modulate(rng.integers(0, 2, size=(count, 2 * n)))
+        bits = rng.integers(0, 2, size=(count, 2 * n))
+        symbols = qpsk_modulate(bits)
         z = add_noise(rng, np.zeros((count, n)), sigma2)
         gamma = np.array(cell.path_gains)
         gains = gamma[:, None] * np.abs(h) ** 2
@@ -495,12 +600,14 @@ class TestRealBasebandMatchesPhysicalChain:
             projected, np.broadcast_to(channels, (count, n)), cell.powers, group_of, order
         )
 
-        # real per-axis kernel, as the harness builds it: a single-user
-        # run's scene puts every user in a group of its own
+        # real per-axis kernel, as the harness builds it: the derotated
+        # noise gains each group's signed amplitudes times |g| in place,
+        # and a single-user run's scene puts every user in a group of its
+        # own
         kernel_groups = _scene(config).group_of
-        magnitudes = np.sqrt(gains)
-        w = levels(np.conj(h) / np.abs(h) * z)
-        signal = _received(levels(symbols), magnitudes, amplitudes(cell), kernel_groups) + w
+        magnitudes = per_axis(np.sqrt(gains))
+        signal = levels(np.conj(h) / np.abs(h) * z)
+        _superpose(signal, bits, magnitudes, amplitudes(cell), kernel_groups)
         order = None if config.decoding_order_mode == "distance" else gains
-        bits = decode(signal, magnitudes, amplitudes(cell), kernel_groups, order)
-        np.testing.assert_array_equal(bits, expected)
+        decided = decode(signal, magnitudes, amplitudes(cell), kernel_groups, order)
+        np.testing.assert_array_equal(decided, expected)
