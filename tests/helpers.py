@@ -10,9 +10,11 @@ the precoding basis (``make_basis``), the transmit mixing (``mixing_matrix``),
 projection (``project``) and the one-receiver-at-a-time SIC loop
 (``reference_sic_bits``). The package simulates only the derotated real
 baseband that is left after projection; tests hold it to this chain. The
-real per-axis frame as the package once built and decoded it
-(``qpsk_levels``, ``received_signal``, ``gathering_decode``) stays here as
-the bit-for-bit reference of its in-place frame.
+real per-axis frame as the package once built and decoded it, all K
+receivers at once (``qpsk_levels``, ``received_signal``,
+``gathering_decode``), stays here as the bit-for-bit reference of its
+receiver-by-receiver frame; ``decode_rows`` runs the package's
+one-receiver ``decode`` over such a frame.
 """
 
 import dataclasses
@@ -22,6 +24,7 @@ import sys
 
 import numpy as np
 
+from timnoma import decode
 from timnoma.errors import ValidationError
 
 REFERENCE_DISTANCES = (0.5, 1.5, 2.5, 3.5, 4.5)
@@ -263,9 +266,9 @@ def received_signal(levels, channels, amplitudes, group_of) -> np.ndarray:
 
 
 def gathering_decode(signal, channels, amplitudes, group_of, gains=None, genie_symbols=None):
-    """The receiver bank as the package ran it before SIC subtracted row by
-    row, kept as the oracle of ``receiver.decode``; the order is read from
-    ``cancel_mask``.
+    """The receiver bank as the package ran it before SIC ran receiver by
+    receiver, kept as the oracle of ``receiver.decode``; the order is read
+    from ``cancel_mask``.
 
     Per interferer j, in descending power, the residual rows of the
     members that rank ahead of j on some block are gathered, j is detected
@@ -295,6 +298,23 @@ def gathering_decode(signal, channels, amplitudes, group_of, gains=None, genie_s
         np.subtract(running, reconstruction, out=running, where=ahead[:, :, np.newaxis])
         residual[rows] = running
     return (residual < 0).reshape(count, -1)
+
+
+def decode_rows(signal, channels, amplitudes, group_of, gains=None, genie_symbols=None):
+    """Receiver k's ``decode`` on row k of a (K, S, 2) signal, for every k.
+
+    ``channels`` are the (K, S) or (K, 1) magnitudes; each row gets its own
+    laid out per axis, as the harness lays it out: (S, 2), or (1, 1) when
+    constant over the frame. Overwrites ``signal`` with the residuals and
+    returns the (K, 2S) bits.
+    """
+    channels = np.asarray(channels)[:, :, np.newaxis]
+    if channels.shape[1] > 1:
+        channels = np.repeat(channels, 2, axis=2)
+    return np.array([
+        decode(signal[k], channels[k], amplitudes, group_of, k, gains, genie_symbols)
+        for k in range(len(signal))
+    ])
 
 
 def derotate(projected, channels):
@@ -453,7 +473,8 @@ def minimum_distance_detect(residual, channel, amplitude):
 
 
 def reference_sic_bits(projected, channels, powers, group_of, gains):
-    """One receiver at a time SIC, the loop the vectorized bank replaces.
+    """One receiver at a time SIC on the complex projected signal, with
+    minimum-distance detection: the reference of the real per-axis kernel.
 
     ``projected`` and ``channels`` are (K, S); ``gains`` (K, S) set the
     decoding order block by block (distance order is any strictly

@@ -36,6 +36,7 @@ from timnoma.harness import (
     FADING_MODES,
     ORDER_MODES,
     WORKERS_ENV,
+    _ber_point,
     _scene,
     _worker_count,
 )
@@ -44,10 +45,13 @@ import helpers
 from helpers import (
     exact_hybrid_ber,
     exact_sum_rates,
+    gathering_decode,
     make_basis,
     mixing_matrix,
+    qpsk_levels,
     qpsk_modulate,
     rayleigh_log_mean,
+    received_signal,
     reference_noise_sets,
 )
 
@@ -420,6 +424,67 @@ class TestBerExperiment:
         result = run_experiment(config)
         high, low = (helpers.row(result, snr, "sum", "ber").value for snr in (40.0, 10.0))
         assert high < low
+
+
+@st.composite
+def ber_configs(draw):
+    """A BER config: 1 to 16 users, T from 1 to K, both orders, both
+    fading modes, both BER experiments, 2 or 3 frames of 2 to 16 bits, and
+    one or two SNRs from -10 to 50 dB, where errors are common."""
+    count = draw(st.integers(1, 16))
+    return SimConfig(
+        distances=K16_DISTANCES[:count],
+        group_count=draw(st.integers(1, count)),
+        frames=draw(st.sampled_from([2, 3])),
+        bits_per_frame=2 * draw(st.integers(1, 8)),
+        snr_grid_db=tuple(draw(st.lists(st.floats(-10.0, 50.0), min_size=1, max_size=2))),
+        seed=draw(st.integers(0, 2**64 - 1)),
+        decoding_order_mode=draw(st.sampled_from(ORDER_MODES)),
+        fading_mode=draw(st.sampled_from(FADING_MODES)),
+        experiment=draw(st.sampled_from(["ber", "ber_single_user"])),
+    ).validated()
+
+
+class TestBerFrameMatchesTheReference:
+    """A BER point's rows against its frames rebuilt from the same
+    substream draws, all K receivers at once: one (K, S, 2) normal draw for
+    the noise, the QPSK level lookup and group sums for the signal, and the
+    bank that gathered the cancelling rows for SIC. Every error count, and
+    so every value, matches exactly; the stderr is the counts' spread, here
+    taken by numpy."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(config=ber_configs())
+    def test_same_rows(self, config):
+        cell = _scene(config)
+        count, symbols = cell.user_count, config.bits_per_frame // 2
+        amps = np.sqrt(np.asarray(cell.powers))
+        gamma = np.array(cell.path_gains)[:, np.newaxis]
+        blocks = symbols if config.fading_mode == "block" else 1
+        for index, snr in enumerate(config.snr_grid_db):
+            scale = math.sqrt(config.noise_variance(snr) / 2.0)
+            counts = []
+            for frame in range(config.frames):
+                rng = np.random.default_rng(np.random.SeedSequence((config.seed, index, frame)))
+                gains = rng.standard_exponential((count, blocks)) * gamma
+                bits = rng.integers(0, 2, size=(count, config.bits_per_frame))
+                noise = rng.standard_normal((count, symbols, 2)) * scale
+                magnitudes = np.sqrt(gains)
+                signal = received_signal(qpsk_levels(bits), magnitudes, amps, cell.group_of) + noise
+                order = gains if config.decoding_order_mode == "instantaneous" else None
+                decided = gathering_decode(signal, magnitudes, amps, cell.group_of, order)
+                counts.append(np.count_nonzero(decided != bits, axis=1))
+            counts = np.array(counts)  # (frames, K)
+            if config.experiment == "ber":
+                counts = np.column_stack([counts, counts.sum(axis=1)])
+            rows = _ber_point(config, index, snr)
+            assert len(rows) == counts.shape[1]
+            for row, frame_counts in zip(rows, counts.T):
+                bits_per_frame = config.bits_per_frame * (count if row.entity == "sum" else 1)
+                assert row.samples == config.frames * bits_per_frame
+                assert row.value == frame_counts.sum() / row.samples, row
+                spread = float(np.std(frame_counts, ddof=1)) / math.sqrt(config.frames)
+                assert row.stderr == pytest.approx(spread / bits_per_frame, rel=1e-9, abs=1e-15), row
 
 
 class TestSingleUserExperiment:

@@ -14,7 +14,7 @@ from timnoma import (
     decode,
     ranks_ahead,
 )
-from timnoma.harness import _scene, _superpose
+from timnoma.harness import _scene
 
 from helpers import (
     CONSTELLATION,
@@ -22,6 +22,7 @@ from helpers import (
     REFERENCE_DISTANCES,
     add_noise,
     cancel_mask,
+    decode_rows,
     derotate,
     draw_fading,
     gathering_decode,
@@ -85,15 +86,8 @@ def bank_signal(cell, basis, symbols, fading, noise=None):
 
 
 def real_bank(*args, **kwargs):
-    """The derotated (K, S, 2) signal and the |g| the receiver bank takes."""
+    """The derotated (K, S, 2) signal and the |g| that ``decode_rows`` takes."""
     return derotate(*bank_signal(*args, **kwargs))
-
-
-def per_axis(magnitudes):
-    """(K, S) or (K, 1) channel magnitudes laid out as the harness lays
-    them out: (K, S, 2), or (K, 1, 1) when constant over the frame."""
-    magnitudes = np.asarray(magnitudes)[:, :, np.newaxis]
-    return magnitudes if magnitudes.shape[1] == 1 else np.repeat(magnitudes, 2, axis=2)
 
 
 class TestProject:
@@ -158,37 +152,33 @@ def orders(draw):
 
 class TestRanksAheadMatchesTheMask:
     """The pairwise rule against the (receiver, interferer, block) mask it
-    replaced, over every same-group pair, as scalars and as the index rows
-    ``decode`` passes."""
+    replaced, over every same-group pair of user indices."""
 
     @settings(max_examples=200, deadline=None)
     @given(order=orders())
     def test_every_same_group_pair(self, order):
         group_of, gains = order
         mask = cancel_mask(group_of, gains)
-        for j in range(len(group_of)):
-            rows = np.flatnonzero(np.asarray(group_of) == group_of[j])
-            ahead = ranks_ahead(rows, j, gains).reshape(rows.size, -1)
-            np.testing.assert_array_equal(ahead, np.broadcast_to(mask[rows, j], ahead.shape))
-            for k in rows:
-                np.testing.assert_array_equal(
-                    np.broadcast_to(ranks_ahead(k, j, gains), mask[k, j].shape), mask[k, j]
-                )
+        users = range(len(group_of))
+        for j, k in ((j, k) for j in users for k in users if group_of[j] == group_of[k]):
+            np.testing.assert_array_equal(
+                np.broadcast_to(ranks_ahead(k, j, gains), mask[k, j].shape), mask[k, j]
+            )
 
 
 def ml_detect(residual, channel):
-    """The receiver bank with nothing to cancel, on the derotated signal of
+    """A one-user chain with nothing to cancel, on the derotated signal of
     complex residuals and channels: one QPSK decision per entry."""
     residual = np.atleast_1d(residual)
     channel = np.broadcast_to(channel, residual.shape)
     signal, magnitudes = derotate(residual[np.newaxis], channel[np.newaxis])
-    bits = decode(signal, magnitudes, [1.0], [0])[0]
+    bits = decode_rows(signal, magnitudes, [1.0], [0])[0]
     decided = CONSTELLATION[2 * bits[0::2] + bits[1::2]]
     return complex(decided[0]) if decided.shape == (1,) else decided
 
 
 class TestMlDetect:
-    """ML detection is the bank's per-axis sign test on the derotated
+    """ML detection is the chain's per-axis sign test on the derotated
     signal; a negative residual decides bit 1, an exact zero bit 0."""
 
     def test_recovers_exact_symbol(self, rng):
@@ -260,7 +250,7 @@ class TestSicPlan:
         signal, magnitudes = real_bank(
             ref_cell, ref_basis, symbols, fading
         )
-        bits = decode(signal, magnitudes, amplitudes(ref_cell), ref_cell.group_of)
+        bits = decode_rows(signal, magnitudes, amplitudes(ref_cell), ref_cell.group_of)
         np.testing.assert_array_equal(bits[0], [False, False])
         own = magnitudes[0, :, None] * math.sqrt(ref_cell.powers[0]) * levels(symbols[0])
         np.testing.assert_allclose(signal[0], own, rtol=1e-12)
@@ -273,7 +263,7 @@ class TestSicDecode:
         signal, magnitudes = real_bank(
             ref_cell, ref_basis, symbols, fading
         )
-        bits = decode(signal, magnitudes, amplitudes(ref_cell), ref_cell.group_of)
+        bits = decode_rows(signal, magnitudes, amplitudes(ref_cell), ref_cell.group_of)
         np.testing.assert_array_equal(bits, qpsk_demodulate(symbols))
 
     def test_strongest_power_user_detects_without_cancelling(self, ref_cell, ref_basis, rng):
@@ -283,7 +273,7 @@ class TestSicDecode:
             ref_cell, ref_basis, symbols, fading
         )
         projected = signal.copy()
-        decode(signal, magnitudes, amplitudes(ref_cell), ref_cell.group_of)
+        decode_rows(signal, magnitudes, amplitudes(ref_cell), ref_cell.group_of)
         assert cancel_sets(ref_cell.group_of)[4] == ()
         np.testing.assert_array_equal(signal[4, 0], projected[4, 0])
 
@@ -294,7 +284,7 @@ class TestSicDecode:
         signal, magnitudes = real_bank(
             ref_cell, ref_basis, symbols, fading
         )
-        decode(signal, magnitudes, amplitudes(ref_cell), ref_cell.group_of)
+        decode_rows(signal, magnitudes, amplitudes(ref_cell), ref_cell.group_of)
         assert cancel_sets(ref_cell.group_of)[2] == (4,)
         # the residual still carries user 0's signal (treated as noise)
         leftover = magnitudes[2, 0] * (
@@ -312,8 +302,8 @@ class TestSicDecode:
             ref_cell, ref_basis, symbols, fading, noise
         )
         signal, magnitudes = derotate(projected, channels)
-        decode(signal, magnitudes, amplitudes(ref_cell), ref_cell.group_of,
-               genie_symbols=levels(symbols))
+        decode_rows(signal, magnitudes, amplitudes(ref_cell), ref_cell.group_of,
+                    genie_symbols=levels(symbols))
         expected = (
             channels[0] * math.sqrt(ref_cell.powers[0]) * symbols[0]
             + ref_basis[0] @ noise[0]
@@ -330,7 +320,7 @@ class TestSicDecode:
         signal, magnitudes = real_bank(
             ref_cell, ref_basis, symbols, fading
         )
-        decode(signal, magnitudes, amplitudes(ref_cell), ref_cell.group_of)
+        decode_rows(signal, magnitudes, amplitudes(ref_cell), ref_cell.group_of)
         own = magnitudes[0, :, None] * math.sqrt(ref_cell.powers[0]) * levels(symbols[0])
         np.testing.assert_allclose(signal[0], own, rtol=1e-12)
 
@@ -364,9 +354,9 @@ class TestPerBlockSic:
         signal, magnitudes = real_bank(
             ref_cell, ref_basis, symbols, fading, noise
         )
-        static = decode(signal.copy(), magnitudes, amplitudes(ref_cell), ref_cell.group_of, gains)
+        static = decode_rows(signal.copy(), magnitudes, amplitudes(ref_cell), ref_cell.group_of, gains)
         per_block = np.repeat(gains[:, None], n, axis=1)
-        dynamic = decode(signal, magnitudes, amplitudes(ref_cell), ref_cell.group_of, per_block)
+        dynamic = decode_rows(signal, magnitudes, amplitudes(ref_cell), ref_cell.group_of, per_block)
         np.testing.assert_array_equal(static, dynamic)
 
     def test_blocks_where_user_ranks_last_skip_cancellation(self, ref_cell, ref_basis):
@@ -380,7 +370,7 @@ class TestPerBlockSic:
         channels = np.ones((5, 1), dtype=complex)
         projected = project(np.broadcast_to(x, (5,) + x.shape), ref_basis, np.asarray(ref_cell.group_of))
         signal, magnitudes = derotate(projected, channels)
-        bits = decode(signal, magnitudes, amplitudes(ref_cell), ref_cell.group_of, gains)
+        bits = decode_rows(signal, magnitudes, amplitudes(ref_cell), ref_cell.group_of, gains)
         # block 0 cancels users 4 and 2, leaving the clean own symbol;
         # block 1 cancels nothing, so user 4's stronger signal dominates
         np.testing.assert_array_equal(bits[0], qpsk_demodulate(CONSTELLATION[[0, 3]]))
@@ -409,7 +399,7 @@ class TestDecodeBank:
             gains = order = gamma[:, None] * np.abs(fading) ** 2
         expected = reference_sic_bits(projected, channels, cell.powers, cell.group_of, gains)
         signal, magnitudes = derotate(projected, channels)
-        bits = decode(signal, magnitudes, amplitudes(cell), cell.group_of, order)
+        bits = decode_rows(signal, magnitudes, amplitudes(cell), cell.group_of, order)
         np.testing.assert_array_equal(bits, expected)
         # the run is noisy enough that SIC errors are exercised
         assert 0 < np.count_nonzero(bits != qpsk_demodulate(symbols)) < bits.size // 4
@@ -420,35 +410,50 @@ class TestDecodeBank:
         signal, magnitudes = derotate(projected, channels)
         untouched = signal.copy()
         # every user alone in its group: nobody ranks ahead of anybody
-        bits = decode(signal, magnitudes, amplitudes(ref_cell), range(5))
+        bits = decode_rows(signal, magnitudes, amplitudes(ref_cell), range(5))
         np.testing.assert_array_equal(signal, untouched)
         own = minimum_distance_detect(projected, channels, 1.0)
         np.testing.assert_array_equal(bits, qpsk_demodulate(own))
 
     def test_rejects_mismatched_shapes(self, ref_cell):
+        amps, group_of = amplitudes(ref_cell), ref_cell.group_of
+        # a row that is not (S, 2): flat, three axes wide, or a whole frame
+        for shape in [(16,), (8, 3), (5, 8, 2)]:
+            with pytest.raises(ValidationError):
+                decode(np.zeros(shape), np.ones((1, 1)), amps, group_of, 0)
+        # a receiver outside the cell
+        for k in (-1, 5):
+            with pytest.raises(ValidationError):
+                decode(np.zeros((8, 2)), np.ones((1, 1)), amps, group_of, k)
         with pytest.raises(ValidationError):
-            decode(np.zeros((4, 8, 2)), np.ones((4, 1)), amplitudes(ref_cell), ref_cell.group_of)
-        with pytest.raises(ValidationError):
-            decode(np.zeros((5, 16)), np.ones((5, 1)), amplitudes(ref_cell), ref_cell.group_of)
-        with pytest.raises(ValidationError):
-            decode(np.zeros((5, 8, 2)), np.ones((5, 1)), amplitudes(ref_cell), (0, 1, 0))
+            decode(np.zeros((8, 2)), np.ones((1, 1)), amps, (0, 1, 0), 0)
+
+    @staticmethod
+    def frame_decode_peak(signal, gains, cell, order):
+        """tracemalloc's peak while every receiver of a (K, S, 2) signal
+        decodes its row, with the per-axis channels laid out beforehand."""
+        channels = np.repeat(np.sqrt(gains)[:, :, None], 2, axis=2)
+        tracemalloc.start()
+        try:
+            bits = [
+                decode(signal[k], channels[k], amplitudes(cell), cell.group_of, k, order)
+                for k in range(len(signal))
+            ]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(bits) == len(signal)
+        return peak
 
     def test_instantaneous_order_memory_stays_near_the_signal(self):
         # the largest cell at T = 4 with per-block order: a (K, K, S) mask
-        # took 3.5 times the signal's bytes; the rule needs a few (rows, S)
+        # took 3.5 times the signal's bytes; the rule needs a few (S,)
         # arrays at a time
         rng = np.random.default_rng(41)
         cell = build_cell([0.5 + 0.25 * k for k in range(16)], 3.0, 4, 40.0)
         gains = np.array(cell.path_gains)[:, None] * rng.exponential(size=(16, 16384))
-        channels = np.sqrt(gains)
         signal = rng.standard_normal((16, 16384, 2))
-        tracemalloc.start()
-        try:
-            decode(signal, channels, amplitudes(cell), cell.group_of, gains)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 * signal.nbytes
+        assert self.frame_decode_peak(signal, gains, cell, gains) < 2 * signal.nbytes
 
     @pytest.mark.parametrize("order_mode, bound", [("distance", 1.5), ("instantaneous", 2.5)])
     def test_one_group_memory_stays_near_the_signal(self, order_mode, bound):
@@ -459,16 +464,29 @@ class TestDecodeBank:
         rng = np.random.default_rng(43)
         cell = build_cell([0.5 + 0.25 * k for k in range(16)], 3.0, 1, 40.0)
         gains = np.array(cell.path_gains)[:, None] * rng.exponential(size=(16, 16384))
-        channels = np.sqrt(gains)
         signal = rng.standard_normal((16, 16384, 2))
+        order = gains if order_mode == "instantaneous" else None
+        assert self.frame_decode_peak(signal, gains, cell, order) < bound * signal.nbytes
+
+    @pytest.mark.parametrize("order_mode", ["distance", "instantaneous"])
+    def test_row_memory_stays_near_the_row(self, order_mode):
+        # receiver 0 of 16 users in one group, which cancels the other 15
+        # under distance order: the chain holds two one-row buffers and the
+        # decided bits, 2.13 times the row's bytes, and under instantaneous
+        # order its per-block masks too, 2.39 times
+        rng = np.random.default_rng(43)
+        cell = build_cell([0.5 + 0.25 * k for k in range(16)], 3.0, 1, 40.0)
+        gains = np.array(cell.path_gains)[:, None] * rng.exponential(size=(16, 16384))
+        channel = np.repeat(np.sqrt(gains[0])[:, None], 2, axis=1)
+        row = rng.standard_normal((16384, 2))
         order = gains if order_mode == "instantaneous" else None
         tracemalloc.start()
         try:
-            decode(signal, channels, amplitudes(cell), cell.group_of, order)
+            decode(row, channel, amplitudes(cell), cell.group_of, 0, order)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < bound * signal.nbytes
+        assert peak < 3 * row.nbytes
 
 
 # exact zeros of both signs, which every detection must read as +0.0, and
@@ -478,7 +496,7 @@ SIGNAL_VALUES = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-8.0, 8.0))
 
 @st.composite
 def bank_frames(draw):
-    """A frame for the receiver bank: 1 to 16 users in free groups, 1 to 6
+    """A frame of every receiver's row: 1 to 16 users in free groups, 1 to 6
     blocks, transmit amplitudes from a small set so that powers tie,
     distance order or instantaneous (K,), (K, 1) or (K, S) gains from a
     small set so that gains tie, (K, S) or (K, 1) channels, a signal
@@ -501,9 +519,9 @@ def bank_frames(draw):
 
 
 class TestDecodeMatchesTheGatheringKernel:
-    """The in-place row-by-row kernel against the kernel that gathered the
-    cancelling rows per interferer: the same bits and, byte for byte, the
-    same residual, with the channels per block or per axis."""
+    """Each receiver's chain, run on its own row, against the bank that
+    gathered the cancelling rows per interferer: the same bits and, byte
+    for byte, the same residual."""
 
     @settings(max_examples=300, deadline=None)
     @given(frame=bank_frames())
@@ -511,36 +529,10 @@ class TestDecodeMatchesTheGatheringKernel:
         signal, channels, amps, group_of, gains, genie = frame
         expected = signal.copy()
         expected_bits = gathering_decode(expected, channels, amps, group_of, gains, genie)
-        for layout in (channels, per_axis(channels)):
-            residual = signal.copy()
-            bits = decode(residual, layout, amps, group_of, gains, genie)
-            np.testing.assert_array_equal(bits, expected_bits)
-            assert residual.tobytes() == expected.tobytes()
-
-
-class TestSuperposeMatchesLevelsThenSum:
-    """The frame builder, which adds signed amplitudes times |g| to the
-    noise in place, against the QPSK level lookup, the group sums and the
-    noise added last: the same frame, byte for byte."""
-
-    @settings(max_examples=150, deadline=None)
-    @given(
-        count=st.integers(1, 16),
-        blocks=st.integers(1, 6),
-        frame_fading=st.booleans(),
-        data=st.data(),
-    )
-    def test_same_frame_bytes(self, count, blocks, frame_fading, data):
-        group_of = tuple(data.draw(st.lists(st.integers(0, count - 1), min_size=count, max_size=count)))
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        amps = np.sqrt(rng.uniform(0.01, 40.0, size=count))
-        bits = rng.integers(0, 2, size=(count, 2 * blocks), dtype=np.int32)
-        magnitudes = np.sqrt(rng.exponential(size=(count, 1 if frame_fading else blocks)))
-        noise = 0.3 * rng.standard_normal((count, blocks, 2))
-        expected = received_signal(qpsk_levels(bits), magnitudes, amps, group_of) + noise
-        frame = noise.copy()
-        _superpose(frame, bits, per_axis(magnitudes), amps, group_of)
-        assert frame.tobytes() == expected.tobytes()
+        residual = signal.copy()
+        bits = decode_rows(residual, channels, amps, group_of, gains, genie)
+        np.testing.assert_array_equal(bits, expected_bits)
+        assert residual.tobytes() == expected.tobytes()
 
 
 @st.composite
@@ -600,14 +592,13 @@ class TestRealBasebandMatchesPhysicalChain:
             projected, np.broadcast_to(channels, (count, n)), cell.powers, group_of, order
         )
 
-        # real per-axis kernel, as the harness builds it: the derotated
-        # noise gains each group's signed amplitudes times |g| in place,
-        # and a single-user run's scene puts every user in a group of its
-        # own
+        # real per-axis kernel, receiver by receiver: the derotated noise
+        # plus |g| times the group's superposed levels, where a single-user
+        # run's scene puts every user in a group of its own
         kernel_groups = _scene(config).group_of
-        magnitudes = per_axis(np.sqrt(gains))
+        magnitudes = np.sqrt(gains)
         signal = levels(np.conj(h) / np.abs(h) * z)
-        _superpose(signal, bits, magnitudes, amplitudes(cell), kernel_groups)
+        signal += received_signal(qpsk_levels(bits), magnitudes, amplitudes(cell), kernel_groups)
         order = None if config.decoding_order_mode == "distance" else gains
-        decided = decode(signal, magnitudes, amplitudes(cell), kernel_groups, order)
+        decided = decode_rows(signal, magnitudes, amplitudes(cell), kernel_groups, order)
         np.testing.assert_array_equal(decided, expected)
