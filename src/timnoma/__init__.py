@@ -7,10 +7,14 @@ interference cancellation in the power domain, with per-symbol ML
 detection. Because projection is exact, the BER simulation runs on the
 derotated real baseband that is left after it. The harness sweeps transmit
 SNR and writes per-user BER and achievable-rate tables as CSV.
+
+Importing the package, parsing a config and checking it load no numpy:
+the four numpy-backed public names load on first access (``__getattr__``),
+and a run loads numpy once it has passed its checks.
 """
 
-from .analytics import hybrid_rate_table
-from .channel import draw_fading_power
+from importlib import import_module
+
 from .errors import ConfigError, ValidationError
 from .harness import (
     ResultRow,
@@ -21,7 +25,6 @@ from .harness import (
     parse_snr_grid,
     run_experiment,
 )
-from .receiver import decode, ranks_ahead
 from .topology import Cell, build_cell
 
 __version__ = "0.1.0"
@@ -43,3 +46,20 @@ __all__ = [
     "ranks_ahead",
     "run_experiment",
 ]
+
+# each numpy-backed public name and the module that defines it
+_LAZY = {
+    "decode": "receiver",
+    "draw_fading_power": "channel",
+    "hybrid_rate_table": "analytics",
+    "ranks_ahead": "receiver",
+}
+
+
+def __getattr__(name: str):
+    # PEP 562: runs only for names the module does not hold yet
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value

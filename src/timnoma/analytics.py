@@ -24,9 +24,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .receiver import ranks_ahead
-from .topology import Cell
-
-ORDER_MODES = ("distance", "instantaneous")
+from .topology import ORDER_MODES, Cell
 
 
 def hybrid_rate_table(

@@ -1,4 +1,7 @@
-"""Monte Carlo experiment runner, config parsing and CSV output.
+"""Experiment runner, config parsing and CSV output: the numpy-free front
+end. The Monte Carlo of an SNR point is in ``points``, which
+``run_experiment`` imports once a run has passed every check, so parsing,
+validating and refusing a config never load numpy.
 
 Config files are flat UTF-8 ``key = value`` text; ``#`` starts a comment and
 blank lines are ignored. Keys (all optional, each at most once, defaults
@@ -30,27 +33,6 @@ results are byte-identical for any worker count. The pool runs one worker
 per SNR point, up to the CPUs the process may use and up to
 ``TIMNOMA_WORKERS`` if it is set. Each SNR point returns its own result
 rows, in grid order.
-
-A BER frame is simulated on the derotated real baseband (see ``receiver``):
-projection cancels the other groups exactly, so receiver k's signal on
-each real axis is |g_k| times its group's superposed levels plus
-N(0, sigma^2/2) noise. Each frame draws the power gains |h|^2, then the
-bits, then, receiver by receiver, an (S, 2) row of standard normals for
-the noise: K row draws that take what one (K, S, 2) draw would from the
-stream. The row is one buffer that the signal is added to and that the
-receiver's SIC chain leaves the residual in; a BER row's stderr comes from
-its per-frame error counts (see ``_ber_point``). A single-user BER run is the same simulation on a scene
-where every user is a group of one, so nothing is cancelled or absorbed;
-it differs from the hybrid run only by that scene and by having no
-``sum`` row.
-
-A rate point runs over chunks of ``_RATE_CHUNK`` (16 384) realizations,
-chunk c drawn from its own (seed, SNR index, c) substream, so its memory is
-O(chunk * K) whatever the realization count. Each chunk reduces the columns
-the experiment writes to a count, a mean and centred second moments, and
-the chunks merge in chunk order. SeedSequence pads its entropy with zero
-words, so chunk 0 draws what the (seed, SNR index) stream drew before
-points were chunked: a point of at most one chunk keeps its bytes.
 """
 
 from __future__ import annotations
@@ -61,22 +43,13 @@ import os
 from dataclasses import dataclass
 from typing import ClassVar
 
-import numpy as np
-
-from .analytics import ORDER_MODES, hybrid_rate_table
-from .channel import draw_fading_power
 from .errors import ConfigError, ValidationError
-from .modem import LEVEL
-from .receiver import decode
-from .topology import Cell, _is_int, build_cell
+from .topology import ORDER_MODES, Cell, _is_int, build_cell
 
 WORKERS_ENV = "TIMNOMA_WORKERS"
 
 EXPERIMENTS = ("ber", "ber_single_user", "rate", "rate_single_user", "ratio")
 RATE_EXPERIMENTS = ("rate", "rate_single_user", "ratio")
-# realizations per rate chunk: a constant, so a point's bytes never depend
-# on a setting (see the module docstring for why chunk 0 kept the old bytes)
-_RATE_CHUNK = 1 << 14
 FADING_MODES = ("block", "frame")
 
 DEFAULT_DISTANCES = (0.5, 1.5, 2.5, 3.5, 4.5)
@@ -280,15 +253,15 @@ def _worker_count(points: int) -> int:
     return min(cap, points)
 
 
-def _map_points(point_fn, config: SimConfig) -> list:
-    """Evaluate one function per SNR point, optionally in parallel.
+def _map_points(point_fn, config: SimConfig, workers: int) -> list:
+    """Evaluate one function per SNR point, here at one worker and on a
+    pool of ``workers`` processes otherwise.
 
     Results come back in grid order regardless of scheduling, and each
     point derives its randomness only from (seed, point index), so the
     worker count never changes the output.
     """
     points = list(enumerate(config.snr_grid_db))
-    workers = _worker_count(len(points))
     if workers == 1:
         return [point_fn(config, index, snr) for index, snr in points]
     # imported here: a one-worker run never pays for the process machinery
@@ -310,193 +283,6 @@ def _scene(config: SimConfig) -> Cell:
     return cell
 
 
-def _ber_point(config: SimConfig, snr_index: int, snr_db: float) -> list:
-    """BER rows of one SNR point: each user's and, for the hybrid scheme,
-    the pooled ``sum`` row.
-
-    A frame first writes each group's total into a per-point buffer: the
-    sum, in ascending user order, of the members' signed amplitudes
-    (1 - 2 b) sqrt(P_j) LEVEL, which are their QPSK levels (bit 0 -> +,
-    1 -> -) times sqrt(P_j). Then it runs the receivers one by one in one
-    (S, 2) row buffer: k's noise is drawn into it, |g_k| times its group's
-    total is added, which is what is left of the transmit after
-    projection, and SIC leaves the residual in it. The group sums are loops
-    over at most K users and the rest is elementwise, so no BLAS call runs
-    per frame.
-
-    The bits of a frame share its fading, and the two bits of a symbol
-    share one block, so bits are not independent trials; the frames are.
-    A row's stderr is therefore the sample standard deviation of its
-    per-frame error counts over sqrt(frames), per bit of a frame. The
-    counts and their squares are summed as Python ints, which stay exact
-    however the frames are split.
-    """
-    cell = _scene(config)
-    count, group_of = cell.user_count, cell.group_of
-    symbols_per_frame = config.bits_per_frame // 2
-    gamma = np.array(cell.path_gains)[:, np.newaxis]
-    amp = np.sqrt(np.asarray(cell.powers))
-    levels = (amp * LEVEL).tolist()
-    scale = math.sqrt(config.noise_variance(snr_db) / 2.0)
-    blocks = symbols_per_frame if config.fading_mode == "block" else 1
-    per_frame_order = config.decoding_order_mode == "instantaneous"
-    # receiver k's noise, then signal, then residual on block s is row[s, 0]
-    # on the real axis and row[s, 1] on the imaginary axis
-    row = np.empty((symbols_per_frame, 2))
-    # |g_k| on both axes of each block, read by the signal and by SIC; under
-    # frame fading one (1, 1) value, so the copy to the second axis is empty
-    channel = np.empty((blocks, 2 if blocks > 1 else 1))
-    flat_row, flat_channel = row.reshape(-1), channel.reshape(-1)  # views
-    totals = np.empty((max(group_of) + 1, config.bits_per_frame))
-    term = np.empty(config.bits_per_frame)
-    # a group's first member writes its total, and the others add to it
-    leads = [group_of.index(group) == user for user, group in enumerate(group_of)]
-    # per user, then for the whole frame: sums of error counts and squares
-    errors, squares = [0] * (count + 1), [0] * (count + 1)
-    for frame_index in range(config.frames):
-        rng = np.random.default_rng(np.random.SeedSequence((config.seed, snr_index, frame_index)))
-        gains = draw_fading_power(rng, count, blocks)  # (K, S) or (K, 1)
-        gains *= gamma
-        order = gains if per_frame_order else None
-        # int32 draws the same bits as int64 and leaves the stream in place
-        bits = rng.integers(0, 2, size=(count, config.bits_per_frame), dtype=np.int32)
-        for user, group in enumerate(group_of):
-            signed = totals[group] if leads[user] else term
-            np.multiply(bits[user], -2, out=signed)  # 1 - 2 b, exactly
-            signed += 1
-            signed *= levels[user]
-            if not leads[user]:
-                totals[group] += signed
-        frame_errors = []
-        # K row draws take what one (K, S, 2) draw would from the stream
-        for k, group in enumerate(group_of):
-            rng.standard_normal(out=row)
-            row *= scale
-            np.sqrt(gains[k], out=channel[:, 0])
-            channel[:, 1:] = channel[:, :1]
-            np.multiply(totals[group], flat_channel, out=term)
-            flat_row += term
-            decided = decode(row, channel, amp, group_of, k, order)
-            frame_errors.append(int(np.count_nonzero(decided != bits[k])))
-        frame_errors.append(sum(frame_errors))
-        for k, frame_count in enumerate(frame_errors):
-            errors[k] += frame_count
-            squares[k] += frame_count * frame_count
-    metric = "ber" if config.experiment == "ber" else "ber_single"
-    entities = [str(k + 1) for k in range(count)] + (["sum"] if config.experiment == "ber" else [])
-    frames = config.frames
-    rows = []
-    for k, entity in enumerate(entities):
-        bits = config.bits_per_frame * (count if entity == "sum" else 1)  # per frame
-        # frames^2 (frames - 1) times the variance of the mean count, exactly
-        spread = frames * squares[k] - errors[k] * errors[k]
-        stderr = math.sqrt(spread / (frames * frames * (frames - 1))) / bits
-        samples = frames * bits
-        rows.append(ResultRow(snr_db, entity, metric, errors[k] / samples, samples, stderr))
-    return rows
-
-
-class _Moments:
-    """Count, mean and centred second moment of each column, merged over
-    chunks in chunk order by the pairwise update of Chan, Golub & LeVeque
-    (1979); running sums of x and x**2 would cancel catastrophically. A
-    single chunk gives numpy's ``mean`` and ``std(ddof=1)`` bit for bit.
-    """
-
-    def __init__(self, spread: bool = True) -> None:
-        self.spread = spread  # False keeps the mean alone
-        # merging a chunk into this empty state adds exact zeros to its own
-        # moments, so the first chunk's statistics pass through unchanged
-        self.count, self.mean, self.m2 = 0, 0.0, 0.0
-
-    def add(self, values: np.ndarray):
-        """Merge one chunk, realizations along axis 0. Returns the chunk's
-        deviations from its own mean (None without spread). ``shift`` is
-        then the chunk's mean minus the earlier chunks' mean, and
-        ``weight`` the product of their counts over the sum, the terms a
-        cross moment's merge needs."""
-        count = len(values)
-        mean = values.mean(axis=0)
-        total = self.count + count
-        self.shift = mean - self.mean
-        self.weight = self.count * count / total
-        self.mean = self.mean + self.shift * (count / total)
-        self.count = total
-        if not self.spread:
-            return None
-        deviations = values - mean
-        self.m2 = self.m2 + (deviations * deviations).sum(axis=0) + self.shift**2 * self.weight
-        return deviations
-
-    def std(self):
-        """Sample standard deviation of each column (ddof=1)."""
-        return np.sqrt(self.m2 / (self.count - 1))
-
-
-def _rate_point(config: SimConfig, snr_index: int, snr_db: float) -> list:
-    """Rate rows of one SNR point, from fading-averaged statistics of only
-    the columns the experiment writes.
-
-    Realizations run in chunks of ``_RATE_CHUNK``, chunk c drawn from
-    ``SeedSequence((seed, snr_index, c))``, so memory is O(chunk * K)
-    whatever the realization count. The single-user rates and the TDMA
-    baseline are ``hybrid_rate_table`` on ``lone``, each user alone in its
-    group at full power with the cell's T kept. Nobody there absorbs
-    anybody, so the order cannot matter and distance order costs least.
-    """
-    cell = _scene(config)
-    count = cell.user_count
-    lone = dataclasses.replace(cell, group_of=tuple(range(count)), powers=(config.total_power,) * count)
-    noise_variance = config.noise_variance(snr_db)
-    experiment = config.experiment
-    n = config.frames
-    per_user = _Moments(spread=experiment != "ratio")
-    sums, tdma = _Moments(), _Moments()
-    cross = 0.0  # sum of products of the hybrid sum's and TDMA's deviations
-    for chunk, start in enumerate(range(0, n, _RATE_CHUNK)):
-        rng = np.random.default_rng(np.random.SeedSequence((config.seed, snr_index, chunk)))
-        # drawn (K, n) and viewed as (n, K): each user's realizations stay
-        # contiguous, which keeps the reductions over realizations fast
-        fading_power = draw_fading_power(rng, count, min(_RATE_CHUNK, n - start)).T
-        if experiment == "rate_single_user":
-            per_user.add(hybrid_rate_table(lone, fading_power, noise_variance))
-            continue
-        table = hybrid_rate_table(cell, fading_power, noise_variance, config.decoding_order_mode)
-        per_user.add(table)
-        sum_deviations = sums.add(table.sum(axis=1))
-        del table  # freed before the baseline allocates its own (n, K) table
-        if experiment == "ratio":
-            baseline = hybrid_rate_table(lone, fading_power, noise_variance).mean(axis=1)
-            tdma_deviations = tdma.add(baseline)
-            # a sum of products, not np.cov, whose dot product would call BLAS
-            sum_deviations *= tdma_deviations
-            cross += sum_deviations.sum() + sums.shift * tdma.shift * sums.weight
-    root_n = math.sqrt(n)
-    if experiment != "ratio":
-        metric = "rate_single" if experiment == "rate_single_user" else "rate"
-        means, stds = per_user.mean, per_user.std()
-        rows = [
-            ResultRow(snr_db, str(k + 1), metric, float(means[k]), n, float(stds[k]) / root_n)
-            for k in range(count)
-        ]
-        if experiment == "rate":
-            rows.append(ResultRow(snr_db, "sum", metric, float(np.sum(means)), n,
-                                  float(sums.std()) / root_n))
-        return rows
-    hybrid_sum, hybrid_std = float(np.sum(per_user.mean)), float(sums.std())
-    tdma_sum, tdma_std = float(tdma.mean), float(tdma.std())
-    ratio = hybrid_sum / tdma_sum
-    # delta method for a ratio of two correlated sample means
-    relative_cov = (cross / (n - 1)) / hybrid_sum / tdma_sum
-    relative_var = (hybrid_std / hybrid_sum) ** 2 + (tdma_std / tdma_sum) ** 2 - 2.0 * relative_cov
-    return [
-        ResultRow(snr_db, "sum", "rate_hybrid", hybrid_sum, n, hybrid_std / root_n),
-        ResultRow(snr_db, "sum", "rate_tdma", tdma_sum, n, tdma_std / root_n),
-        ResultRow(snr_db, "sum", "rate_ratio", ratio, n,
-                  math.sqrt(max(ratio**2 * relative_var / n, 0.0))),
-    ]
-
-
 def run_experiment(config: SimConfig) -> tuple[ResultRow, ...]:
     """Run the experiment that ``config.experiment`` names and return its
     rows: the SNR points in grid order, as given rather than sorted, and
@@ -509,9 +295,13 @@ def run_experiment(config: SimConfig) -> tuple[ResultRow, ...]:
     each user alone, the rate table of a cell of lone users.
     """
     config = config.validated()
-    point_fn = _rate_point if config.experiment in RATE_EXPERIMENTS else _ber_point
-    points = _map_points(point_fn, config)
-    return tuple(row for rows in points for row in rows)
+    workers = _worker_count(len(config.snr_grid_db))
+    # numpy loads here, once, after every refusal and before the pool
+    # forks, so the workers inherit it instead of importing it again
+    from . import points
+
+    point_fn = points._rate_point if config.experiment in RATE_EXPERIMENTS else points._ber_point
+    return tuple(row for rows in _map_points(point_fn, config, workers) for row in rows)
 
 
 def emit_csv(rows, destination) -> None:

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from dataclasses import replace
 from unittest import mock
@@ -31,15 +32,14 @@ from timnoma import (
     run_experiment,
 )
 from timnoma.harness import (
-    _RATE_CHUNK,
     EXPERIMENTS,
     FADING_MODES,
     ORDER_MODES,
     WORKERS_ENV,
-    _ber_point,
     _scene,
     _worker_count,
 )
+from timnoma.points import _RATE_CHUNK, _ber_point
 
 import helpers
 from helpers import (
@@ -707,6 +707,28 @@ def test_rate_point_memory_does_not_grow_with_realizations():
         peaks[frames] = peak_kib / 1024.0
     # one (N, K) table at N = 10**6 alone is 40 MB
     assert peaks[1_000_000] - peaks[2] < 10.0, peaks
+
+
+def test_ber_point_frees_each_frame_before_the_next():
+    # 16 users in one group under instantaneous order: a frame's gains and
+    # bits are gone before the next frame draws its own, so two frames'
+    # draws are never alive together
+    config = SimConfig(
+        distances=K16_DISTANCES, group_count=1, decoding_order_mode="instantaneous",
+        frames=2, bits_per_frame=1 << 15, snr_grid_db=(10.0,),
+    ).validated()
+    count, symbols = len(K16_DISTANCES), config.bits_per_frame // 2
+    draws = count * symbols * 8 + count * config.bits_per_frame * 4  # float64 gains, int32 bits
+    _ber_point(config, 0, 10.0)  # warm numpy's caches outside the trace
+    tracemalloc.start()
+    try:
+        _ber_point(config, 0, 10.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # about 1.40x: one frame's draws, the point's buffers and the chain's
+    # scratch; the previous frame's bits on top read 1.76x
+    assert peak < 1.5 * draws, peak / draws
 
 
 class TestRatesAgainstClosedForm:

@@ -77,7 +77,7 @@ REMOVED = [
     "user_rate",
 ]
 
-MODULES = ["analytics", "channel", "cli", "harness", "modem", "receiver", "topology"]
+MODULES = ["analytics", "channel", "cli", "harness", "modem", "points", "receiver", "topology"]
 
 
 def test_public_names_are_exactly_these():
@@ -102,16 +102,61 @@ def test_precoding_module_is_gone():
         importlib.import_module("timnoma.precoding")
 
 
+def run_fresh(code: str, **env) -> str:
+    """Run code in a fresh interpreter on this checkout; its stdout."""
+    src = os.path.dirname(os.path.dirname(timnoma.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src, **env},
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    return out.stdout.strip()
+
+
 def test_import_does_not_load_the_process_pool():
     # a one-worker run never starts a pool, so importing the package must
     # not pay for concurrent.futures.process
-    src = os.path.dirname(os.path.dirname(timnoma.__file__))
     code = "import sys, timnoma, timnoma.cli; print('concurrent.futures.process' in sys.modules)"
-    env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60
+    assert run_fresh(code) == "False"
+
+
+# everything that stops short of a run: the import, the argument parser,
+# config text, an SNR grid, the check, and the CLI refusing a config, a
+# usage error and a bad TIMNOMA_WORKERS value
+FRONT_END = """
+import contextlib, io, sys
+import timnoma, timnoma.cli
+timnoma.cli.build_parser().parse_args(["ber", "--snr", "0:2:30", "--seed", "1"])
+timnoma.parse_config_text("frames = 20\\nsnr_grid = 0:10:30\\n")
+timnoma.parse_snr_grid("20:4:44")
+timnoma.SimConfig(experiment="ratio", frames=500, snr_grid_db=(0.0, 70.0)).validated()
+with contextlib.redirect_stderr(io.StringIO()):
+    assert timnoma.cli.main(["rate", "--snr", "301"]) == 1
+    try:
+        timnoma.cli.main(["ber", "--frames", "abc"])
+    except SystemExit as exc:
+        assert exc.code == 2
+    else:
+        raise AssertionError("a usage error must exit")
+    assert timnoma.cli.main(["ber", "--frames", "2", "--snr", "0"]) == 1  # TIMNOMA_WORKERS=0
+print(sorted(m for m in ("numpy", "concurrent.futures.process") if m in sys.modules))
+"""
+
+
+def test_front_end_does_not_load_numpy():
+    assert run_fresh(FRONT_END, TIMNOMA_WORKERS="0") == "[]"
+
+
+def test_run_loads_numpy_once_before_the_pool_forks():
+    # numpy is absent until the run, and present in the parent after a
+    # pool run, so the fork pool's workers inherited it
+    code = (
+        "import sys, timnoma\n"
+        "before = 'numpy' in sys.modules\n"
+        "config = timnoma.SimConfig(frames=2, bits_per_frame=2, snr_grid_db=(0.0, 10.0))\n"
+        "assert len(timnoma.run_experiment(config)) == 12\n"
+        "print(before, 'numpy' in sys.modules)"
     )
-    assert out.stdout.strip() == "False"
+    assert run_fresh(code, TIMNOMA_WORKERS="2") == "False True"
 
 
 def readme_text():
