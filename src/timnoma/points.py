@@ -39,8 +39,7 @@ import numpy as np
 from .analytics import hybrid_rate_table
 from .channel import draw_fading_power
 from .harness import ResultRow, SimConfig, _scene
-from .modem import LEVEL
-from .receiver import decode
+from .receiver import LEVEL, decode
 
 # realizations per rate chunk: a constant, so a point's bytes never depend
 # on a setting (see the module docstring for why chunk 0 kept the old bytes)
@@ -72,8 +71,7 @@ def _ber_point(config: SimConfig, snr_index: int, snr_db: float) -> list:
     count, group_of = cell.user_count, cell.group_of
     symbols_per_frame = config.bits_per_frame // 2
     gamma = np.array(cell.path_gains)[:, np.newaxis]
-    amp = np.sqrt(np.asarray(cell.powers))
-    levels = (amp * LEVEL).tolist()
+    levels = [math.sqrt(p) * LEVEL for p in cell.powers]
     scale = math.sqrt(config.noise_variance(snr_db) / 2.0)
     blocks = symbols_per_frame if config.fading_mode == "block" else 1
     per_frame_order = config.decoding_order_mode == "instantaneous"
@@ -113,7 +111,7 @@ def _ber_point(config: SimConfig, snr_index: int, snr_db: float) -> list:
             channel[:, 1:] = channel[:, :1]
             np.multiply(totals[group], flat_channel, out=term)
             flat_row += term
-            decided = decode(row, channel, amp, group_of, k, order)
+            decided = decode(row, channel, cell, k, order)
             frame_errors.append(int(np.count_nonzero(decided != bits[k])))
         frame_errors.append(sum(frame_errors))
         for k, frame_count in enumerate(frame_errors):

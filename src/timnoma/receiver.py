@@ -7,7 +7,9 @@ by conj(g_k)/|g_k| turns this, on each real axis, into
 
     r = |g_k| * sum_j sqrt(P_j) x_j + w,   w ~ N(0, sigma^2 / 2),
 
-with x_j = +-1/sqrt(2) the symbol's level on that axis. Gray-QPSK maximum
+with x_j = (1 - 2 b) LEVEL on that axis and LEVEL = 1/sqrt(2): the QPSK is
+Gray-mapped with unit energy, a symbol's first bit b setting the in-phase
+sign and its second the quadrature sign (0 -> +, 1 -> -). Maximum
 likelihood with a scalar channel is a sign test per axis, so everything
 here is real and per axis.
 
@@ -21,18 +23,22 @@ noise.
 The decoding order is one pairwise rule, ``ranks_ahead``, by distance or
 block by block by instantaneous gain, so both orders share one kernel; a
 single-user run is a cell of one-user groups, where nobody ranks ahead of
-anybody. The rule is the only statement of the order: the rate tables
-read it too.
+anybody. The rule is the only statement of the order, and the rate
+tables read it and the same ``Cell`` too.
 
 Nothing here calls BLAS: every operation is elementwise on one row.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import ValidationError
-from .modem import LEVEL
+from .topology import Cell
+
+LEVEL = 1.0 / np.sqrt(2.0)
 
 
 def ranks_ahead(j, k, gains=None):
@@ -53,24 +59,23 @@ def ranks_ahead(j, k, gains=None):
     return (gain_j > gain_k) | ((gain_j == gain_k) & nearer)
 
 
-def decode(row, channel, amplitudes, group_of, k, gains=None, genie_symbols=None) -> np.ndarray:
+def decode(row, channel, cell: Cell, k, gains=None, genie_symbols=None) -> np.ndarray:
     """Run receiver k's SIC chain and return the bits it decides.
 
     ``row`` is k's derotated signal, (S, 2) real: block s on the real axis,
     then on the imaginary axis. It is overwritten with k's final residual,
     the one its own symbols were detected from. ``channel`` is k's channel
     magnitude |g_k| = sqrt(gamma_k |h_k|^2) on both axes of each block,
-    (S, 2), or (1, 1) when it is constant over the frame. ``amplitudes``
-    are every user's transmit amplitude sqrt(P_j), ``group_of`` holds one
-    group index per user, and ``gains`` picks the decoding order as
-    ``ranks_ahead`` does: None for distance order, or the (K,), (K, 1) or
-    (K, S) instantaneous gains.
+    (S, 2), or (1, 1) when it is constant over the frame. ``cell`` gives
+    every user's transmit power P_j and group, and ``gains`` picks the
+    decoding order as ``ranks_ahead`` does: None for distance order, or the
+    (K,), (K, 1) or (K, S) instantaneous gains.
 
-    The rest of k's group is swept in descending transmit power, a tie
-    going to the smaller index. Each member j that k ranks ahead of on
-    some block is detected on every axis by the sign of the running
-    residual, and its reconstruction |g_k| * sqrt(P_j) * level is
-    subtracted from the residual in place, on the blocks where k ranks
+    The rest of k's group is swept in descending transmit amplitude
+    sqrt(P_j), a tie going to the smaller index. Each member j that k
+    ranks ahead of on some block is detected on every axis by the sign of
+    the running residual, and its reconstruction |g_k| * sqrt(P_j) * level
+    is subtracted from the residual in place, on the blocks where k ranks
     ahead, so detection errors propagate exactly as in a real chain. If
     ``genie_symbols`` ((K, S, 2), the transmitted levels) is given, the
     true levels are subtracted instead, which isolates k's own detection
@@ -79,18 +84,17 @@ def decode(row, channel, amplitudes, group_of, k, gains=None, genie_symbols=None
     Returns k's 2S booleans, two per symbol, in-phase first: a negative
     residual decides bit 1, and an exact zero of either sign bit 0.
     """
-    amplitudes = np.asarray(amplitudes, dtype=float)
-    count = len(amplitudes)
-    group_of = np.asarray(group_of)
-    if row.shape[1:] != (2,) or group_of.shape != (count,) or k not in range(count):
+    group_of = cell.group_of
+    count = len(group_of)
+    if row.shape[1:] != (2,) or k not in range(count):
         raise ValidationError(
-            f"signal {row.shape}, groups {group_of.shape} and receiver {k!r} "
-            f"do not match one (S, 2) row of {count} users"
+            f"signal {row.shape} and receiver {k!r} do not match one (S, 2) row of {count} users"
         )
-    groups = group_of.tolist()
-    # sorted is stable, so a tie in power goes to the smaller index
+    # sqrt rounds correctly, as numpy's does; sorted is stable, so a tie in
+    # amplitude goes to the smaller index
+    amplitudes = [math.sqrt(p) for p in cell.powers]
     sweep = sorted(
-        (j for j in range(count) if groups[j] == groups[k] and j != k), key=lambda j: -amplitudes[j]
+        (j for j in range(count) if group_of[j] == group_of[k] and j != k), key=lambda j: -amplitudes[j]
     )
     reconstruction = np.empty(np.shape(channel))
     subtrahend = np.empty(row.shape)

@@ -27,27 +27,33 @@ _MAX_EXPONENT = 10.0
 ORDER_MODES = ("distance", "instantaneous")
 
 
+def _is_int(value) -> bool:
+    # bool subclasses int, but True is no group or frame count
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class Cell:
     """Per-user path gains gamma_k = 1/d_k^n, transmit powers P_k in watts
     and groups numbered from 0, and ``slots``: T, the slots of a block, in
     which each user sends one symbol. ``build_cell`` makes T the group
     count and the powers increasing; a regrouped cell keeps its T, and its
-    powers need not increase."""
+    powers need not increase. Made or replaced, a cell checks its shape."""
 
     path_gains: tuple[float, ...]
     powers: tuple[float, ...]
     group_of: tuple[int, ...]
     slots: int
 
+    def __post_init__(self) -> None:
+        if not (len(self.path_gains) == len(self.powers) == len(self.group_of) > 0):
+            raise ValidationError("a cell needs a user, and one path gain, power and group per user")
+        if not (_is_int(self.slots) and self.slots >= 1):
+            raise ValidationError(f"slots must be a positive integer, not {self.slots!r}")
+
     @property
     def user_count(self) -> int:
         return len(self.group_of)
-
-
-def _is_int(value) -> bool:
-    # bool subclasses int, but True is no group or frame count
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _require_positive_finite(name: str, value) -> float:

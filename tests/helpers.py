@@ -224,7 +224,7 @@ def levels(values):
     return values.reshape(-1).view(float).reshape(values.shape + (2,))
 
 
-# the package's per-axis QPSK level, computed as ``timnoma.modem`` does
+# the package's per-axis QPSK level, computed as ``timnoma.receiver`` does
 LEVEL = 1.0 / np.sqrt(2.0)
 _LEVELS = np.array([LEVEL, -LEVEL])  # indexed by bit
 
@@ -300,8 +300,9 @@ def gathering_decode(signal, channels, amplitudes, group_of, gains=None, genie_s
     return (residual < 0).reshape(count, -1)
 
 
-def decode_rows(signal, channels, amplitudes, group_of, gains=None, genie_symbols=None):
-    """Receiver k's ``decode`` on row k of a (K, S, 2) signal, for every k.
+def decode_rows(signal, channels, cell, gains=None, genie_symbols=None):
+    """Receiver k's ``decode`` on row k of a (K, S, 2) signal, for every k
+    of ``cell``, the ``Cell`` whose powers and groups every chain reads.
 
     ``channels`` are the (K, S) or (K, 1) magnitudes; each row gets its own
     laid out per axis, as the harness lays it out: (S, 2), or (1, 1) when
@@ -312,7 +313,7 @@ def decode_rows(signal, channels, amplitudes, group_of, gains=None, genie_symbol
     if channels.shape[1] > 1:
         channels = np.repeat(channels, 2, axis=2)
     return np.array([
-        decode(signal[k], channels[k], amplitudes, group_of, k, gains, genie_symbols)
+        decode(signal[k], channels[k], cell, k, gains, genie_symbols)
         for k in range(len(signal))
     ])
 

@@ -128,7 +128,7 @@ def test_criterion_03_genie_sic_cancellation(ref_cell, ref_basis):
     genie = levels(symbols)
     for k in range(5):  # each receiver's chain on its own row, |g_k| on both axes
         channel = np.repeat(magnitudes[k][:, np.newaxis], 2, axis=1)
-        decode(signal[k], channel, amplitudes, ref_cell.group_of, k, genie_symbols=genie)
+        decode(signal[k], channel, ref_cell, k, genie_symbols=genie)
     residual = signal.view(complex)[..., 0]
     # after genie cancellation each receiver keeps its own signal, the
     # same-group signals ranked before it, and its projected noise

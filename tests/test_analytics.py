@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -275,6 +276,17 @@ class TestRateTables:
             hybrid_rate_table(ref_cell, fading, UNIT_NOISE)
         with pytest.raises(ValidationError, match="real"):
             hybrid_rate_table(lone_cell(ref_cell, 40.0), fading, UNIT_NOISE)
+
+    @pytest.mark.parametrize(
+        "change",
+        [{"path_gains": (1.0,)}, {"powers": (8.0,) * 3}, {"powers": (8.0,) * 6}, {"slots": 0}],
+        ids=["one-path-gain", "three-powers", "six-powers", "no-slots"],
+    )
+    def test_refuses_a_cell_of_the_wrong_shape(self, ref_cell, change):
+        # the README derives cells by dataclasses.replace: one path gain on
+        # five users must be refused, not broadcast over all of them
+        with pytest.raises(ValidationError):
+            hybrid_rate_table(replace(ref_cell, **change), np.ones((3, 5)), UNIT_NOISE)
 
     @pytest.mark.parametrize("sigma2", [0.0, -1.0, math.nan, math.inf])
     def test_rejects_bad_noise_variance(self, ref_cell, sigma2):

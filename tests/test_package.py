@@ -2,6 +2,7 @@
 
 import importlib
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -77,7 +78,7 @@ REMOVED = [
     "user_rate",
 ]
 
-MODULES = ["analytics", "channel", "cli", "harness", "modem", "points", "receiver", "topology"]
+MODULES = sorted(module.name for module in pkgutil.iter_modules(timnoma.__path__))
 
 
 def test_public_names_are_exactly_these():
@@ -97,9 +98,11 @@ def test_removed_name_is_not_importable(name):
         assert not hasattr(importlib.import_module(f"timnoma.{module}"), name), module
 
 
-def test_precoding_module_is_gone():
+@pytest.mark.parametrize("module", ["precoding", "modem"])
+def test_removed_module_is_gone(module):
+    assert module not in MODULES
     with pytest.raises(ImportError):
-        importlib.import_module("timnoma.precoding")
+        importlib.import_module(f"timnoma.{module}")
 
 
 def run_fresh(code: str, **env) -> str:

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from timnoma import (
+    Cell,
     SimConfig,
     ValidationError,
     build_cell,
@@ -172,7 +174,7 @@ def ml_detect(residual, channel):
     residual = np.atleast_1d(residual)
     channel = np.broadcast_to(channel, residual.shape)
     signal, magnitudes = derotate(residual[np.newaxis], channel[np.newaxis])
-    bits = decode_rows(signal, magnitudes, [1.0], [0])[0]
+    bits = decode_rows(signal, magnitudes, Cell((1.0,), (1.0,), (0,), 1))[0]
     decided = CONSTELLATION[2 * bits[0::2] + bits[1::2]]
     return complex(decided[0]) if decided.shape == (1,) else decided
 
@@ -250,7 +252,7 @@ class TestSicPlan:
         signal, magnitudes = real_bank(
             ref_cell, ref_basis, symbols, fading
         )
-        bits = decode_rows(signal, magnitudes, amplitudes(ref_cell), ref_cell.group_of)
+        bits = decode_rows(signal, magnitudes, ref_cell)
         np.testing.assert_array_equal(bits[0], [False, False])
         own = magnitudes[0, :, None] * math.sqrt(ref_cell.powers[0]) * levels(symbols[0])
         np.testing.assert_allclose(signal[0], own, rtol=1e-12)
@@ -263,7 +265,7 @@ class TestSicDecode:
         signal, magnitudes = real_bank(
             ref_cell, ref_basis, symbols, fading
         )
-        bits = decode_rows(signal, magnitudes, amplitudes(ref_cell), ref_cell.group_of)
+        bits = decode_rows(signal, magnitudes, ref_cell)
         np.testing.assert_array_equal(bits, qpsk_demodulate(symbols))
 
     def test_strongest_power_user_detects_without_cancelling(self, ref_cell, ref_basis, rng):
@@ -273,7 +275,7 @@ class TestSicDecode:
             ref_cell, ref_basis, symbols, fading
         )
         projected = signal.copy()
-        decode_rows(signal, magnitudes, amplitudes(ref_cell), ref_cell.group_of)
+        decode_rows(signal, magnitudes, ref_cell)
         assert cancel_sets(ref_cell.group_of)[4] == ()
         np.testing.assert_array_equal(signal[4, 0], projected[4, 0])
 
@@ -284,7 +286,7 @@ class TestSicDecode:
         signal, magnitudes = real_bank(
             ref_cell, ref_basis, symbols, fading
         )
-        decode_rows(signal, magnitudes, amplitudes(ref_cell), ref_cell.group_of)
+        decode_rows(signal, magnitudes, ref_cell)
         assert cancel_sets(ref_cell.group_of)[2] == (4,)
         # the residual still carries user 0's signal (treated as noise)
         leftover = magnitudes[2, 0] * (
@@ -302,8 +304,7 @@ class TestSicDecode:
             ref_cell, ref_basis, symbols, fading, noise
         )
         signal, magnitudes = derotate(projected, channels)
-        decode_rows(signal, magnitudes, amplitudes(ref_cell), ref_cell.group_of,
-                    genie_symbols=levels(symbols))
+        decode_rows(signal, magnitudes, ref_cell, genie_symbols=levels(symbols))
         expected = (
             channels[0] * math.sqrt(ref_cell.powers[0]) * symbols[0]
             + ref_basis[0] @ noise[0]
@@ -320,7 +321,7 @@ class TestSicDecode:
         signal, magnitudes = real_bank(
             ref_cell, ref_basis, symbols, fading
         )
-        decode_rows(signal, magnitudes, amplitudes(ref_cell), ref_cell.group_of)
+        decode_rows(signal, magnitudes, ref_cell)
         own = magnitudes[0, :, None] * math.sqrt(ref_cell.powers[0]) * levels(symbols[0])
         np.testing.assert_allclose(signal[0], own, rtol=1e-12)
 
@@ -354,9 +355,9 @@ class TestPerBlockSic:
         signal, magnitudes = real_bank(
             ref_cell, ref_basis, symbols, fading, noise
         )
-        static = decode_rows(signal.copy(), magnitudes, amplitudes(ref_cell), ref_cell.group_of, gains)
+        static = decode_rows(signal.copy(), magnitudes, ref_cell, gains)
         per_block = np.repeat(gains[:, None], n, axis=1)
-        dynamic = decode_rows(signal, magnitudes, amplitudes(ref_cell), ref_cell.group_of, per_block)
+        dynamic = decode_rows(signal, magnitudes, ref_cell, per_block)
         np.testing.assert_array_equal(static, dynamic)
 
     def test_blocks_where_user_ranks_last_skip_cancellation(self, ref_cell, ref_basis):
@@ -370,7 +371,7 @@ class TestPerBlockSic:
         channels = np.ones((5, 1), dtype=complex)
         projected = project(np.broadcast_to(x, (5,) + x.shape), ref_basis, np.asarray(ref_cell.group_of))
         signal, magnitudes = derotate(projected, channels)
-        bits = decode_rows(signal, magnitudes, amplitudes(ref_cell), ref_cell.group_of, gains)
+        bits = decode_rows(signal, magnitudes, ref_cell, gains)
         # block 0 cancels users 4 and 2, leaving the clean own symbol;
         # block 1 cancels nothing, so user 4's stronger signal dominates
         np.testing.assert_array_equal(bits[0], qpsk_demodulate(CONSTELLATION[[0, 3]]))
@@ -399,7 +400,7 @@ class TestDecodeBank:
             gains = order = gamma[:, None] * np.abs(fading) ** 2
         expected = reference_sic_bits(projected, channels, cell.powers, cell.group_of, gains)
         signal, magnitudes = derotate(projected, channels)
-        bits = decode_rows(signal, magnitudes, amplitudes(cell), cell.group_of, order)
+        bits = decode_rows(signal, magnitudes, cell, order)
         np.testing.assert_array_equal(bits, expected)
         # the run is noisy enough that SIC errors are exercised
         assert 0 < np.count_nonzero(bits != qpsk_demodulate(symbols)) < bits.size // 4
@@ -410,23 +411,24 @@ class TestDecodeBank:
         signal, magnitudes = derotate(projected, channels)
         untouched = signal.copy()
         # every user alone in its group: nobody ranks ahead of anybody
-        bits = decode_rows(signal, magnitudes, amplitudes(ref_cell), range(5))
+        bits = decode_rows(signal, magnitudes, replace(ref_cell, group_of=tuple(range(5))))
         np.testing.assert_array_equal(signal, untouched)
         own = minimum_distance_detect(projected, channels, 1.0)
         np.testing.assert_array_equal(bits, qpsk_demodulate(own))
 
     def test_rejects_mismatched_shapes(self, ref_cell):
-        amps, group_of = amplitudes(ref_cell), ref_cell.group_of
         # a row that is not (S, 2): flat, three axes wide, or a whole frame
         for shape in [(16,), (8, 3), (5, 8, 2)]:
             with pytest.raises(ValidationError):
-                decode(np.zeros(shape), np.ones((1, 1)), amps, group_of, 0)
+                decode(np.zeros(shape), np.ones((1, 1)), ref_cell, 0)
         # a receiver outside the cell
         for k in (-1, 5):
             with pytest.raises(ValidationError):
-                decode(np.zeros((8, 2)), np.ones((1, 1)), amps, group_of, k)
+                decode(np.zeros((8, 2)), np.ones((1, 1)), ref_cell, k)
+        # groups that do not match the powers never reach decode: the cell
+        # refuses them when it is made
         with pytest.raises(ValidationError):
-            decode(np.zeros((8, 2)), np.ones((1, 1)), amps, (0, 1, 0), 0)
+            replace(ref_cell, group_of=(0, 1, 0))
 
     @staticmethod
     def frame_decode_peak(signal, gains, cell, order):
@@ -436,7 +438,7 @@ class TestDecodeBank:
         tracemalloc.start()
         try:
             bits = [
-                decode(signal[k], channels[k], amplitudes(cell), cell.group_of, k, order)
+                decode(signal[k], channels[k], cell, k, order)
                 for k in range(len(signal))
             ]
             peak = tracemalloc.get_traced_memory()[1]
@@ -482,7 +484,7 @@ class TestDecodeBank:
         order = gains if order_mode == "instantaneous" else None
         tracemalloc.start()
         try:
-            decode(row, channel, amplitudes(cell), cell.group_of, 0, order)
+            decode(row, channel, cell, 0, order)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -527,10 +529,13 @@ class TestDecodeMatchesTheGatheringKernel:
     @given(frame=bank_frames())
     def test_same_bits_and_residual_bytes(self, frame):
         signal, channels, amps, group_of, gains, genie = frame
+        # a^2 and sqrt(a^2) are exact on the drawn amplitudes, so the cell
+        # gives decode the amplitudes the oracle reads
+        cell = Cell((1.0,) * len(amps), tuple(float(a) ** 2 for a in amps), group_of, len(amps))
         expected = signal.copy()
         expected_bits = gathering_decode(expected, channels, amps, group_of, gains, genie)
         residual = signal.copy()
-        bits = decode_rows(residual, channels, amps, group_of, gains, genie)
+        bits = decode_rows(residual, channels, cell, gains, genie)
         np.testing.assert_array_equal(bits, expected_bits)
         assert residual.tobytes() == expected.tobytes()
 
@@ -600,5 +605,5 @@ class TestRealBasebandMatchesPhysicalChain:
         signal = levels(np.conj(h) / np.abs(h) * z)
         signal += received_signal(qpsk_levels(bits), magnitudes, amplitudes(cell), kernel_groups)
         order = None if config.decoding_order_mode == "distance" else gains
-        decided = decode_rows(signal, magnitudes, amplitudes(cell), kernel_groups, order)
+        decided = decode_rows(signal, magnitudes, replace(cell, group_of=kernel_groups), order)
         np.testing.assert_array_equal(decided, expected)

@@ -1,10 +1,11 @@
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from timnoma import ValidationError, build_cell
+from timnoma import Cell, ValidationError, build_cell
 
 from helpers import REFERENCE_DISTANCES, members
 
@@ -63,6 +64,31 @@ class TestBuildTopology:
     def test_rejects_invalid_parameters(self, distances, power, exponent, groups, fragment):
         with pytest.raises(ValidationError, match=fragment):
             build_cell(distances, exponent, groups, power)
+
+
+class TestCellShape:
+    FIELDS = {"path_gains": (8.0, 1.0), "powers": (8.0, 32.0), "group_of": (0, 0), "slots": 1}
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"path_gains": (8.0,)},
+            {"powers": (8.0, 32.0, 1.0)},
+            {"group_of": (0,)},
+            {"path_gains": (), "powers": (), "group_of": ()},
+            {"slots": 0},
+            {"slots": -1},
+            {"slots": 2.0},
+            {"slots": True},  # a bool is no slot count
+        ],
+        ids=["short-gains", "long-powers", "short-groups", "no-user", "zero-slots",
+             "negative-slots", "float-slots", "bool-slots"],
+    )
+    def test_made_or_replaced_cell_refuses_a_bad_shape(self, change):
+        with pytest.raises(ValidationError):
+            Cell(**{**self.FIELDS, **change})
+        with pytest.raises(ValidationError):
+            replace(Cell(**self.FIELDS), **change)
 
 
 class TestPathLoss:
