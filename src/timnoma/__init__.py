@@ -9,7 +9,7 @@ derotated real baseband that is left after it. The harness sweeps transmit
 SNR and writes per-user BER and achievable-rate tables as CSV.
 
 Importing the package, parsing a config and checking it load no numpy:
-the four numpy-backed public names load on first access (``__getattr__``),
+the three numpy-backed public names load on first access (``__getattr__``),
 and a run loads numpy once it has passed its checks.
 """
 
@@ -37,7 +37,6 @@ __all__ = [
     "ValidationError",
     "build_cell",
     "decode",
-    "draw_fading_power",
     "emit_csv",
     "hybrid_rate_table",
     "parse_config",
@@ -50,7 +49,6 @@ __all__ = [
 # each numpy-backed public name and the module that defines it
 _LAZY = {
     "decode": "receiver",
-    "draw_fading_power": "channel",
     "hybrid_rate_table": "analytics",
     "ranks_ahead": "receiver",
 }

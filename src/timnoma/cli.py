@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Subcommands pick the experiment, over a config file's ``experiment``;
-common flags load a config file and override individual fields. With no
+Subcommands pick the experiment, which a config file cannot name; common
+flags load a config file and override individual fields. With no
 arguments each subcommand runs the 5-user reference scenario. Exit codes:
 0 success, 1 config or validation error, 2 I/O or argparse usage error.
 """

@@ -3,9 +3,9 @@ end. The Monte Carlo of an SNR point is in ``points``, which
 ``run_experiment`` imports once a run has passed every check, so parsing,
 validating and refusing a config never load numpy.
 
-Config files are flat UTF-8 ``key = value`` text; ``#`` starts a comment and
-blank lines are ignored. Keys (all optional, each at most once, defaults
-reproduce the 5-user reference cell):
+Config files are flat UTF-8 ``key = value`` text, a leading byte-order
+mark allowed; ``#`` starts a comment and blank lines are ignored. Keys (all
+optional, each at most once, defaults reproduce the 5-user reference cell):
 
     distances            comma list, 1 to 16 users at          0.5,1.5,2.5,3.5,4.5
                          0.001-1000 km, strictly increasing
@@ -19,8 +19,9 @@ reproduce the 5-user reference cell):
     seed                 non-negative 64-bit integer           42
     decoding_order_mode  distance | instantaneous              distance
     fading_mode          block | frame                         block
-    experiment           ber | ber_single_user | rate |
-                         rate_single_user | ratio              ber
+
+There is no ``experiment`` key: the CLI's subcommand or a library
+caller's ``SimConfig.experiment`` names the experiment.
 
 SNR is the transmit SNR P/sigma^2 in dB at the fixed budget P =
 ``SimConfig.total_power`` (40 W), which cancels out of every SINR; each
@@ -31,8 +32,10 @@ squared deviation and SINR stays a normal double.
 Every (seed, SNR index, frame) triple seeds an independent substream, so
 results are byte-identical for any worker count. The pool runs one worker
 per SNR point, up to the CPUs the process may use and up to
-``TIMNOMA_WORKERS`` if it is set. Each SNR point returns its own result
-rows, in grid order.
+``TIMNOMA_WORKERS`` if it is set. It forks where the platform can, so its
+workers inherit the numpy and the package the run has imported; Python
+3.14 made forkserver Linux's default, whose workers import both again.
+Each SNR point returns its own result rows, in grid order.
 """
 
 from __future__ import annotations
@@ -47,6 +50,10 @@ from .errors import ConfigError, ValidationError
 from .topology import ORDER_MODES, Cell, _is_int, build_cell
 
 WORKERS_ENV = "TIMNOMA_WORKERS"
+# fork where the platform has it, else its default (see the module
+# docstring); read from os, since importing multiprocessing here would
+# slow every refusal, and a test pins that the two agree
+_START_METHOD = "fork" if hasattr(os, "fork") else None
 
 EXPERIMENTS = ("ber", "ber_single_user", "rate", "rate_single_user", "ratio")
 RATE_EXPERIMENTS = ("rate", "rate_single_user", "ratio")
@@ -148,7 +155,7 @@ class ResultRow:
 # config parsing
 
 _INT_KEYS = ("group_count", "frames", "bits_per_frame", "seed")
-_STR_KEYS = ("decoding_order_mode", "fading_mode", "experiment")
+_STR_KEYS = ("decoding_order_mode", "fading_mode")
 # far above any figure's grid, far below a grid that exhausts memory
 _MAX_SNR_POINTS = 100_000
 
@@ -228,7 +235,9 @@ def parse_config(path) -> SimConfig:
     with open(path, "rb") as handle:
         data = handle.read()
     try:
-        text = data.decode("utf-8")
+        # utf-8-sig would count the offset after a byte-order mark, not from
+        # the start of the file, so the mark is dropped once decoded
+        text = data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config {path}: not UTF-8 at byte {exc.start}") from exc
     return parse_config_text(text)
@@ -265,9 +274,11 @@ def _map_points(point_fn, config: SimConfig, workers: int) -> list:
     if workers == 1:
         return [point_fn(config, index, snr) for index, snr in points]
     # imported here: a one-worker run never pays for the process machinery
+    import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    context = multiprocessing.get_context(_START_METHOD)
+    with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
         futures = [pool.submit(point_fn, config, index, snr) for index, snr in points]
         return [future.result() for future in futures]
 

@@ -1,11 +1,21 @@
 """The Monte Carlo of one SNR point: a BER point's frames and a rate
 point's chunks.
 
-This is the one module of the run path that imports numpy at the top.
-``harness.run_experiment`` imports it once per run, after the config and
-the worker count have passed their checks and before the pool forks, so
-the pool's workers inherit numpy instead of importing it again, and a run
-that is refused never loads it.
+It imports numpy at the top, as do ``receiver`` and ``analytics``, which
+it imports. ``harness.run_experiment`` imports it once per run, after the
+config and the worker count have passed their checks and before the pool
+forks, so the pool's workers inherit numpy instead of importing it again,
+and a run that is refused never loads it.
+
+Fading is Rayleigh, and only its power gain is drawn. A unit-variance
+circularly symmetric h is (X + jY)/sqrt(2) with X, Y ~ N(0, 1)
+independent, so |h|^2 = (X^2 + Y^2)/2. X^2 + Y^2 is chi-squared with two
+degrees of freedom, which is exponential with mean 2, so |h|^2 ~ Exp(1).
+Nothing reads the phase: the rate formulas read |h|^2, and a receiver
+that derotates by conj(h)/|h| sees |g| = sqrt(gamma |h|^2) on each real
+axis with the noise still N(0, sigma^2/2) per axis. So one
+``rng.standard_exponential((K, blocks))`` call draws a frame's or a
+chunk's gains, user by user, each user's blocks in a row.
 
 A BER frame is simulated on the derotated real baseband (see ``receiver``):
 projection cancels the other groups exactly, so receiver k's signal on
@@ -37,7 +47,6 @@ import math
 import numpy as np
 
 from .analytics import hybrid_rate_table
-from .channel import draw_fading_power
 from .harness import ResultRow, SimConfig, _scene
 from .receiver import LEVEL, decode
 
@@ -90,7 +99,7 @@ def _ber_point(config: SimConfig, snr_index: int, snr_db: float) -> list:
     errors, squares = [0] * (count + 1), [0] * (count + 1)
     for frame_index in range(config.frames):
         rng = np.random.default_rng(np.random.SeedSequence((config.seed, snr_index, frame_index)))
-        gains = draw_fading_power(rng, count, blocks)  # (K, S) or (K, 1)
+        gains = rng.standard_exponential((count, blocks))  # |h|^2, (K, S) or (K, 1)
         gains *= gamma
         order = gains if per_frame_order else None
         # int32 draws the same bits as int64 and leaves the stream in place
@@ -194,7 +203,7 @@ def _rate_point(config: SimConfig, snr_index: int, snr_db: float) -> list:
         rng = np.random.default_rng(np.random.SeedSequence((config.seed, snr_index, chunk)))
         # drawn (K, n) and viewed as (n, K): each user's realizations stay
         # contiguous, which keeps the reductions over realizations fast
-        fading_power = draw_fading_power(rng, count, min(_RATE_CHUNK, n - start)).T
+        fading_power = rng.standard_exponential((count, min(_RATE_CHUNK, n - start))).T
         if experiment == "rate_single_user":
             per_user.add(hybrid_rate_table(lone, fading_power, noise_variance))
             continue

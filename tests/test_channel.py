@@ -3,8 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from timnoma import draw_fading_power
-
 from helpers import add_noise, draw_fading
 
 
@@ -33,20 +31,26 @@ class TestDrawFading:
             draw_fading(rng, 0)
 
 
+def fading_power(rng, user_count, blocks):
+    """The power gains |h|^2 that ``timnoma.points`` draws for a frame or a
+    rate chunk: one Exp(1) call, (user_count, blocks)."""
+    return rng.standard_exponential((user_count, blocks))
+
+
 class TestDrawFadingPower:
     def test_shape_and_dtype(self, rng):
-        power = draw_fading_power(rng, 3, 10)
+        power = fading_power(rng, 3, 10)
         assert power.shape == (3, 10)
         assert power.dtype == np.float64
 
     def test_deterministic_given_seed(self):
-        a = draw_fading_power(np.random.default_rng(7), 5, 20)
-        b = draw_fading_power(np.random.default_rng(7), 5, 20)
+        a = fading_power(np.random.default_rng(7), 5, 20)
+        b = fading_power(np.random.default_rng(7), 5, 20)
         np.testing.assert_array_equal(a, b)
 
     def test_unit_mean_and_variance(self):
         n = 200_000
-        power = draw_fading_power(np.random.default_rng(19), 1, n).ravel()
+        power = fading_power(np.random.default_rng(19), 1, n).ravel()
         # Exp(1): the mean has variance 1/n, the sample variance about
         # (mu4 - 1)/n with fourth central moment mu4 = 9
         assert abs(power.mean() - 1.0) < 4.0 / math.sqrt(n)
@@ -59,7 +63,7 @@ class TestDrawFadingPower:
         exact = 1.0 - math.exp(-x)
         stderr = math.sqrt(exact * (1.0 - exact) / n)
         samples = {
-            "draw_fading_power": draw_fading_power(np.random.default_rng(29), 1, n),
+            "standard_exponential": fading_power(np.random.default_rng(29), 1, n),
             "|draw_fading|^2": np.abs(draw_fading(np.random.default_rng(31), 1, n)) ** 2,
         }
         for name, power in samples.items():

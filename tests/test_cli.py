@@ -62,14 +62,6 @@ class TestCliRuns:
         assert code == 0
         assert len(read_csv_lines(out)) == 1 + 6
 
-    def test_subcommand_overrides_a_file_experiment_judged_alone(self, tmp_path, capsys):
-        # the file's experiment is unknown: only the subcommand's ber makes
-        # the file runnable, so the file must not be validated on its own
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("experiment = throughput\nframes = 2\nbits_per_frame = 8\n")
-        assert main(["ber", "--config", str(cfg), "--snr", "10"]) == 0
-        assert len(capsys.readouterr().out.splitlines()) == 1 + 6
-
     def test_flag_rescues_a_file_value(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("frames = 0\nbits_per_frame = 8\n")
@@ -99,6 +91,20 @@ class TestCliErrors:
         cfg.write_text("framez = 3\n")
         assert main(["ber", "--config", str(cfg)]) == 1
         assert "framez" in capsys.readouterr().err
+
+    def test_config_file_experiment_exits_one(self, tmp_path, capsys):
+        # the subcommand names the experiment: a file's key would be ignored
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("frames = 2\nexperiment = ratio\nbits_per_frame = 8\n")
+        assert main(["ber", "--config", str(cfg), "--snr", "10"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
+        assert "line 2: unknown key 'experiment'" in captured.err
+        # the same file without the key runs the subcommand's experiment
+        cfg.write_text("frames = 2\nbits_per_frame = 8\n")
+        assert main(["ber", "--config", str(cfg), "--snr", "10"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1 + 6
 
     def test_config_that_is_not_utf8_exits_one(self, tmp_path, capsys):
         cfg = tmp_path / "utf16.cfg"

@@ -1,8 +1,10 @@
+import codecs
 import dataclasses
 import hashlib
 import io
 import itertools
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -23,7 +25,6 @@ from timnoma import (
     SimConfig,
     ValidationError,
     build_cell,
-    draw_fading_power,
     emit_csv,
     hybrid_rate_table,
     parse_config,
@@ -205,7 +206,6 @@ class TestParseConfig:
             "seed = 7\n"
             "decoding_order_mode = instantaneous\n"
             "fading_mode = frame\n"
-            "experiment = rate\n"
         )
         path = tmp_path / "cell.cfg"
         path.write_text(text)
@@ -214,7 +214,20 @@ class TestParseConfig:
         assert config.snr_grid_db == (0.0, 10.0, 20.0)
         assert config.decoding_order_mode == "instantaneous"
         assert config.fading_mode == "frame"
-        assert config.experiment == "rate"
+
+    def test_byte_order_mark_is_ignored(self, tmp_path):
+        # before, the mark stuck to the first key: unknown key '\ufeffframes'
+        text = b"frames = 7\nseed = 3\n"
+        plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+        plain.write_bytes(text)
+        marked.write_bytes(codecs.BOM_UTF8 + text)
+        assert parse_config(marked) == parse_config(plain) == SimConfig(frames=7, seed=3)
+
+    def test_bad_byte_offset_counts_from_the_file_start(self, tmp_path):
+        path = tmp_path / "marked.cfg"
+        path.write_bytes(codecs.BOM_UTF8 + b"ab\xff")
+        with pytest.raises(ConfigError, match="not UTF-8 at byte 5$"):
+            parse_config(path)
 
     def test_snr_range_is_inclusive(self):
         assert parse_snr_grid("0:2:30") == tuple(float(s) for s in range(0, 31, 2))
@@ -426,6 +439,28 @@ class TestBerExperiment:
         assert high < low
 
 
+class TestPoolStartMethod:
+    def test_fork_wherever_multiprocessing_lists_it(self):
+        expected = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
+        assert timnoma.harness._START_METHOD == expected
+
+    @pytest.mark.parametrize("method", multiprocessing.get_all_start_methods())
+    def test_every_start_method_writes_the_one_worker_bytes(self, method, monkeypatch):
+        configs = (TINY_BER, replace(TINY_BER, experiment="ratio", frames=500))
+        monkeypatch.setenv(WORKERS_ENV, "1")
+        serial = [csv_bytes(run_experiment(config)) for config in configs]
+        # two usable CPUs, so two points start a pool on any machine
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(timnoma.harness, "_START_METHOD", method)
+        requested = []
+        get_context = multiprocessing.get_context
+        monkeypatch.setattr(multiprocessing, "get_context",
+                            lambda name=None: requested.append(name) or get_context(name))
+        monkeypatch.setenv(WORKERS_ENV, "2")
+        assert [csv_bytes(run_experiment(config)) for config in configs] == serial
+        assert requested == [method, method]
+
+
 @st.composite
 def ber_configs(draw):
     """A BER config: 1 to 16 users, T from 1 to K, both orders, both
@@ -623,11 +658,9 @@ class TestChunkedRatePoints:
             config.distances, config.path_loss_exponent, config.group_count, config.total_power
         )
         draws = [
-            draw_fading_power(
-                np.random.default_rng(np.random.SeedSequence((config.seed, snr_index, chunk))),
-                cell.user_count,
-                min(_RATE_CHUNK, config.frames - start),
-            )
+            np.random.default_rng(
+                np.random.SeedSequence((config.seed, snr_index, chunk))
+            ).standard_exponential((cell.user_count, min(_RATE_CHUNK, config.frames - start)))
             for chunk, start in enumerate(range(0, config.frames, _RATE_CHUNK))
         ]
         fading_power = np.concatenate(draws, axis=1).T

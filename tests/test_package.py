@@ -19,7 +19,6 @@ PUBLIC = [
     "ValidationError",
     "build_cell",
     "decode",
-    "draw_fading_power",
     "emit_csv",
     "hybrid_rate_table",
     "parse_config",
@@ -35,8 +34,9 @@ PUBLIC = [
 # hybrid_rate_table computes on a cell of lone users, per-experiment
 # runners, the validating replace that run_experiment's own check made
 # redundant, functions and names only tests read, the physical chain the
-# BER path no longer simulates, and the cell's three dataclasses and four
-# constructors that Cell and build_cell replace; the tests keep add_noise,
+# BER path no longer simulates, the cell's three dataclasses and four
+# constructors that Cell and build_cell replace, and the wrapper of the one
+# Exp(1) call that ``points`` makes itself; the tests keep add_noise,
 # CONSTELLATION, qpsk_modulate, qpsk_demodulate, qpsk_levels, draw_fading,
 # make_basis, mixing_matrix and project as references in helpers.py
 REMOVED = [
@@ -57,6 +57,7 @@ REMOVED = [
     "channel_matrix",
     "dof_total",
     "draw_fading",
+    "draw_fading_power",
     "effective_gain",
     "make_basis",
     "mixing_matrix",
@@ -98,7 +99,7 @@ def test_removed_name_is_not_importable(name):
         assert not hasattr(importlib.import_module(f"timnoma.{module}"), name), module
 
 
-@pytest.mark.parametrize("module", ["precoding", "modem"])
+@pytest.mark.parametrize("module", ["precoding", "modem", "channel"])
 def test_removed_module_is_gone(module):
     assert module not in MODULES
     with pytest.raises(ImportError):
