@@ -59,15 +59,15 @@ def _ber_point(config: SimConfig, snr_index: int, snr_db: float) -> list:
     """BER rows of one SNR point: each user's and, for the hybrid scheme,
     the pooled ``sum`` row.
 
-    A frame first writes each group's total into a per-point buffer: the
-    sum, in ascending user order, of the members' signed amplitudes
-    (1 - 2 b) sqrt(P_j) LEVEL, which are their QPSK levels (bit 0 -> +,
-    1 -> -) times sqrt(P_j). Then it runs the receivers one by one in one
-    (S, 2) row buffer: k's noise is drawn into it, |g_k| times its group's
-    total is added, which is what is left of the transmit after
-    projection, and SIC leaves the residual in it. The group sums are loops
-    over at most K users and the rest is elementwise, so no BLAS call runs
-    per frame.
+    A frame first zeroes the point's group totals, (S, 2) like the row,
+    and adds to each, in ascending user order, its members' signed
+    amplitudes (1 - 2 b) sqrt(P_j) LEVEL, which are their QPSK levels
+    (bit 0 -> +, 1 -> -) times sqrt(P_j). Then it runs the receivers one
+    by one in one (S, 2) row buffer: k's noise is drawn into it, |g_k|
+    times its group's total is added, which is what is left of the
+    transmit after projection, and SIC leaves the residual in it. The
+    group sums are loops over at most K users and the rest is elementwise,
+    so no BLAS call runs per frame.
 
     The bits of a frame share its fading, and the two bits of a symbol
     share one block, so bits are not independent trials; the frames are.
@@ -90,27 +90,21 @@ def _ber_point(config: SimConfig, snr_index: int, snr_db: float) -> list:
     # |g_k| on both axes of each block, read by the signal and by SIC; under
     # frame fading one (1, 1) value, so the copy to the second axis is empty
     channel = np.empty((blocks, 2 if blocks > 1 else 1))
-    flat_row, flat_channel = row.reshape(-1), channel.reshape(-1)  # views
-    totals = np.empty((max(group_of) + 1, config.bits_per_frame))
-    term = np.empty(config.bits_per_frame)
-    # a group's first member writes its total, and the others add to it
-    leads = [group_of.index(group) == user for user, group in enumerate(group_of)]
+    # each group's superposed levels, summed afresh each frame; a fresh
+    # array per frame measured slower: glibc hands its pages back to the
+    # OS when the frame frees them, and the next frame faults them in again
+    totals = np.empty((max(group_of) + 1, symbols_per_frame, 2))
     # per user, then for the whole frame: sums of error counts and squares
     errors, squares = [0] * (count + 1), [0] * (count + 1)
     for frame_index in range(config.frames):
         rng = np.random.default_rng(np.random.SeedSequence((config.seed, snr_index, frame_index)))
         gains = rng.standard_exponential((count, blocks))  # |h|^2, (K, S) or (K, 1)
         gains *= gamma
-        order = gains if per_frame_order else None
         # int32 draws the same bits as int64 and leaves the stream in place
         bits = rng.integers(0, 2, size=(count, config.bits_per_frame), dtype=np.int32)
+        totals.fill(0.0)
         for user, group in enumerate(group_of):
-            signed = totals[group] if leads[user] else term
-            np.multiply(bits[user], -2, out=signed)  # 1 - 2 b, exactly
-            signed += 1
-            signed *= levels[user]
-            if not leads[user]:
-                totals[group] += signed
+            totals[group] += (1 - 2 * bits[user].reshape(-1, 2)) * levels[user]
         frame_errors = []
         # K row draws take what one (K, S, 2) draw would from the stream
         for k, group in enumerate(group_of):
@@ -118,16 +112,15 @@ def _ber_point(config: SimConfig, snr_index: int, snr_db: float) -> list:
             row *= scale
             np.sqrt(gains[k], out=channel[:, 0])
             channel[:, 1:] = channel[:, :1]
-            np.multiply(totals[group], flat_channel, out=term)
-            flat_row += term
-            decided = decode(row, channel, cell, k, order)
+            row += totals[group] * channel
+            decided = decode(row, channel, cell, k, gains if per_frame_order else None)
             frame_errors.append(int(np.count_nonzero(decided != bits[k])))
         frame_errors.append(sum(frame_errors))
         for k, frame_count in enumerate(frame_errors):
             errors[k] += frame_count
             squares[k] += frame_count * frame_count
         # freed before the next frame draws its own
-        del gains, order, bits, decided
+        del gains, bits, decided
     metric = "ber" if config.experiment == "ber" else "ber_single"
     entities = [str(k + 1) for k in range(count)] + (["sum"] if config.experiment == "ber" else [])
     frames = config.frames
