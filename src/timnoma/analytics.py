@@ -32,6 +32,7 @@ def hybrid_rate_table(
     fading_power: np.ndarray,
     noise_variance: float,
     order_mode: str = "distance",
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Vectorized per-user hybrid rates for a batch of fading realizations.
 
@@ -44,11 +45,17 @@ def hybrid_rate_table(
     users at full power these are the single-user rates, and a row's mean
     is the TDMA sum rate. The decoding order is ``ranks_ahead``'s: by
     distance, or by gamma |h|^2 in each realization. Any other shape than
-    (N, K) is refused, where numpy would broadcast it silently. One (N, K)
-    buffer goes from channel gains to rates in place, beside the
-    interference and, under instantaneous order, the absorbed powers and
-    (N,) temporaries; distance order adds K^2 floats at most. The caller's
-    array is never written, and no BLAS call runs.
+    (N, K) is refused, where numpy would broadcast it silently.
+
+    The rates go, as in numpy's ufuncs, into ``out`` when it is given, a
+    float64 array of ``fading_power``'s shape, which is returned;
+    otherwise into a fresh array. An ``out`` that shares memory with
+    ``fading_power`` is refused: the caller's array is never written, so a
+    TDMA baseline can read it again. The one (N, K) buffer goes from
+    channel gains to rates in place, column by column: a user who absorbs
+    somebody adds one (N,) interference temporary, and under instantaneous
+    order the (K, N) absorbed powers are built before any column becomes a
+    rate, since the order reads every gain. No BLAS call runs.
     """
     if order_mode not in ORDER_MODES:
         raise ValidationError(f"unknown order mode {order_mode!r}")
@@ -59,7 +66,16 @@ def hybrid_rate_table(
     group_of, p = cell.group_of, cell.powers
     if np.ndim(fading_power) != 2 or np.shape(fading_power)[1] != len(group_of):
         raise ValidationError(f"fading_power is {np.shape(fading_power)}, not (N, {len(group_of)})")
-    out = np.multiply(fading_power, cell.path_gains)  # gamma_k |h_k|^2
+    if out is not None:
+        if not (isinstance(out, np.ndarray) and out.dtype == np.float64
+                and out.shape == np.shape(fading_power)):
+            raise ValidationError(
+                f"out is {getattr(out, 'dtype', type(out).__name__)} {np.shape(out)}, "
+                f"not float64 {np.shape(fading_power)}"
+            )
+        if np.shares_memory(out, fading_power):
+            raise ValidationError("out must not share memory with fading_power")
+    out = np.multiply(fading_power, cell.path_gains, out=out)  # gamma_k |h_k|^2
     gains = None if order_mode == "distance" else out.T
     # P_j of each j ranked ahead of k, added in ascending j: np.sum adds pairwise
     absorbed = [0.0] * len(group_of) if gains is None else np.zeros_like(gains)
@@ -67,14 +83,15 @@ def hybrid_rate_table(
         for j, other in enumerate(group_of):
             if other == group and j != k:
                 absorbed[k] += p[j] * ranks_ahead(j, k, gains)
-    if np.any(absorbed):
-        interference = out * np.transpose(absorbed)  # (K,) or (K, N) absorbed
-        interference += noise_variance
-    else:
-        # nothing absorbed: skip a fresh (N, K) array that would be sigma^2
+    for k, power in enumerate(p):
+        column = out[:, k]
+        # nothing absorbed: the interference would be sigma^2 exactly
         interference = noise_variance
-    out *= p
-    out /= interference  # SINR
+        if np.any(absorbed[k]):
+            interference = column * absorbed[k]
+            interference += noise_variance
+        column *= power
+        column /= interference  # SINR
     np.log1p(out, out=out)
     out *= 1.0 / (cell.slots * math.log(2.0))
     return out

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import re
 import sys
 
 from .errors import ValidationError
@@ -22,6 +23,20 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--snr", help='override the SNR grid, "start:step:stop" or comma list (dB)')
     sub.add_argument("--frames", type=int, help="override the frame/realization count")
     sub.add_argument("--out", default="-", help="output CSV path (default: stdout)")
+
+
+def _glue_snr(argv: list) -> list:
+    """``--snr VALUE`` as ``--snr=VALUE`` when VALUE starts with a minus
+    sign and a digit or a point: argparse reads a grid such as -10:2:30 or
+    -5,0,5 as an option and refuses it for want of a value. A missing
+    value (``--snr`` last, or before another flag) is left to argparse."""
+    glued = []
+    for arg in argv:
+        if glued and glued[-1] == "--snr" and re.match(r"-[\d.]", arg):
+            glued[-1] = f"--snr={arg}"
+        else:
+            glued.append(arg)
+    return glued
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -65,7 +80,7 @@ def _config_from_args(args: argparse.Namespace) -> SimConfig:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_glue_snr(sys.argv[1:] if argv is None else argv))
     try:
         # the one check of the config, after the flags apply; the run can
         # still refuse its environment (TIMNOMA_WORKERS)

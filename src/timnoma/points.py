@@ -32,7 +32,8 @@ it differs from the hybrid run only by that scene and by having no
 
 A rate point runs over chunks of ``_RATE_CHUNK`` (16 384) realizations,
 chunk c drawn from its own (seed, SNR index, c) substream, so its memory is
-O(chunk * K) whatever the realization count. Each chunk reduces the columns
+O(chunk * K) whatever the realization count: two (K, chunk) buffers per
+point, which every chunk reuses. Each chunk reduces the columns
 the experiment writes to a count, a mean and centred second moments, and
 the chunks merge in chunk order. SeedSequence pads its entropy with zero
 words, so chunk 0 draws what the (seed, SNR index) stream drew before
@@ -149,11 +150,14 @@ class _Moments:
         self.count, self.mean, self.m2 = 0, 0.0, 0.0
 
     def add(self, values: np.ndarray):
-        """Merge one chunk, realizations along axis 0. Returns the chunk's
-        deviations from its own mean (None without spread). ``shift`` is
-        then the chunk's mean minus the earlier chunks' mean, and
-        ``weight`` the product of their counts over the sum, the terms a
-        cross moment's merge needs."""
+        """Merge one chunk, realizations along axis 0. With spread, turns
+        ``values`` into the chunk's deviations from its own mean, in place,
+        and returns them (None without spread, and ``values`` is left as it
+        was). ``shift`` is then the chunk's mean minus the earlier chunks'
+        mean, and ``weight`` the product of their counts over the sum, the
+        terms a cross moment's merge needs. The squared deviations are
+        summed one column at a time, which adds them as the (N, K) sum
+        would, without its (N, K) temporary."""
         count = len(values)
         mean = values.mean(axis=0)
         total = self.count + count
@@ -163,9 +167,11 @@ class _Moments:
         self.count = total
         if not self.spread:
             return None
-        deviations = values - mean
-        self.m2 = self.m2 + (deviations * deviations).sum(axis=0) + self.shift**2 * self.weight
-        return deviations
+        values -= mean
+        columns = values.reshape(count, -1).T  # (K, N), or (1, N) for (N,) values
+        squares = np.array([(column * column).sum() for column in columns])
+        self.m2 = self.m2 + squares.reshape(mean.shape) + self.shift**2 * self.weight
+        return values
 
     def std(self):
         """Sample standard deviation of each column (ddof=1)."""
@@ -178,10 +184,17 @@ def _rate_point(config: SimConfig, snr_index: int, snr_db: float) -> list:
 
     Realizations run in chunks of ``_RATE_CHUNK``, chunk c drawn from
     ``SeedSequence((seed, snr_index, c))``, so memory is O(chunk * K)
-    whatever the realization count. The single-user rates and the TDMA
-    baseline are ``hybrid_rate_table`` on ``lone``, each user alone in its
-    group at full power with the cell's T kept. Nobody there absorbs
-    anybody, so the order cannot matter and distance order costs least.
+    whatever the realization count. Every chunk runs in the point's two
+    (K, chunk) buffers: the draw, and the table that ``hybrid_rate_table``
+    writes through ``out``. The row sums are reduced before the per-user
+    moments turn the table into its deviations, and the TDMA baseline
+    reuses the table once both are done, so no chunk allocates an (N, K)
+    array of its own. A fresh array per chunk cost time: glibc hands its
+    pages back to the OS when the chunk frees it, and the next chunk
+    faults them in again. The single-user rates and the TDMA baseline are
+    ``hybrid_rate_table`` on ``lone``, each user alone in its group at full
+    power with the cell's T kept. Nobody there absorbs anybody, so the
+    order cannot matter and distance order costs least.
     """
     cell = _scene(config)
     count = cell.user_count
@@ -192,20 +205,27 @@ def _rate_point(config: SimConfig, snr_index: int, snr_db: float) -> list:
     per_user = _Moments(spread=experiment != "ratio")
     sums, tdma = _Moments(), _Moments()
     cross = 0.0  # sum of products of the hybrid sum's and TDMA's deviations
+    # the point's draw and table, flat; a chunk of m realizations uses the
+    # leading K m floats of each, so the ragged last chunk has the layout
+    # of a full one
+    size = count * min(_RATE_CHUNK, n)
+    draw, table = np.empty(size), np.empty(size)
     for chunk, start in enumerate(range(0, n, _RATE_CHUNK)):
         rng = np.random.default_rng(np.random.SeedSequence((config.seed, snr_index, chunk)))
-        # drawn (K, n) and viewed as (n, K): each user's realizations stay
+        m = min(_RATE_CHUNK, n - start)
+        # drawn (K, m) and viewed as (m, K): each user's realizations stay
         # contiguous, which keeps the reductions over realizations fast
-        fading_power = rng.standard_exponential((count, min(_RATE_CHUNK, n - start))).T
+        fading_power = rng.standard_exponential(out=draw[: count * m].reshape(count, m)).T
+        rates = table[: count * m].reshape(count, m).T
         if experiment == "rate_single_user":
-            per_user.add(hybrid_rate_table(lone, fading_power, noise_variance))
+            per_user.add(hybrid_rate_table(lone, fading_power, noise_variance, out=rates))
             continue
-        table = hybrid_rate_table(cell, fading_power, noise_variance, config.decoding_order_mode)
-        per_user.add(table)
-        sum_deviations = sums.add(table.sum(axis=1))
-        del table  # freed before the baseline allocates its own (n, K) table
+        hybrid_rate_table(cell, fading_power, noise_variance, config.decoding_order_mode, out=rates)
+        # the row sums first: with spread, the per-user moments consume the table
+        sum_deviations = sums.add(rates.sum(axis=1))
+        per_user.add(rates)
         if experiment == "ratio":
-            baseline = hybrid_rate_table(lone, fading_power, noise_variance).mean(axis=1)
+            baseline = hybrid_rate_table(lone, fading_power, noise_variance, out=rates).mean(axis=1)
             tdma_deviations = tdma.add(baseline)
             # a sum of products, not np.cov, whose dot product would call BLAS
             sum_deviations *= tdma_deviations

@@ -225,6 +225,42 @@ class TestRateTables:
         for strided, contiguous in zip(*tables):
             np.testing.assert_array_equal(strided, contiguous)
 
+    @pytest.mark.parametrize("order_mode", ["distance", "instantaneous"])
+    def test_writes_out_as_a_fresh_table(self, ref_cell, order_mode):
+        # out laid out as a rate chunk lays it: (K, N) memory viewed as (N, K)
+        fading_power = np.random.default_rng(15).exponential(size=(5, 300)).T
+        before = fading_power.copy()
+        sigma2 = 0.6
+        for cell, mode in ((ref_cell, order_mode), (lone_cell(ref_cell, 40.0), "distance")):
+            fresh = hybrid_rate_table(cell, fading_power, sigma2, mode)
+            out = np.full((5, 300), np.nan).T
+            assert hybrid_rate_table(cell, fading_power, sigma2, mode, out=out) is out
+            assert out.tobytes() == fresh.tobytes()
+        np.testing.assert_array_equal(fading_power, before)
+
+    @pytest.mark.parametrize(
+        "out",
+        [
+            np.empty((4, 5)),
+            np.empty((3, 4)),
+            np.empty((3, 5), dtype=np.float32),
+            np.empty((3, 5), dtype=complex),
+            [[0.0] * 5] * 3,
+        ],
+        ids=["four-rows", "four-users", "float32", "complex", "list"],
+    )
+    def test_refuses_an_out_of_the_wrong_shape_or_dtype(self, ref_cell, out):
+        with pytest.raises(ValidationError, match="out is"):
+            hybrid_rate_table(ref_cell, np.ones((3, 5)), UNIT_NOISE, out=out)
+
+    @pytest.mark.parametrize("order_mode", ["distance", "instantaneous"])
+    def test_refuses_an_out_that_aliases_the_fading(self, ref_cell, order_mode):
+        fading_power = np.ones((3, 5))
+        for out in (fading_power, fading_power[::-1]):
+            with pytest.raises(ValidationError, match="share memory"):
+                hybrid_rate_table(ref_cell, fading_power, UNIT_NOISE, order_mode, out=out)
+        np.testing.assert_array_equal(fading_power, np.ones((3, 5)))
+
     def test_instantaneous_ties_rank_the_smaller_index_first(self):
         cell = build_cell([1.0, 2.0], 3.0, 1, 10.0)  # gamma = 1 and 1/8
         p0, p1 = cell.powers
@@ -259,7 +295,8 @@ class TestRateTables:
     def test_instantaneous_order_memory_stays_near_the_fading(self):
         # one full rate chunk of the largest cell at T = 4: the (K, K, N)
         # mask and its float64 copy took 20 times the fading's bytes; the
-        # rule's temporaries are (N,) arrays beside three (N, K) arrays
+        # rule's temporaries and the interference are (N,) columns beside
+        # the table and the (K, N) absorbed powers
         cell = build_cell([0.5 + 0.25 * k for k in range(16)], 3.0, 4, 40.0)
         fading_power = np.random.default_rng(14).exponential(size=(16, 16384)).T
         tracemalloc.start()

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from timnoma import parse_snr_grid
 from timnoma.cli import main
 
 TINY = ["--frames", "2", "--snr", "20:10:30"]
@@ -67,6 +68,16 @@ class TestCliRuns:
         cfg.write_text("frames = 0\nbits_per_frame = 8\n")
         assert main(["ber", "--config", str(cfg), "--frames", "2", "--snr", "10"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 1 + 6
+
+
+    @pytest.mark.parametrize("grid", ["-10:10:0", "-5,0,5", "-.5", "-5"])
+    def test_negative_snr_grid_parses_as_its_own_argument(self, grid, capsys):
+        # argparse read "-10:10:0" and "-5,0,5" as options and exited 2
+        assert main(["rate", "--frames", "2", "--snr", grid]) == 0
+        separate = capsys.readouterr().out
+        assert main(["rate", "--frames", "2", f"--snr={grid}"]) == 0
+        assert capsys.readouterr().out == separate
+        assert separate.count(",sum,") == len(parse_snr_grid(grid))
 
 
 class TestCliErrors:
@@ -219,6 +230,15 @@ class TestCliErrors:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "path_loss_exponent" in err and "snr_grid" in err
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "argv", [["ber", "--snr"], ["ber", "--snr", "--frames", "2"]], ids=["last", "before-a-flag"]
+    )
+    def test_missing_snr_value_exits_two(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "--snr" in capsys.readouterr().err
 
     def test_unknown_command_exits_nonzero(self):
         with pytest.raises(SystemExit):

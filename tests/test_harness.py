@@ -40,7 +40,7 @@ from timnoma.harness import (
     _scene,
     _worker_count,
 )
-from timnoma.points import _RATE_CHUNK, _ber_point
+from timnoma.points import _RATE_CHUNK, _ber_point, _rate_point
 
 import helpers
 from helpers import (
@@ -757,6 +757,26 @@ def test_ber_point_frees_each_frame_before_the_next():
     assert peak < 1.5 * draws, peak / draws
 
 
+@pytest.mark.parametrize("experiment", ["rate", "rate_single_user", "ratio"])
+def test_rate_point_memory_stays_near_one_chunk(experiment):
+    # three full chunks and a ragged one of the reference cell at 10 dB:
+    # the point's draw and table buffers take 2 (K, chunk) arrays, and no
+    # chunk allocates an (N, K) array of its own beside them
+    config = SimConfig(
+        experiment=experiment, frames=3 * _RATE_CHUNK + 7, snr_grid_db=(10.0,),
+    ).validated()
+    chunk = len(config.distances) * _RATE_CHUNK * 8  # one (K, chunk) float64 array
+    _rate_point(config, 0, 10.0)  # warm numpy's caches outside the trace
+    tracemalloc.start()
+    try:
+        _rate_point(config, 0, 10.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # with a fresh draw, table and deviations per chunk, 3.6x to 4.2x
+    assert peak < 3.5 * chunk, peak / chunk
+
+
 class TestRatesAgainstClosedForm:
     """Monte Carlo rates within 4 stderr of their exact E1 values, distance
     order, reference cell."""
@@ -1065,8 +1085,10 @@ class TestPinnedRateBytes:
     change to the rate stream, the decoding order, the tie rule or the
     statistics' arithmetic changes them. The multi-chunk case (two full
     chunks of 16 384 realizations and a ragged one) was recorded when rate
-    points moved to chunked draws and merged moments; every other case has
-    a single chunk and kept its bytes. The 16-user ``k16-*`` cases were
+    points moved to chunked draws and merged moments; its instantaneous
+    twin, before the chunks moved into per-point buffers, guards those
+    buffers under both orders. Every other case has a single chunk and
+    kept its bytes. The 16-user ``k16-*`` cases were
     recorded before the (K, K, S) cancel mask gave way to the pairwise
     order rule, and held across it: 15 absorbed powers per user are enough
     for a pairwise numpy sum to move a byte."""
@@ -1081,6 +1103,7 @@ class TestPinnedRateBytes:
             "decoding_order_mode": "instantaneous",
         },
         "multi-chunk": {"frames": 2 * 16384 + 7},
+        "multi-chunk-instantaneous": {"frames": 2 * 16384 + 7, "decoding_order_mode": "instantaneous"},
         **{
             f"k16-t{slots}-{order}": {
                 "distances": K16_DISTANCES,
@@ -1102,6 +1125,9 @@ class TestPinnedRateBytes:
         ("three-groups", "rate_single_user"): "084f1b28cef6e9b122dd18268739e972b31b1735b4da00c0d98b90b4d6e55078",
         ("three-groups", "ratio"): "8951152ddda3c14a0521181e24ebca270bb1c7298346c55b63a569a2df8b5414",
         ("multi-chunk", "ratio"): "44efd7e4f78daac489a1b29d4845bab6bf2d24898727c985518b5443584b1de4",
+        ("multi-chunk-instantaneous", "rate"): "0006195145b9038d61efdd78f6eb28528a6be950c0c8a508ded87145d20e8f4d",
+        ("multi-chunk-instantaneous", "rate_single_user"): "a42fc94ad748c4f991c3f69a23c7470d1473a17f8dc17c25cae7c0461c8ecffc",
+        ("multi-chunk-instantaneous", "ratio"): "12390a8efa2cff0f2219b44333ac3a6c5fe25df1b15a1ec4fd4c0ed200600422",
         ("k16-t1-distance", "rate"): "af275eed40d6ca1070b0bc773ab1825df63823bfd748c0905129950b554549a9",
         ("k16-t1-distance", "ratio"): "a0e4aa01d33ca32b7b80d3193c78299e80e7063ff9368b1e4bfb7279f6cd7d10",
         ("k16-t1-instantaneous", "rate"): "aa1dea83f398b9b734fb67a0f6ca11808b26c109668caaf3b06c0544e5e1d0e6",
