@@ -52,10 +52,12 @@ def hybrid_rate_table(
     otherwise into a fresh array. An ``out`` that shares memory with
     ``fading_power`` is refused: the caller's array is never written, so a
     TDMA baseline can read it again. The one (N, K) buffer goes from
-    channel gains to rates in place, column by column: a user who absorbs
-    somebody adds one (N,) interference temporary, and under instantaneous
-    order the (K, N) absorbed powers are built before any column becomes a
-    rate, since the order reads every gain. No BLAS call runs.
+    channel gains to rates in place, column by column: each user adds one
+    (N,) interference temporary, its absorbed powers times its gain plus
+    sigma^2, which is sigma^2 exactly for a user who absorbs nobody, the
+    gains being finite. Under instantaneous order the (K, N) absorbed
+    powers are built before any column becomes a rate, since the order
+    reads every gain. No BLAS call runs.
     """
     if order_mode not in ORDER_MODES:
         raise ValidationError(f"unknown order mode {order_mode!r}")
@@ -85,11 +87,8 @@ def hybrid_rate_table(
                 absorbed[k] += p[j] * ranks_ahead(j, k, gains)
     for k, power in enumerate(p):
         column = out[:, k]
-        # nothing absorbed: the interference would be sigma^2 exactly
-        interference = noise_variance
-        if np.any(absorbed[k]):
-            interference = column * absorbed[k]
-            interference += noise_variance
+        interference = column * absorbed[k]
+        interference += noise_variance
         column *= power
         column /= interference  # SINR
     np.log1p(out, out=out)

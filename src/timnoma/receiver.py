@@ -47,16 +47,16 @@ def ranks_ahead(j, k, gains=None):
     Without ``gains`` the order is by distance: j < k, the nearer user
     first. With ``gains`` of shape (K,) or (K, S), the instantaneous
     channel gains gamma |h|^2, the order is by decreasing gain, block by
-    block, a tie going to the smaller index; the result then has the
-    gains' block axis. The gains are taken unscaled: dividing them by
-    sigma^2 cannot change the order, only add ties by rounding.
+    block, a tie going to the nearer user (>= when j < k, > otherwise);
+    the result then has the gains' block axis. The gains are taken
+    unscaled: dividing them by sigma^2 cannot change the order, only add
+    ties by rounding.
     """
     nearer = j < k
     if gains is None:
         return nearer
     gains = np.asarray(gains)
-    gain_j, gain_k = gains[j], gains[k]
-    return (gain_j > gain_k) | ((gain_j == gain_k) & nearer)
+    return gains[j] >= gains[k] if nearer else gains[j] > gains[k]
 
 
 def decode(row, channel, cell: Cell, k, gains=None, genie_symbols=None) -> np.ndarray:

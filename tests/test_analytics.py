@@ -202,11 +202,20 @@ class TestRateTables:
         rng = np.random.default_rng(8)
         fading = draw_fading(rng, 5, blocks=32).T
         sigma2 = 1.3
-        table = hybrid_rate_table(lone_cell(ref_cell, 40.0), np.abs(fading) ** 2, sigma2)
+        lone, fading_power = lone_cell(ref_cell, 40.0), np.abs(fading) ** 2
+        table = hybrid_rate_table(lone, fading_power, sigma2)
         for n in range(0, 32, 5):
             for k in range(5):
                 snr = 40.0 * channel_gain(ref_cell, fading[n], k) / sigma2
                 assert table[n, k] == pytest.approx(0.5 * math.log2(1 + snr), rel=1e-12)
+        # nobody absorbs anybody, so the order cannot matter (the rate points
+        # run their lone tables in distance order) and every denominator is
+        # sigma^2 exactly, as if divided by it directly
+        snr = fading_power * lone.path_gains * lone.powers / sigma2
+        by_hand = np.log1p(snr) * (1.0 / (lone.slots * math.log(2.0)))
+        for order_mode in ("distance", "instantaneous"):
+            table = hybrid_rate_table(lone, fading_power, sigma2, order_mode)
+            assert table.tobytes() == by_hand.tobytes()
 
     @pytest.mark.parametrize("order_mode", ["distance", "instantaneous"])
     def test_leaves_input_unwritten_and_ignores_layout(self, ref_cell, order_mode):
@@ -296,7 +305,7 @@ class TestRateTables:
         # one full rate chunk of the largest cell at T = 4: the (K, K, N)
         # mask and its float64 copy took 20 times the fading's bytes; the
         # rule's temporaries and the interference are (N,) columns beside
-        # the table and the (K, N) absorbed powers
+        # the table and the (K, N) absorbed powers, 2.1 times in all
         cell = build_cell([0.5 + 0.25 * k for k in range(16)], 3.0, 4, 40.0)
         fading_power = np.random.default_rng(14).exponential(size=(16, 16384)).T
         tracemalloc.start()

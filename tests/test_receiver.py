@@ -148,7 +148,7 @@ def orders(draw):
     if shape is None:
         return group_of, None
     size = math.prod(shape)
-    values = draw(st.lists(st.sampled_from([0.25, 1.0, 3.0]), min_size=size, max_size=size))
+    values = draw(st.lists(st.sampled_from([0.0, 0.25, 1.0, 3.0]), min_size=size, max_size=size))
     return group_of, np.reshape(values, shape)
 
 
@@ -475,7 +475,7 @@ class TestDecodeBank:
         # receiver 0 of 16 users in one group, which cancels the other 15
         # under distance order: the chain holds two one-row buffers and the
         # decided bits, 2.13 times the row's bytes, and under instantaneous
-        # order its per-block masks too, 2.39 times
+        # order its per-block masks too, 2.25 times
         rng = np.random.default_rng(43)
         cell = build_cell([0.5 + 0.25 * k for k in range(16)], 3.0, 1, 40.0)
         gains = np.array(cell.path_gains)[:, None] * rng.exponential(size=(16, 16384))
