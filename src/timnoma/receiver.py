@@ -59,7 +59,7 @@ def ranks_ahead(j, k, gains=None):
     return gains[j] >= gains[k] if nearer else gains[j] > gains[k]
 
 
-def decode(row, channel, cell: Cell, k, gains=None, genie_symbols=None) -> np.ndarray:
+def decode(row, channel, cell: Cell, k, gains=None) -> np.ndarray:
     """Run receiver k's SIC chain and return the bits it decides.
 
     ``row`` is k's derotated signal, (S, 2) real: block s on the real axis,
@@ -76,10 +76,7 @@ def decode(row, channel, cell: Cell, k, gains=None, genie_symbols=None) -> np.nd
     ranks ahead of on some block is detected on every axis by the sign of
     the running residual, and its reconstruction |g_k| * sqrt(P_j) * level
     is subtracted from the residual in place, on the blocks where k ranks
-    ahead, so detection errors propagate exactly as in a real chain. If
-    ``genie_symbols`` ((K, S, 2), the transmitted levels) is given, the
-    true levels are subtracted instead, which isolates k's own detection
-    from propagation effects.
+    ahead, so detection errors propagate exactly as in a real chain.
 
     Returns k's 2S booleans, two per symbol, in-phase first: a negative
     residual decides bit 1, and an exact zero of either sign bit 0.
@@ -107,13 +104,10 @@ def decode(row, channel, cell: Cell, k, gains=None, genie_symbols=None) -> np.nd
         if blocks is False:
             continue  # j is absorbed as noise on every block
         np.multiply(channel, amplitudes[j], out=reconstruction)
-        if genie_symbols is None:
-            np.multiply(reconstruction, LEVEL, out=reconstruction)
-            # the estimate's sign is the residual's, where -0.0 counts as
-            # +0.0: an exact zero decides the positive level
-            np.add(row, 0.0, out=subtrahend)
-            np.copysign(reconstruction, subtrahend, out=subtrahend)
-        else:
-            np.multiply(reconstruction, genie_symbols[j], out=subtrahend)
+        np.multiply(reconstruction, LEVEL, out=reconstruction)
+        # the estimate's sign is the residual's, where -0.0 counts as +0.0:
+        # an exact zero decides the positive level
+        np.add(row, 0.0, out=subtrahend)
+        np.copysign(reconstruction, subtrahend, out=subtrahend)
         np.subtract(row, subtrahend, out=row, where=blocks)
     return (row < 0).reshape(-1)

@@ -14,7 +14,9 @@ real per-axis frame as the package once built and decoded it, all K
 receivers at once (``qpsk_levels``, ``received_signal``,
 ``gathering_decode``), stays here as the bit-for-bit reference of its
 receiver-by-receiver frame; ``decode_rows`` runs the package's
-one-receiver ``decode`` over such a frame.
+one-receiver ``decode`` over such a frame. ``gathering_decode`` also runs
+the genie, which subtracts the transmitted levels in place of the
+estimates: the package's ``decode`` cancels with its own estimates only.
 """
 
 import dataclasses
@@ -273,7 +275,10 @@ def gathering_decode(signal, channels, amplitudes, group_of, gains=None, genie_s
     Per interferer j, in descending power, the residual rows of the
     members that rank ahead of j on some block are gathered, j is detected
     on them by ``np.where`` on their sign, its broadcast reconstruction is
-    subtracted where they rank ahead, and the rows are written back.
+    subtracted where they rank ahead, and the rows are written back. Given
+    ``genie_symbols``, the (K, S, 2) transmitted levels, j's true levels
+    are subtracted in place of its detection, which isolates each
+    receiver's own detection from error propagation.
     ``channels`` are (K, S) or (K, 1). Overwrites ``signal`` with the
     residual and returns (K, 2S) booleans, negative deciding bit 1.
     """
@@ -300,7 +305,7 @@ def gathering_decode(signal, channels, amplitudes, group_of, gains=None, genie_s
     return (residual < 0).reshape(count, -1)
 
 
-def decode_rows(signal, channels, cell, gains=None, genie_symbols=None):
+def decode_rows(signal, channels, cell, gains=None):
     """Receiver k's ``decode`` on row k of a (K, S, 2) signal, for every k
     of ``cell``, the ``Cell`` whose powers and groups every chain reads.
 
@@ -313,7 +318,7 @@ def decode_rows(signal, channels, cell, gains=None, genie_symbols=None):
     if channels.shape[1] > 1:
         channels = np.repeat(channels, 2, axis=2)
     return np.array([
-        decode(signal[k], channels[k], cell, k, gains, genie_symbols)
+        decode(signal[k], channels[k], cell, k, gains)
         for k in range(len(signal))
     ])
 

@@ -15,7 +15,6 @@ import pytest
 
 from timnoma import (
     SimConfig,
-    decode,
     emit_csv,
     hybrid_rate_table,
     run_experiment,
@@ -125,10 +124,9 @@ def test_criterion_03_genie_sic_cancellation(ref_cell, ref_basis):
     signal, magnitudes = derotate(project(received, ref_basis, group_of), channels)
     scale = np.hypot(signal[..., 0], signal[..., 1])
     amplitudes = np.sqrt(np.asarray(ref_cell.powers))
-    genie = levels(symbols)
-    for k in range(5):  # each receiver's chain on its own row, |g_k| on both axes
-        channel = np.repeat(magnitudes[k][:, np.newaxis], 2, axis=1)
-        decode(signal[k], channel, ref_cell, k, genie_symbols=genie)
+    # the reference kernel subtracts the transmitted levels in place of
+    # each receiver's estimates
+    helpers.gathering_decode(signal, magnitudes, amplitudes, group_of, genie_symbols=levels(symbols))
     residual = signal.view(complex)[..., 0]
     # after genie cancellation each receiver keeps its own signal, the
     # same-group signals ranked before it, and its projected noise

@@ -686,6 +686,8 @@ class TestChunkedRatePoints:
     "config, workers",
     [
         pytest.param(TINY_BER, 2, id="ber"),
+        # the only run where decode takes a per-block cancellation mask
+        pytest.param(replace(TINY_BER, decoding_order_mode="instantaneous"), 2, id="ber-instantaneous-block"),
         pytest.param(
             replace(TINY_BER, experiment="ber_single_user", snr_grid_db=(10.0, 20.0, 30.0)),
             2,
@@ -804,6 +806,41 @@ class TestRatesAgainstClosedForm:
                 exact = rayleigh_log_mean(40.0, d**-3.0 / sigma2) / (2.0 * math.log(2.0))
                 row = helpers.row(result, snr, str(k + 1), "rate_single")
                 assert abs(row.value - exact) <= 4.0 * row.stderr, (snr, k, row.value, exact)
+
+    def test_ratio_tends_to_the_group_count_beyond_the_reference_cell(self):
+        # the hybrid/TDMA ratio tends to T: from above when groups hold
+        # several users, from below when K = T, where nobody cancels
+        cells = [
+            ((0.5, 4.5), 2),
+            ((0.5, 1.0, 1.5, 2.0, 2.5, 3.0), 3),
+            (helpers.REFERENCE_DISTANCES, 5),
+            (K16_DISTANCES, 1),
+        ]
+        grid = (30.0, 40.0, 100.0, 300.0)
+        for distances, groups in cells:
+            config = SimConfig(
+                distances=distances, group_count=groups, frames=10_000,
+                snr_grid_db=grid, experiment="ratio",
+            )
+            # distance order: user k is disturbed by its nearer group mates
+            noise_sets = {k: list(range(k % groups, k, groups)) for k in range(len(distances))}
+
+            def exact_ratio(snr_db):
+                hybrid, tdma = exact_sum_rates(
+                    distances, config.path_loss_exponent, config.total_power,
+                    config.noise_variance(snr_db), noise_sets, groups,
+                )
+                return hybrid / tdma
+
+            exact = {snr: exact_ratio(snr) for snr in grid}
+            result = run_experiment(config)
+            for snr in grid:
+                row = helpers.row(result, snr, "sum", "rate_ratio")
+                assert abs(row.value - exact[snr]) <= 4.0 * row.stderr, (groups, snr, row.value, exact[snr])
+                if len(distances) == groups == 2:
+                    assert row.value < 2.0 and exact[snr] < 2.0, (snr, row.value, exact[snr])
+            low, high = sorted((exact[100.0], float(groups)))
+            assert low < exact[300.0] < high, (distances, exact[100.0], exact[300.0])
 
 
 class TestBerAgainstExact:

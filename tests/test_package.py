@@ -1,6 +1,7 @@
 """The package's public surface: exactly these names, and no others."""
 
 import importlib
+import inspect
 import os
 import pkgutil
 import re
@@ -97,6 +98,12 @@ def test_removed_name_is_not_importable(name):
         exec(f"from timnoma import {name}", {})
     for module in MODULES:
         assert not hasattr(importlib.import_module(f"timnoma.{module}"), name), module
+
+
+def test_decode_takes_only_what_a_run_passes():
+    # a run cancels with the receiver's own estimates; a genie that
+    # subtracts the transmitted levels belongs to the tests' reference kernel
+    assert list(inspect.signature(timnoma.decode).parameters) == ["row", "channel", "cell", "k", "gains"]
 
 
 @pytest.mark.parametrize("module", ["precoding", "modem", "channel"])

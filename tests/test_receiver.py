@@ -20,7 +20,6 @@ from timnoma.harness import _scene
 
 from helpers import (
     CONSTELLATION,
-    LEVEL,
     REFERENCE_DISTANCES,
     add_noise,
     cancel_mask,
@@ -304,7 +303,8 @@ class TestSicDecode:
             ref_cell, ref_basis, symbols, fading, noise
         )
         signal, magnitudes = derotate(projected, channels)
-        decode_rows(signal, magnitudes, ref_cell, genie_symbols=levels(symbols))
+        amplitudes = np.sqrt(np.asarray(ref_cell.powers))
+        gathering_decode(signal, magnitudes, amplitudes, ref_cell.group_of, genie_symbols=levels(symbols))
         expected = (
             channels[0] * math.sqrt(ref_cell.powers[0]) * symbols[0]
             + ref_basis[0] @ noise[0]
@@ -502,7 +502,7 @@ def bank_frames(draw):
     blocks, transmit amplitudes from a small set so that powers tie,
     distance order or instantaneous (K,), (K, 1) or (K, S) gains from a
     small set so that gains tie, (K, S) or (K, 1) channels, a signal
-    seeded with exact +0.0 and -0.0, and genie levels or none."""
+    seeded with exact +0.0 and -0.0."""
     count = draw(st.integers(1, 16))
     group_of = tuple(draw(st.lists(st.integers(0, count - 1), min_size=count, max_size=count)))
     blocks = draw(st.integers(1, 6))
@@ -514,10 +514,7 @@ def bank_frames(draw):
     width = draw(st.sampled_from([1, blocks]))
     channels = draw(arrays(np.float64, (count, width), elements=st.floats(0.125, 4.0)))
     signal = draw(arrays(np.float64, (count, blocks, 2), elements=SIGNAL_VALUES))
-    genie = None
-    if draw(st.booleans()):
-        genie = draw(arrays(np.float64, signal.shape, elements=st.sampled_from([LEVEL, -LEVEL])))
-    return signal, channels, amps, group_of, gains, genie
+    return signal, channels, amps, group_of, gains
 
 
 class TestDecodeMatchesTheGatheringKernel:
@@ -528,14 +525,14 @@ class TestDecodeMatchesTheGatheringKernel:
     @settings(max_examples=300, deadline=None)
     @given(frame=bank_frames())
     def test_same_bits_and_residual_bytes(self, frame):
-        signal, channels, amps, group_of, gains, genie = frame
+        signal, channels, amps, group_of, gains = frame
         # a^2 and sqrt(a^2) are exact on the drawn amplitudes, so the cell
         # gives decode the amplitudes the oracle reads
         cell = Cell((1.0,) * len(amps), tuple(float(a) ** 2 for a in amps), group_of, len(amps))
         expected = signal.copy()
-        expected_bits = gathering_decode(expected, channels, amps, group_of, gains, genie)
+        expected_bits = gathering_decode(expected, channels, amps, group_of, gains)
         residual = signal.copy()
-        bits = decode_rows(residual, channels, cell, gains, genie)
+        bits = decode_rows(residual, channels, cell, gains)
         np.testing.assert_array_equal(bits, expected_bits)
         assert residual.tobytes() == expected.tobytes()
 
