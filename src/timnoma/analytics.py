@@ -49,15 +49,17 @@ def hybrid_rate_table(
 
     The rates go, as in numpy's ufuncs, into ``out`` when it is given, a
     float64 array of ``fading_power``'s shape, which is returned;
-    otherwise into a fresh array. An ``out`` that shares memory with
-    ``fading_power`` is refused: the caller's array is never written, so a
-    TDMA baseline can read it again. The one (N, K) buffer goes from
-    channel gains to rates in place, column by column: each user adds one
-    (N,) interference temporary, its absorbed powers times its gain plus
-    sigma^2, which is sigma^2 exactly for a user who absorbs nobody, the
-    gains being finite. Under instantaneous order the (K, N) absorbed
-    powers are built before any column becomes a rate, since the order
-    reads every gain. No BLAS call runs.
+    otherwise into a fresh array. ``out`` may be ``fading_power`` itself,
+    whose gains the table then replaces; any other ``out`` that shares
+    memory with it, such as a reversed or offset view, is refused. The one
+    (N, K) buffer goes from channel gains to rates in place, column by
+    column, so an ``out`` that is the fading gives the bytes of a fresh
+    table: under distance order column k reads only itself, and under
+    instantaneous order the (K, N) absorbed powers are built from the
+    gains before any column becomes a rate, since the order reads every
+    gain. Each user adds one (N,) interference temporary, its absorbed
+    powers times its gain plus sigma^2, which is sigma^2 exactly for a
+    user who absorbs nobody, the gains being finite. No BLAS call runs.
     """
     if order_mode not in ORDER_MODES:
         raise ValidationError(f"unknown order mode {order_mode!r}")
@@ -75,8 +77,8 @@ def hybrid_rate_table(
                 f"out is {getattr(out, 'dtype', type(out).__name__)} {np.shape(out)}, "
                 f"not float64 {np.shape(fading_power)}"
             )
-        if np.shares_memory(out, fading_power):
-            raise ValidationError("out must not share memory with fading_power")
+        if out is not fading_power and np.shares_memory(out, fading_power):
+            raise ValidationError("out must be fading_power itself or not share memory with it")
     out = np.multiply(fading_power, cell.path_gains, out=out)  # gamma_k |h_k|^2
     gains = None if order_mode == "distance" else out.T
     # P_j of each j ranked ahead of k, added in ascending j: np.sum adds pairwise

@@ -4,8 +4,9 @@ point's chunks.
 It imports numpy at the top, as do ``receiver`` and ``analytics``, which
 it imports. ``harness.run_experiment`` imports it once per run, after the
 config and the worker count have passed their checks and before the pool
-forks, so the pool's workers inherit numpy instead of importing it again,
-and a run that is refused never loads it.
+forks, so the pool's workers inherit numpy instead of importing it again
+(all but ``numpy.random``, which numpy loads lazily and each worker's
+first draw imports), and a run that is refused never loads it.
 
 Fading is Rayleigh, and only its power gain is drawn. A unit-variance
 circularly symmetric h is (X + jY)/sqrt(2) with X, Y ~ N(0, 1)
@@ -32,12 +33,13 @@ it differs from the hybrid run only by that scene and by having no
 
 A rate point runs over chunks of ``_RATE_CHUNK`` (16 384) realizations,
 chunk c drawn from its own (seed, SNR index, c) substream, so its memory is
-O(chunk * K) whatever the realization count: two (K, chunk) buffers per
-point, which every chunk reuses. Each chunk reduces the columns
-the experiment writes to a count, a mean and centred second moments, and
-the chunks merge in chunk order. SeedSequence pads its entropy with zero
-words, so chunk 0 draws what the (seed, SNR index) stream drew before
-points were chunked: a point of at most one chunk keeps its bytes.
+O(chunk * K) whatever the realization count: one (K, chunk) buffer per
+point, which every chunk draws into and writes its rate tables over. Each
+chunk reduces the columns the experiment writes to a count, a mean and
+centred second moments, and the chunks merge in chunk order. SeedSequence
+pads its entropy with zero words, so chunk 0 draws what the (seed, SNR
+index) stream drew before points were chunked: a point of at most one
+chunk keeps its bytes.
 """
 
 from __future__ import annotations
@@ -184,49 +186,59 @@ def _rate_point(config: SimConfig, snr_index: int, snr_db: float) -> list:
 
     Realizations run in chunks of ``_RATE_CHUNK``, chunk c drawn from
     ``SeedSequence((seed, snr_index, c))``, so memory is O(chunk * K)
-    whatever the realization count. Every chunk runs in the point's two
-    (K, chunk) buffers: the draw, and the table that ``hybrid_rate_table``
-    writes through ``out``. The row sums are reduced before the per-user
-    moments turn the table into its deviations, and the TDMA baseline
-    reuses the table once both are done, so no chunk allocates an (N, K)
-    array of its own. A fresh array per chunk cost time: glibc hands its
-    pages back to the OS when the chunk frees it, and the next chunk
-    faults them in again. The single-user rates and the TDMA baseline are
-    ``hybrid_rate_table`` on ``lone``, each user alone in its group at full
-    power with the cell's T kept. Nobody there absorbs anybody, so the
-    order cannot matter and distance order costs least.
+    whatever the realization count. Every chunk draws into the point's one
+    (K, chunk) buffer, and each table is written over the draw. So
+    ``ratio`` takes its TDMA baseline first: each user's table alone, on
+    its own column in an (m, 1) scratch, is added in user order to an (m,)
+    sum that is then divided by K, the additions and division of a row
+    mean. The row sums are reduced before the per-user moments turn the
+    table into its deviations, so no chunk allocates an (N, K) array of its
+    own. A fresh array per chunk cost time: glibc hands its pages back to
+    the OS when the chunk frees it, and the next chunk faults them in
+    again. The single-user rates and the TDMA baseline are
+    ``hybrid_rate_table`` on users alone in their group at full power with
+    the cell's T kept. Nobody there absorbs anybody, so the order cannot
+    matter and distance order costs least.
     """
     cell = _scene(config)
     count = cell.user_count
     lone = dataclasses.replace(cell, group_of=tuple(range(count)), powers=(config.total_power,) * count)
+    alone = [
+        dataclasses.replace(cell, group_of=(0,), path_gains=(gain,), powers=(config.total_power,))
+        for gain in cell.path_gains
+    ]
     noise_variance = config.noise_variance(snr_db)
     experiment = config.experiment
     n = config.frames
     per_user = _Moments(spread=experiment != "ratio")
     sums, tdma = _Moments(), _Moments()
     cross = 0.0  # sum of products of the hybrid sum's and TDMA's deviations
-    # the point's draw and table, flat; a chunk of m realizations uses the
-    # leading K m floats of each, so the ragged last chunk has the layout
-    # of a full one
-    size = count * min(_RATE_CHUNK, n)
-    draw, table = np.empty(size), np.empty(size)
+    # the point's draw, flat; a chunk of m realizations uses its leading
+    # K m floats, so the ragged last chunk has the layout of a full one
+    draw = np.empty(count * min(_RATE_CHUNK, n))
     for chunk, start in enumerate(range(0, n, _RATE_CHUNK)):
         rng = np.random.default_rng(np.random.SeedSequence((config.seed, snr_index, chunk)))
         m = min(_RATE_CHUNK, n - start)
         # drawn (K, m) and viewed as (m, K): each user's realizations stay
         # contiguous, which keeps the reductions over realizations fast
         fading_power = rng.standard_exponential(out=draw[: count * m].reshape(count, m)).T
-        rates = table[: count * m].reshape(count, m).T
         if experiment == "rate_single_user":
-            per_user.add(hybrid_rate_table(lone, fading_power, noise_variance, out=rates))
+            per_user.add(hybrid_rate_table(lone, fading_power, noise_variance, out=fading_power))
             continue
-        hybrid_rate_table(cell, fading_power, noise_variance, config.decoding_order_mode, out=rates)
+        if experiment == "ratio":
+            # read the draw before the hybrid table overwrites it
+            baseline, scratch = np.zeros(m), np.empty((m, 1))
+            for k, solo in enumerate(alone):
+                hybrid_rate_table(solo, fading_power[:, k:k + 1], noise_variance, out=scratch)
+                baseline += scratch[:, 0]
+            baseline /= count
+            tdma_deviations = tdma.add(baseline)
+        rates = hybrid_rate_table(cell, fading_power, noise_variance, config.decoding_order_mode,
+                                  out=fading_power)
         # the row sums first: with spread, the per-user moments consume the table
         sum_deviations = sums.add(rates.sum(axis=1))
         per_user.add(rates)
         if experiment == "ratio":
-            baseline = hybrid_rate_table(lone, fading_power, noise_variance, out=rates).mean(axis=1)
-            tdma_deviations = tdma.add(baseline)
             # a sum of products, not np.cov, whose dot product would call BLAS
             sum_deviations *= tdma_deviations
             cross += sum_deviations.sum() + sums.shift * tdma.shift * sums.weight

@@ -263,12 +263,32 @@ class TestRateTables:
             hybrid_rate_table(ref_cell, np.ones((3, 5)), UNIT_NOISE, out=out)
 
     @pytest.mark.parametrize("order_mode", ["distance", "instantaneous"])
+    def test_writes_over_the_fading_as_a_fresh_table(self, ref_cell, order_mode):
+        # a rate chunk writes its table over its draw, (K, N) memory viewed
+        # as (N, K); the second cell is 16 users in one group at unit path
+        # gains, so gains drawn from {0, 0.25, 1, 3} tie exactly, at zero too
+        rng = np.random.default_rng(16)
+        one_group = replace(build_cell([0.5 + 0.25 * k for k in range(16)], 3.0, 1, 40.0),
+                            path_gains=(1.0,) * 16)
+        cases = [
+            (ref_cell, rng.exponential(size=(5, 300))),
+            (one_group, rng.choice([0.0, 0.25, 1.0, 3.0], size=(16, 300))),
+        ]
+        for cell, user_major in cases:
+            fading_power = user_major.T
+            fresh = hybrid_rate_table(cell, fading_power, 0.6, order_mode)
+            table = hybrid_rate_table(cell, fading_power, 0.6, order_mode, out=fading_power)
+            assert table is fading_power
+            assert table.tobytes() == fresh.tobytes()
+
+    @pytest.mark.parametrize("order_mode", ["distance", "instantaneous"])
     def test_refuses_an_out_that_aliases_the_fading(self, ref_cell, order_mode):
-        fading_power = np.ones((3, 5))
-        for out in (fading_power, fading_power[::-1]):
+        rows = np.ones((4, 5))
+        fading_power = rows[:3]
+        for out in (fading_power[::-1], rows[1:]):  # reversed, offset by a row
             with pytest.raises(ValidationError, match="share memory"):
                 hybrid_rate_table(ref_cell, fading_power, UNIT_NOISE, order_mode, out=out)
-        np.testing.assert_array_equal(fading_power, np.ones((3, 5)))
+        np.testing.assert_array_equal(rows, np.ones((4, 5)))
 
     def test_instantaneous_ties_rank_the_smaller_index_first(self):
         cell = build_cell([1.0, 2.0], 3.0, 1, 10.0)  # gamma = 1 and 1/8
