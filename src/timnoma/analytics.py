@@ -49,12 +49,13 @@ def hybrid_rate_table(
 
     The rates go, as in numpy's ufuncs, into ``out`` when it is given, a
     float64 array of ``fading_power``'s shape, which is returned;
-    otherwise into a fresh array. ``out`` may be ``fading_power`` itself,
-    whose gains the table then replaces; any other ``out`` that shares
-    memory with it, such as a reversed or offset view, is refused. The one
-    (N, K) buffer goes from channel gains to rates in place, column by
-    column, so an ``out`` that is the fading gives the bytes of a fresh
-    table: under distance order column k reads only itself, and under
+    otherwise into a fresh array. As a ufunc's, ``out`` may share memory
+    with ``fading_power``, be it the array itself or a reversed or offset
+    view: the first multiply, which numpy buffers where its operands
+    overlap, writes the gains gamma |h|^2 to ``out``, and nothing after it
+    reads ``fading_power``, so any ``out`` holds a fresh table's bytes.
+    That one (N, K) buffer then goes from gains to rates in place, column
+    by column: under distance order column k reads only itself, and under
     instantaneous order the (K, N) absorbed powers are built from the
     gains before any column becomes a rate, since the order reads every
     gain. Each user adds one (N,) interference temporary, its absorbed
@@ -77,8 +78,6 @@ def hybrid_rate_table(
                 f"out is {getattr(out, 'dtype', type(out).__name__)} {np.shape(out)}, "
                 f"not float64 {np.shape(fading_power)}"
             )
-        if out is not fading_power and np.shares_memory(out, fading_power):
-            raise ValidationError("out must be fading_power itself or not share memory with it")
     out = np.multiply(fading_power, cell.path_gains, out=out)  # gamma_k |h_k|^2
     gains = None if order_mode == "distance" else out.T
     # P_j of each j ranked ahead of k, added in ascending j: np.sum adds pairwise

@@ -28,11 +28,13 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
 def _glue_snr(argv: list) -> list:
     """``--snr VALUE`` as ``--snr=VALUE`` when VALUE starts with a minus
     sign and a digit or a point: argparse reads a grid such as -10:2:30 or
-    -5,0,5 as an option and refuses it for want of a value. A missing
-    value (``--snr`` last, or before another flag) is left to argparse."""
+    -5,0,5 as an option and refuses it for want of a value. ``--sn``, the
+    one abbreviation argparse takes for ``--snr`` (``--s`` could be
+    ``--seed``), is glued too. A missing value (the flag last, or before
+    another flag) is left to argparse."""
     glued = []
     for arg in argv:
-        if glued and glued[-1] == "--snr" and re.match(r"-[\d.]", arg):
+        if glued and glued[-1] in ("--sn", "--snr") and re.match(r"-[\d.]", arg):
             glued[-1] = f"--snr={arg}"
         else:
             glued.append(arg)

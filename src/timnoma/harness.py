@@ -33,8 +33,10 @@ Every (seed, SNR index, frame) triple seeds an independent substream, so
 results are byte-identical for any worker count. The pool runs one worker
 per SNR point, up to the CPUs the process may use and up to
 ``TIMNOMA_WORKERS`` if it is set. It forks where the platform can, so its
-workers inherit the numpy and the package the run has imported; Python
-3.14 made forkserver Linux's default, whose workers import both again.
+workers inherit the numpy and the package the run has imported, all but
+``numpy.random``, which numpy loads lazily and each worker's first draw
+imports; Python 3.14 made forkserver Linux's default, whose workers
+import both again.
 Each SNR point returns its own result rows, in grid order.
 """
 

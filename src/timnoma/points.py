@@ -21,15 +21,17 @@ chunk's gains, user by user, each user's blocks in a row.
 A BER frame is simulated on the derotated real baseband (see ``receiver``):
 projection cancels the other groups exactly, so receiver k's signal on
 each real axis is |g_k| times its group's superposed levels plus
-N(0, sigma^2/2) noise. Each frame draws the power gains |h|^2, then the
-bits, then, receiver by receiver, an (S, 2) row of standard normals for
-the noise: K row draws that take what one (K, S, 2) draw would from the
-stream. The row is one buffer that the signal is added to and that the
-receiver's SIC chain leaves the residual in; a BER row's stderr comes from
-its per-frame error counts (see ``_ber_point``). A single-user BER run is the same simulation on a scene
-where every user is a group of one, so nothing is cancelled or absorbed;
-it differs from the hybrid run only by that scene and by having no
-``sum`` row.
+N(0, sigma^2/2) noise. The frame builds it equalised, divided by |g_k|:
+the plain levels plus noise scaled by sigma / (sqrt(2) |g_k|), so the
+channel is read here and nowhere else. Each frame draws the power gains
+|h|^2, then the bits, then, receiver by receiver, an (S, 2) row of
+standard normals for the noise: K row draws that take what one (K, S, 2)
+draw would from the stream. The row is one buffer that the signal is
+added to and that the receiver's SIC chain leaves the residual in; a BER
+row's stderr comes from its per-frame error counts (see ``_ber_point``).
+A single-user BER run is the same simulation on a scene where every user
+is a group of one, so nothing is cancelled or absorbed; it differs from
+the hybrid run only by that scene and by having no ``sum`` row.
 
 A rate point runs over chunks of ``_RATE_CHUNK`` (16 384) realizations,
 chunk c drawn from its own (seed, SNR index, c) substream, so its memory is
@@ -66,9 +68,10 @@ def _ber_point(config: SimConfig, snr_index: int, snr_db: float) -> list:
     and adds to each, in ascending user order, its members' signed
     amplitudes (1 - 2 b) sqrt(P_j) LEVEL, which are their QPSK levels
     (bit 0 -> +, 1 -> -) times sqrt(P_j). Then it runs the receivers one
-    by one in one (S, 2) row buffer: k's noise is drawn into it, |g_k|
-    times its group's total is added, which is what is left of the
-    transmit after projection, and SIC leaves the residual in it. The
+    by one in one (S, 2) row buffer: k's noise is drawn into it and scaled
+    by sigma / (sqrt(2) |g_k|) block by block, its group's total is added,
+    which is what is left of the transmit after projection and
+    equalisation, and SIC leaves the residual in it. The
     group sums are loops over at most K users and the rest is elementwise,
     so no BLAS call runs per frame.
 
@@ -88,11 +91,12 @@ def _ber_point(config: SimConfig, snr_index: int, snr_db: float) -> list:
     blocks = symbols_per_frame if config.fading_mode == "block" else 1
     per_frame_order = config.decoding_order_mode == "instantaneous"
     # receiver k's noise, then signal, then residual on block s is row[s, 0]
-    # on the real axis and row[s, 1] on the imaginary axis
+    # on the real axis and row[s, 1] on the imaginary axis, equalised
     row = np.empty((symbols_per_frame, 2))
-    # |g_k| on both axes of each block, read by the signal and by SIC; under
-    # frame fading one (1, 1) value, so the copy to the second axis is empty
-    channel = np.empty((blocks, 2 if blocks > 1 else 1))
+    # sigma / (sqrt(2) |g_k|) on both axes of each block, the noise's scale
+    # in the equalised row; under frame fading one (1, 1) value, so the copy
+    # to the second axis is empty
+    noise_scale = np.empty((blocks, 2 if blocks > 1 else 1))
     # each group's superposed levels, summed afresh each frame; a fresh
     # array per frame measured slower: glibc hands its pages back to the
     # OS when the frame frees them, and the next frame faults them in again
@@ -112,11 +116,15 @@ def _ber_point(config: SimConfig, snr_index: int, snr_db: float) -> list:
         # K row draws take what one (K, S, 2) draw would from the stream
         for k, group in enumerate(group_of):
             rng.standard_normal(out=row)
-            row *= scale
-            np.sqrt(gains[k], out=channel[:, 0])
-            channel[:, 1:] = channel[:, :1]
-            row += totals[group] * channel
-            decided = decode(row, channel, cell, k, gains if per_frame_order else None)
+            np.sqrt(gains[k], out=noise_scale[:, 0])
+            # a gain of exactly 0.0, about once in 2**53 draws, makes the
+            # scale inf: the row is then its noise's sign, as unequalised
+            with np.errstate(divide="ignore"):
+                np.divide(scale, noise_scale[:, 0], out=noise_scale[:, 0])
+            noise_scale[:, 1:] = noise_scale[:, :1]
+            row *= noise_scale
+            row += totals[group]
+            decided = decode(row, cell, k, gains if per_frame_order else None)
             frame_errors.append(int(np.count_nonzero(decided != bits[k])))
         frame_errors.append(sum(frame_errors))
         for k, frame_count in enumerate(frame_errors):

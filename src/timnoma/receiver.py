@@ -11,7 +11,10 @@ with x_j = (1 - 2 b) LEVEL on that axis and LEVEL = 1/sqrt(2): the QPSK is
 Gray-mapped with unit energy, a symbol's first bit b setting the in-phase
 sign and its second the quadrature sign (0 -> +, 1 -> -). Maximum
 likelihood with a scalar channel is a sign test per axis, so everything
-here is real and per axis.
+here is real and per axis. A positive scale changes no sign, so the
+receiver works on the equalised row r / |g_k|: the plain levels
+sum_j sqrt(P_j) x_j plus noise of variance sigma^2 / (2 |g_k|^2), and
+nothing here reads the channel.
 
 The receiver detects and subtracts the same-group signals that rank after
 it in the decoding order, iterating in descending transmit power (the
@@ -59,24 +62,24 @@ def ranks_ahead(j, k, gains=None):
     return gains[j] >= gains[k] if nearer else gains[j] > gains[k]
 
 
-def decode(row, channel, cell: Cell, k, gains=None) -> np.ndarray:
+def decode(row, cell: Cell, k, gains=None) -> np.ndarray:
     """Run receiver k's SIC chain and return the bits it decides.
 
-    ``row`` is k's derotated signal, (S, 2) real: block s on the real axis,
-    then on the imaginary axis. It is overwritten with k's final residual,
-    the one its own symbols were detected from. ``channel`` is k's channel
-    magnitude |g_k| = sqrt(gamma_k |h_k|^2) on both axes of each block,
-    (S, 2), or (1, 1) when it is constant over the frame. ``cell`` gives
-    every user's transmit power P_j and group, and ``gains`` picks the
-    decoding order as ``ranks_ahead`` does: None for distance order, or the
-    (K,), (K, 1) or (K, S) instantaneous gains.
+    ``row`` is k's equalised signal, (S, 2) real: its derotated signal
+    divided by its channel magnitude |g_k| = sqrt(gamma_k |h_k|^2), block s
+    on the real axis, then on the imaginary axis. That leaves its group's
+    superposed levels sum_j sqrt(P_j) x_j plus noise. It is overwritten
+    with k's final residual, the one its own symbols were detected from.
+    ``cell`` gives every user's transmit power P_j and group, and ``gains``
+    picks the decoding order as ``ranks_ahead`` does: None for distance
+    order, or the (K,), (K, 1) or (K, S) instantaneous gains.
 
     The rest of k's group is swept in descending transmit amplitude
     sqrt(P_j), a tie going to the smaller index. Each member j that k
     ranks ahead of on some block is detected on every axis by the sign of
-    the running residual, and its reconstruction |g_k| * sqrt(P_j) * level
-    is subtracted from the residual in place, on the blocks where k ranks
-    ahead, so detection errors propagate exactly as in a real chain.
+    the running residual, and its level sqrt(P_j) * LEVEL is subtracted
+    from the residual in place, on the blocks where k ranks ahead, so
+    detection errors propagate exactly as in a real chain.
 
     Returns k's 2S booleans, two per symbol, in-phase first: a negative
     residual decides bit 1, and an exact zero of either sign bit 0.
@@ -93,8 +96,7 @@ def decode(row, channel, cell: Cell, k, gains=None) -> np.ndarray:
     sweep = sorted(
         (j for j in range(count) if group_of[j] == group_of[k] and j != k), key=lambda j: -amplitudes[j]
     )
-    reconstruction = np.empty(np.shape(channel))
-    subtrahend = np.empty(row.shape)
+    estimate = np.empty(row.shape)
     for j in sweep:
         blocks = ranks_ahead(k, j, gains)  # a bool, or one per block
         if gains is not None:  # every block, none, or the mask on both axes
@@ -103,11 +105,9 @@ def decode(row, channel, cell: Cell, k, gains=None) -> np.ndarray:
             )
         if blocks is False:
             continue  # j is absorbed as noise on every block
-        np.multiply(channel, amplitudes[j], out=reconstruction)
-        np.multiply(reconstruction, LEVEL, out=reconstruction)
         # the estimate's sign is the residual's, where -0.0 counts as +0.0:
         # an exact zero decides the positive level
-        np.add(row, 0.0, out=subtrahend)
-        np.copysign(reconstruction, subtrahend, out=subtrahend)
-        np.subtract(row, subtrahend, out=row, where=blocks)
+        np.add(row, 0.0, out=estimate)
+        np.copysign(amplitudes[j] * LEVEL, estimate, out=estimate)
+        np.subtract(row, estimate, out=row, where=blocks)
     return (row < 0).reshape(-1)

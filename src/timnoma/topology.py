@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .errors import ValidationError
 
 # a physical cell: every path gain 1/d^n lies in [1e-30, 1e30], and a
-# 2**20-bit frame of 16 users in one group peaks near 206 MB
+# 2**20-bit frame of 16 users in one group peaks near 203 MB
 _MAX_USERS = 16
 _NEAREST_KM, _FARTHEST_KM = 1e-3, 1e3
 _MAX_EXPONENT = 10.0

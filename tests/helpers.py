@@ -13,10 +13,12 @@ baseband that is left after projection; tests hold it to this chain. The
 real per-axis frame as the package once built and decoded it, all K
 receivers at once (``qpsk_levels``, ``received_signal``,
 ``gathering_decode``), stays here as the bit-for-bit reference of its
-receiver-by-receiver frame; ``decode_rows`` runs the package's
-one-receiver ``decode`` over such a frame. ``gathering_decode`` also runs
-the genie, which subtracts the transmitted levels in place of the
-estimates: the package's ``decode`` cancels with its own estimates only.
+receiver-by-receiver frame; it reads the channel magnitudes, while the
+package divides each row by its own and cancels plain levels.
+``decode_rows`` runs the package's one-receiver ``decode`` over an
+equalised frame (``equalise``). ``gathering_decode`` also runs the genie,
+which subtracts the transmitted levels in place of the estimates: the
+package's ``decode`` cancels with its own estimates only.
 """
 
 import dataclasses
@@ -305,22 +307,13 @@ def gathering_decode(signal, channels, amplitudes, group_of, gains=None, genie_s
     return (residual < 0).reshape(count, -1)
 
 
-def decode_rows(signal, channels, cell, gains=None):
-    """Receiver k's ``decode`` on row k of a (K, S, 2) signal, for every k
-    of ``cell``, the ``Cell`` whose powers and groups every chain reads.
-
-    ``channels`` are the (K, S) or (K, 1) magnitudes; each row gets its own
-    laid out per axis, as the harness lays it out: (S, 2), or (1, 1) when
-    constant over the frame. Overwrites ``signal`` with the residuals and
-    returns the (K, 2S) bits.
+def decode_rows(signal, cell, gains=None):
+    """Receiver k's ``decode`` on row k of an equalised (K, S, 2) signal,
+    for every k of ``cell``, the ``Cell`` whose powers and groups every
+    chain reads. Overwrites ``signal`` with the residuals and returns the
+    (K, 2S) bits.
     """
-    channels = np.asarray(channels)[:, :, np.newaxis]
-    if channels.shape[1] > 1:
-        channels = np.repeat(channels, 2, axis=2)
-    return np.array([
-        decode(signal[k], channels[k], cell, k, gains)
-        for k in range(len(signal))
-    ])
+    return np.array([decode(signal[k], cell, k, gains) for k in range(len(signal))])
 
 
 def derotate(projected, channels):
@@ -328,10 +321,20 @@ def derotate(projected, channels):
 
     ``projected`` is (K, S) and the complex ``channels`` g broadcast to it.
     Returns the (K, S, 2) real signal and the channel magnitudes |g|, in
-    the shape of ``channels``, which the package's receiver takes.
+    the shape of ``channels``, which ``gathering_decode`` takes.
     """
     magnitudes = np.abs(channels)
     return levels(np.conj(channels) / magnitudes * projected), magnitudes
+
+
+def equalise(projected, channels):
+    """The real per-axis view of projected signals divided by their
+    channels: r / g, the derotated signal over |g|, which ``decode`` takes.
+
+    ``projected`` is (K, S) and the complex ``channels`` g broadcast to it;
+    returns (K, S, 2).
+    """
+    return levels(np.asarray(projected) / channels)
 
 
 EULER_GAMMA = 0.57721566490153286061

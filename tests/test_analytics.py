@@ -282,13 +282,39 @@ class TestRateTables:
             assert table.tobytes() == fresh.tobytes()
 
     @pytest.mark.parametrize("order_mode", ["distance", "instantaneous"])
-    def test_refuses_an_out_that_aliases_the_fading(self, ref_cell, order_mode):
-        rows = np.ones((4, 5))
-        fading_power = rows[:3]
-        for out in (fading_power[::-1], rows[1:]):  # reversed, offset by a row
-            with pytest.raises(ValidationError, match="share memory"):
-                hybrid_rate_table(ref_cell, fading_power, UNIT_NOISE, order_mode, out=out)
-        np.testing.assert_array_equal(rows, np.ones((4, 5)))
+    def test_an_out_that_overlaps_the_fading_gives_a_fresh_table(self, ref_cell, order_mode):
+        # numpy's out contract: the first multiply is buffered where its
+        # operands overlap, and only out is read after it; the cells and
+        # gains are those of the test above, in both memory layouts
+        rng = np.random.default_rng(17)
+        one_group = replace(build_cell([0.5 + 0.25 * k for k in range(16)], 3.0, 1, 40.0),
+                            path_gains=(1.0,) * 16)
+        cases = [
+            (ref_cell, lambda size: rng.exponential(size=size)),
+            (one_group, lambda size: rng.choice([0.0, 0.25, 1.0, 3.0], size=size)),
+        ]
+        for cell, draw in cases:
+            count, n = cell.user_count, 300
+            size = count * n
+            for user_major in (False, True):
+                def table(flat):  # (N, K), or (K, N) memory viewed as (N, K)
+                    return flat.reshape(count, n).T if user_major else flat.reshape(n, count)
+                views = {  # out's place in a buffer that holds the fading at [row:row + size]
+                    "reversed": lambda buffer, row: table(buffer[row:row + size])[::-1],
+                    "offset": lambda buffer, row: table(buffer[row + 1:row + size + 1]),
+                    "offset back": lambda buffer, row: table(buffer[row - 1:row + size - 1]),
+                    "row later": lambda buffer, row: table(buffer[2 * row:2 * row + size]),
+                    "row earlier": lambda buffer, row: table(buffer[:size]),
+                }
+                row = n if user_major else count  # one row of the memory layout
+                drawn = draw(size + 2 * row)
+                fresh = hybrid_rate_table(cell, table(drawn[row:row + size]), 0.6, order_mode)
+                for name, view in views.items():
+                    buffer = drawn.copy()
+                    out = view(buffer, row)
+                    result = hybrid_rate_table(cell, table(buffer[row:row + size]), 0.6, order_mode, out=out)
+                    assert result is out
+                    assert result.tobytes() == fresh.tobytes(), (cell.user_count, user_major, name)
 
     def test_instantaneous_ties_rank_the_smaller_index_first(self):
         cell = build_cell([1.0, 2.0], 3.0, 1, 10.0)  # gamma = 1 and 1/8

@@ -72,12 +72,14 @@ class TestCliRuns:
 
     @pytest.mark.parametrize("grid", ["-10:10:0", "-5,0,5", "-.5", "-5"])
     def test_negative_snr_grid_parses_as_its_own_argument(self, grid, capsys):
-        # argparse read "-10:10:0" and "-5,0,5" as options and exited 2
-        assert main(["rate", "--frames", "2", "--snr", grid]) == 0
-        separate = capsys.readouterr().out
+        # argparse read "-10:10:0" and "-5,0,5" as options and exited 2,
+        # after the flag and after --sn, the abbreviation argparse takes
         assert main(["rate", "--frames", "2", f"--snr={grid}"]) == 0
-        assert capsys.readouterr().out == separate
-        assert separate.count(",sum,") == len(parse_snr_grid(grid))
+        glued = capsys.readouterr().out
+        assert glued.count(",sum,") == len(parse_snr_grid(grid))
+        for flag in ("--snr", "--sn"):
+            assert main(["rate", "--frames", "2", flag, grid]) == 0
+            assert capsys.readouterr().out == glued, flag
 
 
 class TestCliErrors:

@@ -102,8 +102,9 @@ def test_removed_name_is_not_importable(name):
 
 def test_decode_takes_only_what_a_run_passes():
     # a run cancels with the receiver's own estimates; a genie that
-    # subtracts the transmitted levels belongs to the tests' reference kernel
-    assert list(inspect.signature(timnoma.decode).parameters) == ["row", "channel", "cell", "k", "gains"]
+    # subtracts the transmitted levels belongs to the tests' reference
+    # kernel, and the row comes equalised, so no channel is passed
+    assert list(inspect.signature(timnoma.decode).parameters) == ["row", "cell", "k", "gains"]
 
 
 @pytest.mark.parametrize("module", ["precoding", "modem", "channel"])

@@ -26,6 +26,7 @@ from helpers import (
     decode_rows,
     derotate,
     draw_fading,
+    equalise,
     gathering_decode,
     levels,
     make_basis,
@@ -87,8 +88,8 @@ def bank_signal(cell, basis, symbols, fading, noise=None):
 
 
 def real_bank(*args, **kwargs):
-    """The derotated (K, S, 2) signal and the |g| that ``decode_rows`` takes."""
-    return derotate(*bank_signal(*args, **kwargs))
+    """The equalised (K, S, 2) signal that ``decode_rows`` takes."""
+    return equalise(*bank_signal(*args, **kwargs))
 
 
 class TestProject:
@@ -168,18 +169,18 @@ class TestRanksAheadMatchesTheMask:
 
 
 def ml_detect(residual, channel):
-    """A one-user chain with nothing to cancel, on the derotated signal of
+    """A one-user chain with nothing to cancel, on the equalised signal of
     complex residuals and channels: one QPSK decision per entry."""
     residual = np.atleast_1d(residual)
     channel = np.broadcast_to(channel, residual.shape)
-    signal, magnitudes = derotate(residual[np.newaxis], channel[np.newaxis])
-    bits = decode_rows(signal, magnitudes, Cell((1.0,), (1.0,), (0,), 1))[0]
+    signal = equalise(residual[np.newaxis], channel[np.newaxis])
+    bits = decode_rows(signal, Cell((1.0,), (1.0,), (0,), 1))[0]
     decided = CONSTELLATION[2 * bits[0::2] + bits[1::2]]
     return complex(decided[0]) if decided.shape == (1,) else decided
 
 
 class TestMlDetect:
-    """ML detection is the chain's per-axis sign test on the derotated
+    """ML detection is the chain's per-axis sign test on the equalised
     signal; a negative residual decides bit 1, an exact zero bit 0."""
 
     def test_recovers_exact_symbol(self, rng):
@@ -248,12 +249,10 @@ class TestSicPlan:
         # and then every later decision on that axis
         symbols = CONSTELLATION[[0, 0, 0, 0, 3]][:, None]
         fading = np.ones(5, dtype=complex)
-        signal, magnitudes = real_bank(
-            ref_cell, ref_basis, symbols, fading
-        )
-        bits = decode_rows(signal, magnitudes, ref_cell)
+        signal = real_bank(ref_cell, ref_basis, symbols, fading)
+        bits = decode_rows(signal, ref_cell)
         np.testing.assert_array_equal(bits[0], [False, False])
-        own = magnitudes[0, :, None] * math.sqrt(ref_cell.powers[0]) * levels(symbols[0])
+        own = math.sqrt(ref_cell.powers[0]) * levels(symbols[0])
         np.testing.assert_allclose(signal[0], own, rtol=1e-12)
 
 
@@ -261,20 +260,16 @@ class TestSicDecode:
     def test_noiseless_chain_recovers_every_user(self, ref_cell, ref_basis, rng):
         symbols = random_symbols(rng, (5, 50))
         fading = draw_fading(rng, 5, blocks=50)
-        signal, magnitudes = real_bank(
-            ref_cell, ref_basis, symbols, fading
-        )
-        bits = decode_rows(signal, magnitudes, ref_cell)
+        signal = real_bank(ref_cell, ref_basis, symbols, fading)
+        bits = decode_rows(signal, ref_cell)
         np.testing.assert_array_equal(bits, qpsk_demodulate(symbols))
 
     def test_strongest_power_user_detects_without_cancelling(self, ref_cell, ref_basis, rng):
         symbols = random_symbols(rng, (5, 1))
         fading = draw_fading(rng, 5)
-        signal, magnitudes = real_bank(
-            ref_cell, ref_basis, symbols, fading
-        )
+        signal = real_bank(ref_cell, ref_basis, symbols, fading)
         projected = signal.copy()
-        decode_rows(signal, magnitudes, ref_cell)
+        decode_rows(signal, ref_cell)
         assert cancel_sets(ref_cell.group_of)[4] == ()
         np.testing.assert_array_equal(signal[4, 0], projected[4, 0])
 
@@ -282,13 +277,11 @@ class TestSicDecode:
         # user 2 subtracts only the strongest group member, absorbs user 0
         symbols = random_symbols(rng, (5, 1))
         fading = draw_fading(rng, 5)
-        signal, magnitudes = real_bank(
-            ref_cell, ref_basis, symbols, fading
-        )
-        decode_rows(signal, magnitudes, ref_cell)
+        signal = real_bank(ref_cell, ref_basis, symbols, fading)
+        decode_rows(signal, ref_cell)
         assert cancel_sets(ref_cell.group_of)[2] == (4,)
         # the residual still carries user 0's signal (treated as noise)
-        leftover = magnitudes[2, 0] * (
+        leftover = (
             math.sqrt(ref_cell.powers[0]) * levels(symbols[0, 0])
             + math.sqrt(ref_cell.powers[2]) * levels(symbols[2, 0])
         )
@@ -318,11 +311,9 @@ class TestSicDecode:
         # detected user 4, then user 2, exactly right and subtracted both
         symbols = random_symbols(rng, (5, 50))
         fading = draw_fading(rng, 5, blocks=50)
-        signal, magnitudes = real_bank(
-            ref_cell, ref_basis, symbols, fading
-        )
-        decode_rows(signal, magnitudes, ref_cell)
-        own = magnitudes[0, :, None] * math.sqrt(ref_cell.powers[0]) * levels(symbols[0])
+        signal = real_bank(ref_cell, ref_basis, symbols, fading)
+        decode_rows(signal, ref_cell)
+        own = math.sqrt(ref_cell.powers[0]) * levels(symbols[0])
         np.testing.assert_allclose(signal[0], own, rtol=1e-12)
 
 
@@ -352,12 +343,10 @@ class TestPerBlockSic:
         gamma = np.array([1.0 / d**3 for d in REFERENCE_DISTANCES])
         gains = gamma * np.abs(fading) ** 2
         noise = 0.05 * (rng.standard_normal((5, 2, n)) + 1j * rng.standard_normal((5, 2, n)))
-        signal, magnitudes = real_bank(
-            ref_cell, ref_basis, symbols, fading, noise
-        )
-        static = decode_rows(signal.copy(), magnitudes, ref_cell, gains)
+        signal = real_bank(ref_cell, ref_basis, symbols, fading, noise)
+        static = decode_rows(signal.copy(), ref_cell, gains)
         per_block = np.repeat(gains[:, None], n, axis=1)
-        dynamic = decode_rows(signal, magnitudes, ref_cell, per_block)
+        dynamic = decode_rows(signal, ref_cell, per_block)
         np.testing.assert_array_equal(static, dynamic)
 
     def test_blocks_where_user_ranks_last_skip_cancellation(self, ref_cell, ref_basis):
@@ -370,8 +359,8 @@ class TestPerBlockSic:
         x = mixing_matrix(ref_cell.powers, ref_cell.group_of, ref_basis) @ symbols
         channels = np.ones((5, 1), dtype=complex)
         projected = project(np.broadcast_to(x, (5,) + x.shape), ref_basis, np.asarray(ref_cell.group_of))
-        signal, magnitudes = derotate(projected, channels)
-        bits = decode_rows(signal, magnitudes, ref_cell, gains)
+        signal = equalise(projected, channels)
+        bits = decode_rows(signal, ref_cell, gains)
         # block 0 cancels users 4 and 2, leaving the clean own symbol;
         # block 1 cancels nothing, so user 4's stronger signal dominates
         np.testing.assert_array_equal(bits[0], qpsk_demodulate(CONSTELLATION[[0, 3]]))
@@ -399,8 +388,8 @@ class TestDecodeBank:
         else:
             gains = order = gamma[:, None] * np.abs(fading) ** 2
         expected = reference_sic_bits(projected, channels, cell.powers, cell.group_of, gains)
-        signal, magnitudes = derotate(projected, channels)
-        bits = decode_rows(signal, magnitudes, cell, order)
+        signal = equalise(projected, channels)
+        bits = decode_rows(signal, cell, order)
         np.testing.assert_array_equal(bits, expected)
         # the run is noisy enough that SIC errors are exercised
         assert 0 < np.count_nonzero(bits != qpsk_demodulate(symbols)) < bits.size // 4
@@ -408,10 +397,10 @@ class TestDecodeBank:
     def test_empty_mask_detects_own_signal_only(self, ref_cell, rng):
         projected = rng.standard_normal((5, 30)) + 1j * rng.standard_normal((5, 30))
         channels = rng.standard_normal((5, 1)) + 1j * rng.standard_normal((5, 1))
-        signal, magnitudes = derotate(projected, channels)
+        signal = equalise(projected, channels)
         untouched = signal.copy()
         # every user alone in its group: nobody ranks ahead of anybody
-        bits = decode_rows(signal, magnitudes, replace(ref_cell, group_of=tuple(range(5))))
+        bits = decode_rows(signal, replace(ref_cell, group_of=tuple(range(5))))
         np.testing.assert_array_equal(signal, untouched)
         own = minimum_distance_detect(projected, channels, 1.0)
         np.testing.assert_array_equal(bits, qpsk_demodulate(own))
@@ -420,27 +409,23 @@ class TestDecodeBank:
         # a row that is not (S, 2): flat, three axes wide, or a whole frame
         for shape in [(16,), (8, 3), (5, 8, 2)]:
             with pytest.raises(ValidationError):
-                decode(np.zeros(shape), np.ones((1, 1)), ref_cell, 0)
+                decode(np.zeros(shape), ref_cell, 0)
         # a receiver outside the cell
         for k in (-1, 5):
             with pytest.raises(ValidationError):
-                decode(np.zeros((8, 2)), np.ones((1, 1)), ref_cell, k)
+                decode(np.zeros((8, 2)), ref_cell, k)
         # groups that do not match the powers never reach decode: the cell
         # refuses them when it is made
         with pytest.raises(ValidationError):
             replace(ref_cell, group_of=(0, 1, 0))
 
     @staticmethod
-    def frame_decode_peak(signal, gains, cell, order):
+    def frame_decode_peak(signal, cell, order):
         """tracemalloc's peak while every receiver of a (K, S, 2) signal
-        decodes its row, with the per-axis channels laid out beforehand."""
-        channels = np.repeat(np.sqrt(gains)[:, :, None], 2, axis=2)
+        decodes its row."""
         tracemalloc.start()
         try:
-            bits = [
-                decode(signal[k], channels[k], cell, k, order)
-                for k in range(len(signal))
-            ]
+            bits = [decode(signal[k], cell, k, order) for k in range(len(signal))]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -455,7 +440,7 @@ class TestDecodeBank:
         cell = build_cell([0.5 + 0.25 * k for k in range(16)], 3.0, 4, 40.0)
         gains = np.array(cell.path_gains)[:, None] * rng.exponential(size=(16, 16384))
         signal = rng.standard_normal((16, 16384, 2))
-        assert self.frame_decode_peak(signal, gains, cell, gains) < 2 * signal.nbytes
+        assert self.frame_decode_peak(signal, cell, gains) < 2 * signal.nbytes
 
     @pytest.mark.parametrize("order_mode, bound", [("distance", 1.5), ("instantaneous", 2.5)])
     def test_one_group_memory_stays_near_the_signal(self, order_mode, bound):
@@ -468,27 +453,27 @@ class TestDecodeBank:
         gains = np.array(cell.path_gains)[:, None] * rng.exponential(size=(16, 16384))
         signal = rng.standard_normal((16, 16384, 2))
         order = gains if order_mode == "instantaneous" else None
-        assert self.frame_decode_peak(signal, gains, cell, order) < bound * signal.nbytes
+        assert self.frame_decode_peak(signal, cell, order) < bound * signal.nbytes
 
     @pytest.mark.parametrize("order_mode", ["distance", "instantaneous"])
     def test_row_memory_stays_near_the_row(self, order_mode):
         # receiver 0 of 16 users in one group, which cancels the other 15
-        # under distance order: the chain holds two one-row buffers and the
-        # decided bits, 2.13 times the row's bytes, and under instantaneous
-        # order its per-block masks too, 2.25 times
+        # under distance order: the chain holds one scratch row and the
+        # decided bits, 1.13 times the row's bytes, and under instantaneous
+        # order its per-block masks too, 1.26 times; with the channel in
+        # every cancellation, a second scratch row made it 2.13 and 2.26
         rng = np.random.default_rng(43)
         cell = build_cell([0.5 + 0.25 * k for k in range(16)], 3.0, 1, 40.0)
         gains = np.array(cell.path_gains)[:, None] * rng.exponential(size=(16, 16384))
-        channel = np.repeat(np.sqrt(gains[0])[:, None], 2, axis=1)
         row = rng.standard_normal((16384, 2))
         order = gains if order_mode == "instantaneous" else None
         tracemalloc.start()
         try:
-            decode(row, channel, cell, 0, order)
+            decode(row, cell, 0, order)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 3 * row.nbytes
+        assert peak < 1.5 * row.nbytes, peak / row.nbytes
 
 
 # exact zeros of both signs, which every detection must read as +0.0, and
@@ -498,11 +483,11 @@ SIGNAL_VALUES = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-8.0, 8.0))
 
 @st.composite
 def bank_frames(draw):
-    """A frame of every receiver's row: 1 to 16 users in free groups, 1 to 6
-    blocks, transmit amplitudes from a small set so that powers tie,
-    distance order or instantaneous (K,), (K, 1) or (K, S) gains from a
-    small set so that gains tie, (K, S) or (K, 1) channels, a signal
-    seeded with exact +0.0 and -0.0."""
+    """A frame of every receiver's equalised row: 1 to 16 users in free
+    groups, 1 to 6 blocks, transmit amplitudes from a small set so that
+    powers tie, distance order or instantaneous (K,), (K, 1) or (K, S)
+    gains from a small set so that gains tie, a signal seeded with exact
+    +0.0 and -0.0."""
     count = draw(st.integers(1, 16))
     group_of = tuple(draw(st.lists(st.integers(0, count - 1), min_size=count, max_size=count)))
     blocks = draw(st.integers(1, 6))
@@ -511,28 +496,29 @@ def bank_frames(draw):
     gains = None
     if gains_shape is not None:
         gains = draw(arrays(np.float64, gains_shape, elements=st.sampled_from([0.25, 1.0, 3.0])))
-    width = draw(st.sampled_from([1, blocks]))
-    channels = draw(arrays(np.float64, (count, width), elements=st.floats(0.125, 4.0)))
     signal = draw(arrays(np.float64, (count, blocks, 2), elements=SIGNAL_VALUES))
-    return signal, channels, amps, group_of, gains
+    return signal, amps, group_of, gains
 
 
 class TestDecodeMatchesTheGatheringKernel:
     """Each receiver's chain, run on its own row, against the bank that
-    gathered the cancelling rows per interferer: the same bits and, byte
-    for byte, the same residual."""
+    gathered the cancelling rows per interferer, at unit channels, where
+    the bank's reconstruction (1.0 sqrt(P_j)) LEVEL is decode's level
+    sqrt(P_j) LEVEL exactly: the same bits and, byte for byte, the same
+    residual."""
 
     @settings(max_examples=300, deadline=None)
     @given(frame=bank_frames())
     def test_same_bits_and_residual_bytes(self, frame):
-        signal, channels, amps, group_of, gains = frame
+        signal, amps, group_of, gains = frame
         # a^2 and sqrt(a^2) are exact on the drawn amplitudes, so the cell
         # gives decode the amplitudes the oracle reads
         cell = Cell((1.0,) * len(amps), tuple(float(a) ** 2 for a in amps), group_of, len(amps))
         expected = signal.copy()
-        expected_bits = gathering_decode(expected, channels, amps, group_of, gains)
+        unit = np.ones((len(amps), 1))
+        expected_bits = gathering_decode(expected, unit, amps, group_of, gains)
         residual = signal.copy()
-        bits = decode_rows(residual, channels, cell, gains)
+        bits = decode_rows(residual, cell, gains)
         np.testing.assert_array_equal(bits, expected_bits)
         assert residual.tobytes() == expected.tobytes()
 
@@ -554,10 +540,11 @@ def cells(draw):
 
 
 class TestRealBasebandMatchesPhysicalChain:
-    """The package simulates r = |g| * sum_j sqrt(P_j) x_j + w per real axis.
-    With the same h, and w = conj(h)/|h| * z for a projected complex noise
-    z, it must decide every bit as mixing, projection and the complex
-    one-receiver-at-a-time SIC loop do."""
+    """The package simulates r = sum_j sqrt(P_j) x_j + w / |g| per real
+    axis, the derotated signal equalised. With the same h, and
+    w = conj(h)/|h| * z for a projected complex noise z, it must decide
+    every bit as mixing, projection and the complex one-receiver-at-a-time
+    SIC loop do."""
 
     @settings(max_examples=80, deadline=None)
     @given(config=cells(), seed=st.integers(0, 2**32 - 1))
@@ -594,13 +581,12 @@ class TestRealBasebandMatchesPhysicalChain:
             projected, np.broadcast_to(channels, (count, n)), cell.powers, group_of, order
         )
 
-        # real per-axis kernel, receiver by receiver: the derotated noise
-        # plus |g| times the group's superposed levels, where a single-user
-        # run's scene puts every user in a group of its own
+        # real per-axis kernel, receiver by receiver: the equalised noise
+        # plus the group's superposed levels, where a single-user run's
+        # scene puts every user in a group of its own
         kernel_groups = _scene(config).group_of
-        magnitudes = np.sqrt(gains)
-        signal = levels(np.conj(h) / np.abs(h) * z)
-        signal += received_signal(qpsk_levels(bits), magnitudes, amplitudes(cell), kernel_groups)
+        signal = equalise(z, channels)
+        signal += received_signal(qpsk_levels(bits), np.ones((count, 1)), amplitudes(cell), kernel_groups)
         order = None if config.decoding_order_mode == "distance" else gains
-        decided = decode_rows(signal, magnitudes, replace(cell, group_of=kernel_groups), order)
+        decided = decode_rows(signal, replace(cell, group_of=kernel_groups), order)
         np.testing.assert_array_equal(decided, expected)
