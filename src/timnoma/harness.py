@@ -25,19 +25,23 @@ caller's ``SimConfig.experiment`` names the experiment.
 
 SNR is the transmit SNR P/sigma^2 in dB at the fixed budget P =
 ``SimConfig.total_power`` (40 W), which cancels out of every SINR; each
-point passes sigma^2 on as a plain float. Within these ranges every path
+point's sigma^2 is a plain float. Within these ranges every path
 gain lies in [1e-30, 1e30] and sigma^2 in [4e-29, 4e31] W, so every rate,
 squared deviation and SINR stays a normal double.
 
-Every (seed, SNR index, frame) triple seeds an independent substream, so
-results are byte-identical for any worker count. The pool runs one worker
-per SNR point, up to the CPUs the process may use and up to
-``TIMNOMA_WORKERS`` if it is set. It forks where the platform can, so its
-workers inherit the numpy and the package the run has imported, all but
-``numpy.random``, which numpy loads lazily and each worker's first draw
-imports; Python 3.14 made forkserver Linux's default, whose workers
-import both again.
-Each SNR point returns its own result rows, in grid order.
+BER frame f draws from its own (seed, f) substream and is decoded at
+every SNR point; rate chunk c of SNR point i draws from (seed, i, c). So
+results are byte-identical for any worker count. The pool's work units
+are contiguous frame ranges for BER, at most one per worker, and SNR
+points for rates. It runs one worker per unit, up to the CPUs the process
+may use and up to ``TIMNOMA_WORKERS`` if it is set. It forks where the
+platform can, so its workers inherit the numpy and the package the run
+has imported, all but ``numpy.random``, which numpy loads lazily and each
+worker's first draw imports; Python 3.14 made forkserver Linux's default,
+whose workers import both again.
+The units' results come back in unit order: each rate point's rows, and
+each frame range's integer error counts, which one reducer sums into the
+BER rows.
 """
 
 from __future__ import annotations
@@ -248,9 +252,10 @@ def parse_config(path) -> SimConfig:
 # ---------------------------------------------------------------------------
 # experiment runners
 
-def _worker_count(points: int) -> int:
-    """One worker per point, at most ``TIMNOMA_WORKERS`` and at most the
-    CPUs this process may use: a fork pool starts all its workers at once."""
+def _worker_count(units: int) -> int:
+    """One worker per work unit, at most ``TIMNOMA_WORKERS`` and at most
+    the CPUs this process may use: a fork pool starts all its workers at
+    once."""
     cap = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     env = os.environ.get(WORKERS_ENV)
     if env is not None:
@@ -261,27 +266,26 @@ def _worker_count(points: int) -> int:
         if workers < 1:
             raise ConfigError(f"{WORKERS_ENV} must be at least 1")
         cap = min(cap, workers)
-    return min(cap, points)
+    return min(cap, units)
 
 
-def _map_points(point_fn, config: SimConfig, workers: int) -> list:
-    """Evaluate one function per SNR point, here at one worker and on a
-    pool of ``workers`` processes otherwise.
+def _map_units(unit_fn, config: SimConfig, units: list, workers: int) -> list:
+    """Evaluate ``unit_fn(config, *unit)`` for each work unit, here at one
+    worker and on a pool of ``workers`` processes otherwise.
 
-    Results come back in grid order regardless of scheduling, and each
-    point derives its randomness only from (seed, point index), so the
-    worker count never changes the output.
+    Results come back in unit order regardless of scheduling, and each
+    unit derives its randomness only from the seed and its own frame or
+    point indices, so the worker count never changes the output.
     """
-    points = list(enumerate(config.snr_grid_db))
     if workers == 1:
-        return [point_fn(config, index, snr) for index, snr in points]
+        return [unit_fn(config, *unit) for unit in units]
     # imported here: a one-worker run never pays for the process machinery
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
     context = multiprocessing.get_context(_START_METHOD)
     with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
-        futures = [pool.submit(point_fn, config, index, snr) for index, snr in points]
+        futures = [pool.submit(unit_fn, config, *unit) for unit in units]
         return [future.result() for future in futures]
 
 
@@ -308,13 +312,22 @@ def run_experiment(config: SimConfig) -> tuple[ResultRow, ...]:
     each user alone, the rate table of a cell of lone users.
     """
     config = config.validated()
-    workers = _worker_count(len(config.snr_grid_db))
+    if config.experiment in RATE_EXPERIMENTS:
+        units = list(enumerate(config.snr_grid_db))
+        workers = _worker_count(len(units))
+    else:
+        # at most one contiguous frame range per worker
+        workers = _worker_count(config.frames)
+        bounds = [config.frames * i // workers for i in range(workers + 1)]
+        units = list(zip(bounds, bounds[1:]))
     # numpy loads here, once, after every refusal and before the pool
     # forks, so the workers inherit it instead of importing it again
     from . import points
 
-    point_fn = points._rate_point if config.experiment in RATE_EXPERIMENTS else points._ber_point
-    return tuple(row for rows in _map_points(point_fn, config, workers) for row in rows)
+    if config.experiment in RATE_EXPERIMENTS:
+        results = _map_units(points._rate_point, config, units, workers)
+        return tuple(row for rows in results for row in rows)
+    return tuple(points._ber_rows(config, _map_units(points._ber_frames, config, units, workers)))
 
 
 def emit_csv(rows, destination) -> None:

@@ -1,5 +1,5 @@
-"""The Monte Carlo of one SNR point: a BER point's frames and a rate
-point's chunks.
+"""The Monte Carlo's work units: a range of BER frames, each decoded at
+every SNR point, and a rate point's chunks.
 
 It imports numpy at the top, as do ``receiver`` and ``analytics``, which
 it imports. ``harness.run_experiment`` imports it once per run, after the
@@ -23,15 +23,20 @@ projection cancels the other groups exactly, so receiver k's signal on
 each real axis is |g_k| times its group's superposed levels plus
 N(0, sigma^2/2) noise. The frame builds it equalised, divided by |g_k|:
 the plain levels plus noise scaled by sigma / (sqrt(2) |g_k|), so the
-channel is read here and nowhere else. Each frame draws the power gains
-|h|^2, then the bits, then, receiver by receiver, an (S, 2) row of
-standard normals for the noise: K row draws that take what one (K, S, 2)
-draw would from the stream. The row is one buffer that the signal is
-added to and that the receiver's SIC chain leaves the residual in; a BER
-row's stderr comes from its per-frame error counts (see ``_ber_point``).
-A single-user BER run is the same simulation on a scene where every user
-is a group of one, so nothing is cancelled or absorbed; it differs from
-the hybrid run only by that scene and by having no ``sum`` row.
+channel is read here and nowhere else. Frame f draws from its own
+(seed, f) substream, whatever the SNR grid: the power gains |h|^2, then
+the bits, then, receiver by receiver, an (S, 2) row of standard normals
+for the noise, K row draws that take what one (K, S, 2) draw would from
+the stream. Each receiver's row is equalised once and then decoded at
+every SNR point, scaled by that point's sigma: common random numbers, so
+a frame's draws cost the same at one point as at a whole grid, and BER
+rows are correlated across SNR. A work unit is a contiguous range of
+frames (``_ber_frames``); it returns integer error counts, which
+``_ber_rows`` sums over the units into rows whose stderr comes from the
+per-frame counts. A single-user BER run is the same simulation on a
+scene where every user is a group of one, so nothing is cancelled or
+absorbed; it differs from the hybrid run only by that scene and by
+having no ``sum`` row.
 
 A rate point runs over chunks of ``_RATE_CHUNK`` (16 384) realizations,
 chunk c drawn from its own (seed, SNR index, c) substream, so its memory is
@@ -60,51 +65,52 @@ from .receiver import LEVEL, decode
 _RATE_CHUNK = 1 << 14
 
 
-def _ber_point(config: SimConfig, snr_index: int, snr_db: float) -> list:
-    """BER rows of one SNR point: each user's and, for the hybrid scheme,
-    the pooled ``sum`` row.
+def _ber_frames(config: SimConfig, start: int, stop: int) -> tuple:
+    """Error counts of frames ``start`` to ``stop - 1`` at every SNR point:
+    a BER work unit. Returns (errors, squares), each a list over the grid's
+    points of one Python int per user and one for the whole frame, the
+    hybrid scheme's ``sum`` row: the sum of the frames' error counts and of
+    their squares.
 
-    A frame first zeroes the point's group totals, (S, 2) like the row,
-    and adds to each, in ascending user order, its members' signed
-    amplitudes (1 - 2 b) sqrt(P_j) LEVEL, which are their QPSK levels
-    (bit 0 -> +, 1 -> -) times sqrt(P_j). Then it runs the receivers one
-    by one in one (S, 2) row buffer: k's noise is drawn into it and scaled
-    by sigma / (sqrt(2) |g_k|) block by block, its group's total is added,
-    which is what is left of the transmit after projection and
-    equalisation, and SIC leaves the residual in it. The
-    group sums are loops over at most K users and the rest is elementwise,
-    so no BLAS call runs per frame.
-
-    The bits of a frame share its fading, and the two bits of a symbol
-    share one block, so bits are not independent trials; the frames are.
-    A row's stderr is therefore the sample standard deviation of its
-    per-frame error counts over sqrt(frames), per bit of a frame. The
-    counts and their squares are summed as Python ints, which stay exact
-    however the frames are split.
+    Frame f draws from ``SeedSequence((seed, f))``, whatever the grid, so a
+    row depends on the seed, the frame count and its own SNR alone. A frame
+    first zeroes its group totals, (S, 2) like a row, and adds to each, in
+    ascending user order, its members' signed amplitudes (1 - 2 b) sqrt(P_j)
+    LEVEL, which are their QPSK levels (bit 0 -> +, 1 -> -) times
+    sqrt(P_j). Then it runs the receivers one by one. Receiver k's normals
+    are drawn into the kept noise row and divided, block by block, by
+    sqrt(2) |g_k|, the noise's scale in the equalised row at sigma = 1.
+    The work row holds that divisor first. Then at each SNR point, in grid
+    order, the kept row times sigma goes into the work row, k's group total
+    is added, which is what is left of the transmit after projection and
+    equalisation, and SIC decides from it and leaves the residual in it.
+    The group sums are loops over at most K users and the rest is
+    elementwise, so no BLAS call runs per frame.
     """
     cell = _scene(config)
     count, group_of = cell.user_count, cell.group_of
     symbols_per_frame = config.bits_per_frame // 2
     gamma = np.array(cell.path_gains)[:, np.newaxis]
     levels = [math.sqrt(p) * LEVEL for p in cell.powers]
-    scale = math.sqrt(config.noise_variance(snr_db) / 2.0)
+    sigmas = [math.sqrt(config.noise_variance(snr_db)) for snr_db in config.snr_grid_db]
     blocks = symbols_per_frame if config.fading_mode == "block" else 1
     per_frame_order = config.decoding_order_mode == "instantaneous"
-    # receiver k's noise, then signal, then residual on block s is row[s, 0]
-    # on the real axis and row[s, 1] on the imaginary axis, equalised
-    row = np.empty((symbols_per_frame, 2))
-    # sigma / (sqrt(2) |g_k|) on both axes of each block, the noise's scale
-    # in the equalised row; under frame fading one (1, 1) value, so the copy
-    # to the second axis is empty
-    noise_scale = np.empty((blocks, 2 if blocks > 1 else 1))
+    # receiver k's noise at sigma = 1 and its work row: block s is [s, 0] on
+    # the real axis and [s, 1] on the imaginary axis, equalised
+    noise, row = np.empty((symbols_per_frame, 2)), np.empty((symbols_per_frame, 2))
+    # sqrt(2) |g_k| on both axes of each block, in the work row before the
+    # SNR points use it; under frame fading one (1, 1) value, so the copy to
+    # the second axis is empty
+    divisor = row[:blocks, : 2 if blocks > 1 else 1]
     # each group's superposed levels, summed afresh each frame; a fresh
     # array per frame measured slower: glibc hands its pages back to the
     # OS when the frame frees them, and the next frame faults them in again
     totals = np.empty((max(group_of) + 1, symbols_per_frame, 2))
-    # per user, then for the whole frame: sums of error counts and squares
-    errors, squares = [0] * (count + 1), [0] * (count + 1)
-    for frame_index in range(config.frames):
-        rng = np.random.default_rng(np.random.SeedSequence((config.seed, snr_index, frame_index)))
+    # per point: per user, then for the whole frame
+    errors = [[0] * (count + 1) for _ in sigmas]
+    squares = [[0] * (count + 1) for _ in sigmas]
+    for frame in range(start, stop):
+        rng = np.random.default_rng(np.random.SeedSequence((config.seed, frame)))
         gains = rng.standard_exponential((count, blocks))  # |h|^2, (K, S) or (K, 1)
         gains *= gamma
         # int32 draws the same bits as int64 and leaves the stream in place
@@ -112,37 +118,58 @@ def _ber_point(config: SimConfig, snr_index: int, snr_db: float) -> list:
         totals.fill(0.0)
         for user, group in enumerate(group_of):
             totals[group] += (1 - 2 * bits[user].reshape(-1, 2)) * levels[user]
-        frame_errors = []
+        frame_errors = [[0] * count for _ in sigmas]
         # K row draws take what one (K, S, 2) draw would from the stream
         for k, group in enumerate(group_of):
-            rng.standard_normal(out=row)
-            np.sqrt(gains[k], out=noise_scale[:, 0])
+            rng.standard_normal(out=noise)
+            np.multiply(gains[k], 2.0, out=divisor[:, 0])
+            np.sqrt(divisor[:, 0], out=divisor[:, 0])
+            divisor[:, 1:] = divisor[:, :1]
             # a gain of exactly 0.0, about once in 2**53 draws, makes the
-            # scale inf: the row is then its noise's sign, as unequalised
+            # row infinite: it is then its noise's sign, as unequalised
             with np.errstate(divide="ignore"):
-                np.divide(scale, noise_scale[:, 0], out=noise_scale[:, 0])
-            noise_scale[:, 1:] = noise_scale[:, :1]
-            row *= noise_scale
-            row += totals[group]
-            decided = decode(row, cell, k, gains if per_frame_order else None)
-            frame_errors.append(int(np.count_nonzero(decided != bits[k])))
-        frame_errors.append(sum(frame_errors))
-        for k, frame_count in enumerate(frame_errors):
-            errors[k] += frame_count
-            squares[k] += frame_count * frame_count
+                noise /= divisor
+            for point, sigma in enumerate(sigmas):
+                np.multiply(noise, sigma, out=row)
+                row += totals[group]
+                decided = decode(row, cell, k, gains if per_frame_order else None)
+                frame_errors[point][k] = int(np.count_nonzero(decided != bits[k]))
+        for point, counts in enumerate(frame_errors):
+            counts.append(sum(counts))
+            for entity, frame_count in enumerate(counts):
+                errors[point][entity] += frame_count
+                squares[point][entity] += frame_count * frame_count
         # freed before the next frame draws its own
         del gains, bits, decided
+    return errors, squares
+
+
+def _ber_rows(config: SimConfig, units) -> list:
+    """Every BER row, the SNR points in grid order, from the work units of
+    ``_ber_frames`` that together cover each frame once.
+
+    The units' counts are Python ints, so their sums are exact and any
+    split of the frames gives the same rows. The bits of a frame share its
+    fading, and the two bits of a symbol share one block, so bits are not
+    independent trials; the frames are. A row's stderr is therefore the
+    sample standard deviation of its per-frame error counts over
+    sqrt(frames), per bit of a frame.
+    """
+    count = len(config.distances)
     metric = "ber" if config.experiment == "ber" else "ber_single"
     entities = [str(k + 1) for k in range(count)] + (["sum"] if config.experiment == "ber" else [])
     frames = config.frames
     rows = []
-    for k, entity in enumerate(entities):
-        bits = config.bits_per_frame * (count if entity == "sum" else 1)  # per frame
-        # frames^2 (frames - 1) times the variance of the mean count, exactly
-        spread = frames * squares[k] - errors[k] * errors[k]
-        stderr = math.sqrt(spread / (frames * frames * (frames - 1))) / bits
-        samples = frames * bits
-        rows.append(ResultRow(snr_db, entity, metric, errors[k] / samples, samples, stderr))
+    for point, snr_db in enumerate(config.snr_grid_db):
+        for index, entity in enumerate(entities):
+            errors = sum(unit[0][point][index] for unit in units)
+            squares = sum(unit[1][point][index] for unit in units)
+            bits = config.bits_per_frame * (count if entity == "sum" else 1)  # per frame
+            # frames^2 (frames - 1) times the variance of the mean count, exactly
+            spread = frames * squares - errors * errors
+            stderr = math.sqrt(spread / (frames * frames * (frames - 1))) / bits
+            samples = frames * bits
+            rows.append(ResultRow(snr_db, entity, metric, errors / samples, samples, stderr))
     return rows
 
 

@@ -40,7 +40,7 @@ from timnoma.harness import (
     _scene,
     _worker_count,
 )
-from timnoma.points import _RATE_CHUNK, _ber_point, _rate_point
+from timnoma.points import _RATE_CHUNK, _ber_frames, _ber_rows, _rate_point
 
 import helpers
 from helpers import (
@@ -432,6 +432,35 @@ class TestBerExperiment:
         assert high < low
 
 
+class TestBerFramesAcrossTheGrid:
+    """Frame f draws from (seed, f) and is decoded at every SNR point, so a
+    BER row depends on the seed, the frame count and its own SNR, not on
+    the grid around it, and the frames may be split into work units in
+    any way."""
+
+    @pytest.mark.parametrize("experiment", ["ber", "ber_single_user"])
+    @pytest.mark.parametrize("order_mode", ORDER_MODES)
+    @pytest.mark.parametrize("fading_mode", FADING_MODES)
+    def test_a_row_does_not_depend_on_the_grid(self, experiment, order_mode, fading_mode, monkeypatch):
+        monkeypatch.setenv(WORKERS_ENV, "1")
+        config = replace(TINY_BER, experiment=experiment, decoding_order_mode=order_mode,
+                         fading_mode=fading_mode)
+        rows = [
+            [row for row in run_experiment(replace(config, snr_grid_db=grid)) if row.snr_db == 10.0]
+            for grid in ((10.0,), (0.0, 10.0, 20.0, 30.0), (30.0, 10.0))
+        ]
+        assert csv_bytes(rows[0]) == csv_bytes(rows[1]) == csv_bytes(rows[2])
+
+    @pytest.mark.parametrize("experiment", ["ber", "ber_single_user"])
+    def test_any_split_of_the_frames_gives_the_same_rows(self, experiment):
+        config = replace(TINY_BER, frames=7, experiment=experiment,
+                         decoding_order_mode="instantaneous").validated()
+        splits = [[(0, 7)], [(f, f + 1) for f in range(7)], [(0, 1), (1, 5), (5, 7)]]
+        results = [csv_bytes(_ber_rows(config, [_ber_frames(config, *unit) for unit in split]))
+                   for split in splits]
+        assert results[0] == results[1] == results[2] == csv_bytes(run_experiment(config))
+
+
 class TestPoolStartMethod:
     def test_fork_wherever_multiprocessing_lists_it(self):
         expected = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
@@ -474,12 +503,12 @@ def ber_configs(draw):
 
 
 class TestBerFrameMatchesTheReference:
-    """A BER point's rows against its frames rebuilt from the same
-    substream draws, all K receivers at once: one (K, S, 2) normal draw for
-    the noise, the QPSK level lookup and group sums for the signal, and the
-    bank that gathered the cancelling rows for SIC. Every error count, and
-    so every value, matches exactly; the stderr is the counts' spread, here
-    taken by numpy."""
+    """A BER run's rows against its frames rebuilt from the same substream
+    draws, all K receivers at once: one (K, S, 2) normal draw for the
+    noise, scaled to each SNR point in turn, the QPSK level lookup and
+    group sums for the signal, and the bank that gathered the cancelling
+    rows for SIC. Every error count, and so every value, matches exactly;
+    the stderr is the counts' spread, here taken by numpy."""
 
     @settings(max_examples=150, deadline=None)
     @given(config=ber_configs())
@@ -489,30 +518,32 @@ class TestBerFrameMatchesTheReference:
         amps = np.sqrt(np.asarray(cell.powers))
         gamma = np.array(cell.path_gains)[:, np.newaxis]
         blocks = symbols if config.fading_mode == "block" else 1
-        for index, snr in enumerate(config.snr_grid_db):
-            scale = math.sqrt(config.noise_variance(snr) / 2.0)
-            counts = []
-            for frame in range(config.frames):
-                rng = np.random.default_rng(np.random.SeedSequence((config.seed, index, frame)))
-                gains = rng.standard_exponential((count, blocks)) * gamma
-                bits = rng.integers(0, 2, size=(count, config.bits_per_frame))
-                noise = rng.standard_normal((count, symbols, 2)) * scale
-                magnitudes = np.sqrt(gains)
-                signal = received_signal(qpsk_levels(bits), magnitudes, amps, cell.group_of) + noise
-                order = gains if config.decoding_order_mode == "instantaneous" else None
-                decided = gathering_decode(signal, magnitudes, amps, cell.group_of, order)
-                counts.append(np.count_nonzero(decided != bits, axis=1))
-            counts = np.array(counts)  # (frames, K)
-            if config.experiment == "ber":
-                counts = np.column_stack([counts, counts.sum(axis=1)])
-            rows = _ber_point(config, index, snr)
-            assert len(rows) == counts.shape[1]
-            for row, frame_counts in zip(rows, counts.T):
-                bits_per_frame = config.bits_per_frame * (count if row.entity == "sum" else 1)
-                assert row.samples == config.frames * bits_per_frame
-                assert row.value == frame_counts.sum() / row.samples, row
-                spread = float(np.std(frame_counts, ddof=1)) / math.sqrt(config.frames)
-                assert row.stderr == pytest.approx(spread / bits_per_frame, rel=1e-9, abs=1e-15), row
+        counts = []  # (frames, points, K)
+        for frame in range(config.frames):
+            rng = np.random.default_rng(np.random.SeedSequence((config.seed, frame)))
+            gains = rng.standard_exponential((count, blocks)) * gamma
+            bits = rng.integers(0, 2, size=(count, config.bits_per_frame))
+            normals = rng.standard_normal((count, symbols, 2))
+            magnitudes = np.sqrt(gains)
+            transmitted = received_signal(qpsk_levels(bits), magnitudes, amps, cell.group_of)
+            order = gains if config.decoding_order_mode == "instantaneous" else None
+            frame_counts = []
+            for snr in config.snr_grid_db:
+                noise = normals * math.sqrt(config.noise_variance(snr) / 2.0)
+                decided = gathering_decode(transmitted + noise, magnitudes, amps, cell.group_of, order)
+                frame_counts.append(np.count_nonzero(decided != bits, axis=1))
+            counts.append(frame_counts)
+        counts = np.array(counts)
+        if config.experiment == "ber":
+            counts = np.concatenate([counts, counts.sum(axis=2, keepdims=True)], axis=2)
+        rows = _ber_rows(config, [_ber_frames(config, 0, config.frames)])
+        assert len(rows) == counts.shape[1] * counts.shape[2]
+        for row, frame_counts in zip(rows, counts.reshape(config.frames, -1).T):
+            bits_per_frame = config.bits_per_frame * (count if row.entity == "sum" else 1)
+            assert row.samples == config.frames * bits_per_frame
+            assert row.value == frame_counts.sum() / row.samples, row
+            spread = float(np.std(frame_counts, ddof=1)) / math.sqrt(config.frames)
+            assert row.stderr == pytest.approx(spread / bits_per_frame, rel=1e-9, abs=1e-15), row
 
 
 class _DeepFade:
@@ -552,26 +583,26 @@ class TestDeepFade:
         amps = np.sqrt(np.asarray(cell.powers))
         gamma = np.array(cell.path_gains)[:, np.newaxis]
         blocks = symbols if fading_mode == "block" else 1
-        for index, snr in enumerate(config.snr_grid_db):
-            scale = math.sqrt(config.noise_variance(snr) / 2.0)
-            errors = np.zeros(count, dtype=int)
-            for frame in range(config.frames):
-                rng = np.random.default_rng(np.random.SeedSequence((config.seed, index, frame)))
-                gains = rng.standard_exponential((count, blocks)) * gamma
-                bits = rng.integers(0, 2, size=(count, config.bits_per_frame))
-                noise = rng.standard_normal((count, symbols, 2)) * scale
-                magnitudes = np.sqrt(gains)
-                signal = received_signal(qpsk_levels(bits), magnitudes, amps, cell.group_of) + noise
-                order = gains if order_mode == "instantaneous" else None
-                decided = gathering_decode(signal, magnitudes, amps, cell.group_of, order)
-                errors += np.count_nonzero(decided != bits, axis=1)
-            # with no channel, the faded user's bits are the noise's signs
-            assert errors[self.USER] > 0
-            rows = _ber_point(config, index, snr)
-            assert all(math.isfinite(row.value) and math.isfinite(row.stderr) for row in rows)
-            expected = [*errors, errors.sum()]
-            assert len(rows) == len(expected)
-            assert [row.value for row in rows] == [e / row.samples for e, row in zip(expected, rows)]
+        errors = np.zeros((len(config.snr_grid_db), count), dtype=int)
+        for frame in range(config.frames):
+            rng = np.random.default_rng(np.random.SeedSequence((config.seed, frame)))
+            gains = rng.standard_exponential((count, blocks)) * gamma
+            bits = rng.integers(0, 2, size=(count, config.bits_per_frame))
+            normals = rng.standard_normal((count, symbols, 2))
+            magnitudes = np.sqrt(gains)
+            transmitted = received_signal(qpsk_levels(bits), magnitudes, amps, cell.group_of)
+            order = gains if order_mode == "instantaneous" else None
+            for index, snr in enumerate(config.snr_grid_db):
+                noise = normals * math.sqrt(config.noise_variance(snr) / 2.0)
+                decided = gathering_decode(transmitted + noise, magnitudes, amps, cell.group_of, order)
+                errors[index] += np.count_nonzero(decided != bits, axis=1)
+        # with no channel, the faded user's bits are the noise's signs
+        assert all(errors[:, self.USER] > 0)
+        rows = _ber_rows(config, [_ber_frames(config, 0, config.frames)])
+        assert all(math.isfinite(row.value) and math.isfinite(row.stderr) for row in rows)
+        expected = [n for point in errors for n in (*point, point.sum())]
+        assert len(rows) == len(expected)
+        assert [row.value for row in rows] == [e / row.samples for e, row in zip(expected, rows)]
 
 
 class TestSingleUserExperiment:
@@ -745,6 +776,8 @@ class TestChunkedRatePoints:
     "config, workers",
     [
         pytest.param(TINY_BER, 2, id="ber"),
+        # one point: the two workers split its frames
+        pytest.param(replace(TINY_BER, snr_grid_db=(10.0,)), 2, id="ber-one-point"),
         # the only run where decode takes a per-block cancellation mask
         pytest.param(replace(TINY_BER, decoding_order_mode="instantaneous"), 2, id="ber-instantaneous-block"),
         pytest.param(
@@ -795,7 +828,7 @@ def test_rate_point_memory_does_not_grow_with_realizations():
     assert peaks[1_000_000] - peaks[2] < 10.0, peaks
 
 
-def test_ber_point_frees_each_frame_before_the_next():
+def test_ber_unit_frees_each_frame_before_the_next():
     # 16 users in one group under instantaneous order: a frame's gains and
     # bits are gone before the next frame draws its own, so two frames'
     # draws are never alive together
@@ -805,14 +838,14 @@ def test_ber_point_frees_each_frame_before_the_next():
     ).validated()
     count, symbols = len(K16_DISTANCES), config.bits_per_frame // 2
     draws = count * symbols * 8 + count * config.bits_per_frame * 4  # float64 gains, int32 bits
-    _ber_point(config, 0, 10.0)  # warm numpy's caches outside the trace
+    _ber_frames(config, 0, 2)  # warm numpy's caches outside the trace
     tracemalloc.start()
     try:
-        _ber_point(config, 0, 10.0)
+        _ber_frames(config, 0, 2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # about 1.30x: one frame's draws, the point's row, noise scale and
+    # about 1.30x: one frame's draws, the unit's noise and work rows and
     # group totals, and the chain's scratch row; with a second scratch row
     # it read 1.34x, and with the previous frame's bits on top 1.63x
     assert peak < 1.5 * draws, peak / draws
@@ -1095,17 +1128,16 @@ class TestTransmitEnergyAudit:
 
 
 class TestPinnedBerBytes:
-    """SHA-256 of small BER CSVs. The value and samples columns were pinned
-    when the BER frame moved to the derotated real baseband (power gains,
-    bits, then (K, S, 2) normals per frame), after that kernel was shown to
-    decide what the physical chain decides and to match the exact BER; any
-    change to the RNG stream, the decoding order or the detector's tie rule
-    changes them. ``VALUE_SHA256`` hashes the CSVs without their stderr
-    column; it was recorded before, and held across, the move of the
-    stderr from a binomial over bits to the spread of per-frame error
-    counts, when the whole-file ``SHA256`` was re-recorded. The 16-user
-    ``k16-*`` cases were recorded before the (K, K, S) cancel mask gave way
-    to the pairwise order rule, and held across it."""
+    """SHA-256 of small BER CSVs, both sets re-recorded on numpy 2.4.6 when
+    frame f moved to its own (seed, f) substream, drawn once and decoded
+    at every SNR point: after the rebuilds of ``TestBerFrameMatchesTheReference``
+    and ``TestDeepFade``, the exact-BER tests and the benchmark's oracle
+    checks passed on the new stream. A frame draws power gains, bits, then
+    (K, S, 2) normals on the derotated real baseband; any change to the RNG
+    stream, the decoding order or the detector's tie rule changes them.
+    ``VALUE_SHA256`` hashes the CSVs without their stderr column, so a
+    change to the stderr alone shows as ``SHA256`` failing while it
+    holds."""
 
     BASE = SimConfig(frames=3, bits_per_frame=192, snr_grid_db=(10.0, 25.0, 40.0))
     CASES = {
@@ -1133,49 +1165,49 @@ class TestPinnedBerBytes:
         },
     }
     SHA256 = {
-        ("distance-block", "ber"): "bb2c05b171c87bc79eee7dc7f2be092ca8abe0044621a645d837acade214f3ef",
-        ("distance-block", "ber_single_user"): "4542307f9126f35acaba4715468b36469a5a8c81087c26d9d6688e7071563849",
-        ("distance-frame", "ber"): "b3fe733f66701f1d39254b32dd3138200167d7cb6891add7ba8c1712c8902907",
-        ("distance-frame", "ber_single_user"): "240ea7550d83a4fb3147f72cbf37df6225ce415fa39cbb23d6694cf48c38f39c",
-        ("instantaneous-block", "ber"): "9278e39d04035c69d7c7fe0c209a7ed421cc329a5d9a0afdfbd1319f034ca184",
-        ("instantaneous-block", "ber_single_user"): "4542307f9126f35acaba4715468b36469a5a8c81087c26d9d6688e7071563849",
-        ("instantaneous-frame", "ber"): "f710012cd386e19918d4bef7347eec24de46297f7bd3824ec7bc12418dc52a2e",
-        ("instantaneous-frame", "ber_single_user"): "240ea7550d83a4fb3147f72cbf37df6225ce415fa39cbb23d6694cf48c38f39c",
-        ("one-user", "ber"): "93f158006a8aaa264ea0883b01be5ff8cb9dbff0dcd6eb4b3c93b88fa31866a9",
-        ("one-user", "ber_single_user"): "f9e04f07d6c28153eb83a3511c39a16b5e8c8adc1231c1ff9fd3f1c56d2c82bc",
-        ("three-groups", "ber"): "e884dcf8ee2c9b088fe42dc12fec737ea46445cd8985885348ad60ba5562dfa1",
-        ("three-groups", "ber_single_user"): "e5843b86c51f343a94795855ad09effb9cdcc6bb5c07c597bfa40981f2d9cbe0",
-        ("k16-t1-distance-block", "ber"): "72e220cd18cfac4d62cc628116efe80e0316f175f082699fa457984596902769",
-        ("k16-t1-distance-frame", "ber"): "05e76b0000e948a01c7a79b91713769b21ac4b050419c56e57e787d963506faf",
-        ("k16-t1-instantaneous-block", "ber"): "149af2a4cd2e27dea9754edc92b657c774117c5ac5519eb42429ae120e47a207",
-        ("k16-t1-instantaneous-frame", "ber"): "caeb59bd92296a90b693175845b4ad63a34359f4b5c1ac7489344262e2f69cf7",
-        ("k16-t4-distance-block", "ber"): "995616f8f2d0e643d77158b7b13fd1f9602cf12db4c476c3b51a34b073e25abf",
-        ("k16-t4-distance-frame", "ber"): "bd619d02d23352b9c5193a26f731aa8e0f601a3a4d825e371de57088fb8ffc85",
-        ("k16-t4-instantaneous-block", "ber"): "1fa01fe918ad8fcf78d2cbca4322c45822b68bb3c95e40a249084f48b4640e0a",
-        ("k16-t4-instantaneous-frame", "ber"): "796780aab9301136e5bfd779bc8bb112d62f9c20e47a838e9a7f44f9a79a2caa",
+        ("distance-block", "ber"): "26c5f6f418354781d907d0d97d125023baf84a4984afc596b9f89145d8ecb11a",
+        ("distance-block", "ber_single_user"): "93aa320299435fd5afde774030d93fbf8681a404bfe8758b69c45d4a9981ff77",
+        ("distance-frame", "ber"): "d6a6ddff86e1829a91dec8da96519762cc0116de49f9b27a5e761c30f4f581dd",
+        ("distance-frame", "ber_single_user"): "1dad81e23834e25e0dd56b698e453aa7c0797c444114b52a425eb6951309fa0a",
+        ("instantaneous-block", "ber"): "ea4df4fcd2583af5bec0a7a917cb80aa8907e044d890749b12c948fde6a6105b",
+        ("instantaneous-block", "ber_single_user"): "93aa320299435fd5afde774030d93fbf8681a404bfe8758b69c45d4a9981ff77",
+        ("instantaneous-frame", "ber"): "d3f63a108ef9fe81e6286345d04e9839ce81b1570664410a764cf4e53962def9",
+        ("instantaneous-frame", "ber_single_user"): "1dad81e23834e25e0dd56b698e453aa7c0797c444114b52a425eb6951309fa0a",
+        ("one-user", "ber"): "3c0dcef2b48883f4f115794f5f159dbc199ff346b2bdc88ccbe45713dbbbc1ad",
+        ("one-user", "ber_single_user"): "80c7cd3e6d11da03a942178e085798bc261d033a8adfca580dbf7a4d9035cf47",
+        ("three-groups", "ber"): "c9ebf11a66a298f372d3844bd31dac987b7b9138b60932c1b70d304041014c3d",
+        ("three-groups", "ber_single_user"): "3ac8bd3e77bda6ee0babbf1a1ec8ee3bbe27da587db3b63daaca19c73b9d68ee",
+        ("k16-t1-distance-block", "ber"): "985103f7f999d1221efd9748c4b0ee973c1a48962b1466411e0c6fd171b07bf9",
+        ("k16-t1-distance-frame", "ber"): "97d0f6ba3c956460e2e649735bd8178356478b25eea1aee8e9f0c9d8bf3f8708",
+        ("k16-t1-instantaneous-block", "ber"): "766856cef88efd95f21eb08ac47509073dc9433e5f66c478148c5e6d53d844e2",
+        ("k16-t1-instantaneous-frame", "ber"): "7e474e0a3799ba292b9ccb93b8ee288fe89ce5b2741f3fb59fda276636adcb95",
+        ("k16-t4-distance-block", "ber"): "4d888542f8f7505c9f18c19037bf375a2671db46ef2c769b2055fb9f79aa96ec",
+        ("k16-t4-distance-frame", "ber"): "6adc962e11f02b84381906b3dbf01496e80c23a8ac94fca3bea7ba1502df223a",
+        ("k16-t4-instantaneous-block", "ber"): "24d3b03769ed5380bfc4e8940d7b9ec9865bbd0a833828eb0665ed735de94267",
+        ("k16-t4-instantaneous-frame", "ber"): "4aa375cc37208b07a9ac1541a05eb2a4a2a10ed1e82ec411d9d7e85ca3a967a4",
     }
 
     VALUE_SHA256 = {
-        ("distance-block", "ber"): "cae9e8acb07c0e62b9ede93d50cae74d2f36cecf38ae6d8bb9d0fa2d6369b137",
-        ("distance-block", "ber_single_user"): "ad6258cc7d4be99fbdc418c54be0f40d69106e84209fdfe0b41a1589755d198c",
-        ("distance-frame", "ber"): "5383e41298574ff52590d80399ea21157ad2c356fc7a0519d8fd284f4b2bd9c3",
-        ("distance-frame", "ber_single_user"): "e0cb2b2390d2cdf0f8519275130fa402282b4d424693e67a457fc9b9f1a30f0d",
-        ("instantaneous-block", "ber"): "437be09aea53c3e3e74a5a4f39e572f0fc2b869e53f57d5afac1852fc404ac99",
-        ("instantaneous-block", "ber_single_user"): "ad6258cc7d4be99fbdc418c54be0f40d69106e84209fdfe0b41a1589755d198c",
-        ("instantaneous-frame", "ber"): "e5dca96f842ad6bb21a55d9d02b2dbf30eeaee25f9480b4154e05acc6c119c98",
-        ("instantaneous-frame", "ber_single_user"): "e0cb2b2390d2cdf0f8519275130fa402282b4d424693e67a457fc9b9f1a30f0d",
-        ("one-user", "ber"): "d2348b4bdcef28994e0dba1ba12211902adbed22fa121d00f2d76938144d3826",
-        ("one-user", "ber_single_user"): "b2dd890e1dc46262a996937dc1d341d2a61bed3746a167e0999181c804ca191d",
-        ("three-groups", "ber"): "412d1f694125004e8aef16098c2199b552922ffab92b22258770158ee10258a6",
-        ("three-groups", "ber_single_user"): "8ce2856348f580a5761fe32d9721d8e40f6701624bd0bcce661f22367a53de2e",
-        ("k16-t1-distance-block", "ber"): "e98fb36609ae39031a448ebb8a5a2958eee13c76d8668457da5b0ac017c2a84c",
-        ("k16-t1-distance-frame", "ber"): "f8335aba67c1b1494d9ac448ccee387756cf5a5f22778442571e5490a95cf5be",
-        ("k16-t1-instantaneous-block", "ber"): "6b1288a290b8caa94c083f1fa6e6dcc770c30cbd101740068d3c90973bff0610",
-        ("k16-t1-instantaneous-frame", "ber"): "d913f18c029744e790b13626b8dd7e1a6e7a5cf534546e260bd698cbbff075a7",
-        ("k16-t4-distance-block", "ber"): "0a200335e5dd68f450c134c243cf59e48494a729ceadedd3cace67ef5981098a",
-        ("k16-t4-distance-frame", "ber"): "67b501edbf22bcd3f317d87c949d4cd1ea9481ee19881db78cf9b9caaa78a0b2",
-        ("k16-t4-instantaneous-block", "ber"): "17dcc6577f811fa9c407f400423d1a8ca6222028408fef8e55ed218259115081",
-        ("k16-t4-instantaneous-frame", "ber"): "9289087fa8cfdaf9db41456d63170fb3d9731630a7037b2ddd197962e4f84602",
+        ("distance-block", "ber"): "10383f248675a7191aa3f1363f3a7be2cac43a3ea1124a93bb04191ed56c7a7f",
+        ("distance-block", "ber_single_user"): "c0664f6791b12eb6abf8494581e9f1b90ad5a207dc7c53894a4a762093b38474",
+        ("distance-frame", "ber"): "d98d3f0ea22fd7026703f736c73d520cebb78574bc8dbb82003a7034ae9b0281",
+        ("distance-frame", "ber_single_user"): "222bdeafc4bfe204d6f7f6bea3a4c3362adb442cb8a175f6b97503fdf667f481",
+        ("instantaneous-block", "ber"): "492174aa761e273aaef6547ae90872cafdecb4d13060f28ef186ae145b8d0cf6",
+        ("instantaneous-block", "ber_single_user"): "c0664f6791b12eb6abf8494581e9f1b90ad5a207dc7c53894a4a762093b38474",
+        ("instantaneous-frame", "ber"): "5dc7536ce74c519aeed8464225a47403cc5681c4b4a00de96ac807a3975ca4e3",
+        ("instantaneous-frame", "ber_single_user"): "222bdeafc4bfe204d6f7f6bea3a4c3362adb442cb8a175f6b97503fdf667f481",
+        ("one-user", "ber"): "59c51464a49f3bbd95c0db69909ef5af203758d99b980165031ab4f9abeaba1e",
+        ("one-user", "ber_single_user"): "45a1af218f1227f2a44b34990902f0f30ee81eced231cf95af139161a9e17c22",
+        ("three-groups", "ber"): "56f9a7146e9ad36c954a17b5378d6ee49745ac6bebc9bccfbbb549eeb5b0c922",
+        ("three-groups", "ber_single_user"): "708dadc06b400a28f5a5b56076e9a31afa16e850375cce22ac23f6c13a86b1e4",
+        ("k16-t1-distance-block", "ber"): "6b6adc9c4e543273998bc3666f30b560f5462cfed6cf2e43cb3bf741281f60b0",
+        ("k16-t1-distance-frame", "ber"): "ffe92014fe72b4edd24acec7658faa604d9ff20b649d19a2f367d070f19a8bdf",
+        ("k16-t1-instantaneous-block", "ber"): "35307a7db1b1083429e1609e68dcfc5c5eef86bbf6354abb9341c5fda405c2dd",
+        ("k16-t1-instantaneous-frame", "ber"): "5c3f08763dd8c5dd03cc51424295c3fa8231105432f2c0bba15b9b5cf37641a8",
+        ("k16-t4-distance-block", "ber"): "a68219ceefc79f68362ae761993265fdfd7311a39da10de4360fdf169089a0e8",
+        ("k16-t4-distance-frame", "ber"): "f5a8fe84adf32643154fe79a9a290039f6049f7cd19942aaf334bf8d368df024",
+        ("k16-t4-instantaneous-block", "ber"): "dbb4df70192cc0b27aeaaa562fea13e00deb82fde8d739da63a5beb34ef3c979",
+        ("k16-t4-instantaneous-frame", "ber"): "6568ba8fbf5becf09c692d0a0826babb11b193faba7ca65bbd49a4d964f7678c",
     }
 
     @pytest.mark.parametrize("case,experiment", sorted(SHA256))
