@@ -29,19 +29,17 @@ point's sigma^2 is a plain float. Within these ranges every path
 gain lies in [1e-30, 1e30] and sigma^2 in [4e-29, 4e31] W, so every rate,
 squared deviation and SINR stays a normal double.
 
-BER frame f draws from its own (seed, f) substream and is decoded at
-every SNR point; rate chunk c of SNR point i draws from (seed, i, c). So
-results are byte-identical for any worker count. The pool's work units
-are contiguous frame ranges for BER, at most one per worker, and SNR
-points for rates. It runs one worker per unit, up to the CPUs the process
-may use and up to ``TIMNOMA_WORKERS`` if it is set. It forks where the
-platform can, so its workers inherit the numpy and the package the run
-has imported, all but ``numpy.random``, which numpy loads lazily and each
-worker's first draw imports; Python 3.14 made forkserver Linux's default,
-whose workers import both again.
-The units' results come back in unit order: each rate point's rows, and
-each frame range's integer error counts, which one reducer sums into the
-BER rows.
+A run's items are its BER frames, or its rate (SNR point, chunk) pairs,
+points in grid order. BER frame f draws from its own (seed, f) substream
+and is decoded at every SNR point; rate chunk c of point i draws from
+(seed, i, c). So results are byte-identical for any worker count. The
+pool's work units are contiguous ranges of items, one per worker, up to
+the CPUs the process may use and up to ``TIMNOMA_WORKERS`` if it is set.
+It forks where the platform can, so its workers inherit the numpy and the
+package the run has imported, all but ``numpy.random``, which numpy loads
+lazily and each worker's first draw imports; Python 3.14 made forkserver
+Linux's default, whose workers import both again. Each unit returns raw
+statistics, in unit order, and one reducer builds the rows from them.
 """
 
 from __future__ import annotations
@@ -71,6 +69,8 @@ DEFAULT_SNR_GRID = tuple(float(s) for s in range(0, 31, 2))
 _MAX_SNR_DB = 300.0
 # far above the figures' 6144, far below a frame that exhausts memory
 _MAX_BITS_PER_FRAME = 1 << 20
+# realizations per rate chunk: fixed, and known before numpy loads
+_RATE_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -274,8 +274,8 @@ def _map_units(unit_fn, config: SimConfig, units: list, workers: int) -> list:
     worker and on a pool of ``workers`` processes otherwise.
 
     Results come back in unit order regardless of scheduling, and each
-    unit derives its randomness only from the seed and its own frame or
-    point indices, so the worker count never changes the output.
+    unit derives its randomness only from the seed and its own item
+    indices, so the worker count never changes the output.
     """
     if workers == 1:
         return [unit_fn(config, *unit) for unit in units]
@@ -313,21 +313,19 @@ def run_experiment(config: SimConfig) -> tuple[ResultRow, ...]:
     """
     config = config.validated()
     if config.experiment in RATE_EXPERIMENTS:
-        units = list(enumerate(config.snr_grid_db))
-        workers = _worker_count(len(units))
+        kind, items = "rate", len(config.snr_grid_db) * -(-config.frames // _RATE_CHUNK)
     else:
-        # at most one contiguous frame range per worker
-        workers = _worker_count(config.frames)
-        bounds = [config.frames * i // workers for i in range(workers + 1)]
-        units = list(zip(bounds, bounds[1:]))
+        kind, items = "ber", config.frames
+    # at most one contiguous range of items per worker
+    workers = _worker_count(items)
+    bounds = [items * i // workers for i in range(workers + 1)]
+    units = list(zip(bounds, bounds[1:]))
     # numpy loads here, once, after every refusal and before the pool
     # forks, so the workers inherit it instead of importing it again
     from . import points
 
-    if config.experiment in RATE_EXPERIMENTS:
-        results = _map_units(points._rate_point, config, units, workers)
-        return tuple(row for rows in results for row in rows)
-    return tuple(points._ber_rows(config, _map_units(points._ber_frames, config, units, workers)))
+    unit_fn, reduce = points._WORK[kind]
+    return tuple(reduce(config, _map_units(unit_fn, config, units, workers)))
 
 
 def emit_csv(rows, destination) -> None:

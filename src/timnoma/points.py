@@ -1,5 +1,5 @@
-"""The Monte Carlo's work units: a range of BER frames, each decoded at
-every SNR point, and a rate point's chunks.
+"""The Monte Carlo's work units and their reducers: a range of BER
+frames, each decoded at every SNR point, and a range of rate chunks.
 
 It imports numpy at the top, as do ``receiver`` and ``analytics``, which
 it imports. ``harness.run_experiment`` imports it once per run, after the
@@ -38,15 +38,15 @@ scene where every user is a group of one, so nothing is cancelled or
 absorbed; it differs from the hybrid run only by that scene and by
 having no ``sum`` row.
 
-A rate point runs over chunks of ``_RATE_CHUNK`` (16 384) realizations,
-chunk c drawn from its own (seed, SNR index, c) substream, so its memory is
-O(chunk * K) whatever the realization count: one (K, chunk) buffer per
-point, which every chunk draws into and writes its rate tables over. Each
-chunk reduces the columns the experiment writes to a count, a mean and
-centred second moments, and the chunks merge in chunk order. SeedSequence
-pads its entropy with zero words, so chunk 0 draws what the (seed, SNR
-index) stream drew before points were chunked: a point of at most one
-chunk keeps its bytes.
+Rates run over chunks of ``_RATE_CHUNK`` (16 384) realizations, chunk c
+of SNR point i drawn from its own (seed, i, c) substream, so memory is
+O(chunk * K) whatever the realization count. A rate work unit is a
+contiguous range of (point, chunk) pairs (``_rate_chunks``), drawn into
+and written over one (K, chunk) buffer; it returns each chunk's own
+moments, which ``_rate_rows`` folds in chunk order into each point's
+rows. SeedSequence pads its entropy with zero words, so chunk 0 draws
+what the (seed, SNR index) stream drew before points were chunked: a
+point of at most one chunk keeps its bytes.
 """
 
 from __future__ import annotations
@@ -57,12 +57,8 @@ import math
 import numpy as np
 
 from .analytics import hybrid_rate_table
-from .harness import ResultRow, SimConfig, _scene
+from .harness import _RATE_CHUNK, ResultRow, SimConfig, _scene
 from .receiver import LEVEL, decode
-
-# realizations per rate chunk: a constant, so a point's bytes never depend
-# on a setting (see the module docstring for why chunk 0 kept the old bytes)
-_RATE_CHUNK = 1 << 14
 
 
 def _ber_frames(config: SimConfig, start: int, stop: int) -> tuple:
@@ -173,131 +169,136 @@ def _ber_rows(config: SimConfig, units) -> list:
     return rows
 
 
-class _Moments:
-    """Count, mean and centred second moment of each column, merged over
-    chunks in chunk order by the pairwise update of Chan, Golub & LeVeque
-    (1979); running sums of x and x**2 would cancel catastrophically. A
-    single chunk gives numpy's ``mean`` and ``std(ddof=1)`` bit for bit.
+def _chunk_moments(values: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write each column's mean, then its centred sum of squares, into
+    ``out``, realizations along axis 0, and return ``values`` turned into
+    its deviations in place. The squares are summed a column at a time, as
+    the (N, K) sum adds them, without its (N, K) temporary."""
+    mean = values.mean(axis=0)
+    values -= mean
+    columns = values.reshape(len(values), -1).T  # (K, N), or (1, N) for (N,) values
+    out[: len(columns)] = mean
+    out[len(columns): 2 * len(columns)] = [(column * column).sum() for column in columns]
+    return values
+
+
+def _rate_chunks(config: SimConfig, start: int, stop: int) -> np.ndarray:
+    """Each chunk's own statistics for the (SNR point, chunk) pairs
+    ``start`` to ``stop - 1``, points in grid order: a rate work unit. Row
+    j of the (pairs, 2K + 5) result is pair ``start + j``'s: the hybrid sum
+    rate's mean and centred sum of squares, the TDMA baseline's, the sum of
+    products of their deviations, the K per-user means and the K per-user
+    sums of squares; what the experiment does not write stays 0.
+
+    Chunk c of point i is drawn from ``SeedSequence((seed, i, c))`` into
+    the unit's (K, chunk) buffer, and each table is written over the draw.
+    So ``ratio`` first adds its TDMA baseline user by user in an (m, 1)
+    scratch, the operations of a row mean, and the row sums come before
+    the per-user moments turn the table into deviations. The unit keeps
+    those arrays, since fresh ones per chunk raised the peak RSS. Lone-user
+    tables keep the cell's T at full power; nobody absorbs anybody.
     """
-
-    def __init__(self, spread: bool = True) -> None:
-        self.spread = spread  # False keeps the mean alone
-        # merging a chunk into this empty state adds exact zeros to its own
-        # moments, so the first chunk's statistics pass through unchanged
-        self.count, self.mean, self.m2 = 0, 0.0, 0.0
-
-    def add(self, values: np.ndarray):
-        """Merge one chunk, realizations along axis 0. With spread, turns
-        ``values`` into the chunk's deviations from its own mean, in place,
-        and returns them (None without spread, and ``values`` is left as it
-        was). ``shift`` is then the chunk's mean minus the earlier chunks'
-        mean, and ``weight`` the product of their counts over the sum, the
-        terms a cross moment's merge needs. The squared deviations are
-        summed one column at a time, which adds them as the (N, K) sum
-        would, without its (N, K) temporary."""
-        count = len(values)
-        mean = values.mean(axis=0)
-        total = self.count + count
-        self.shift = mean - self.mean
-        self.weight = self.count * count / total
-        self.mean = self.mean + self.shift * (count / total)
-        self.count = total
-        if not self.spread:
-            return None
-        values -= mean
-        columns = values.reshape(count, -1).T  # (K, N), or (1, N) for (N,) values
-        squares = np.array([(column * column).sum() for column in columns])
-        self.m2 = self.m2 + squares.reshape(mean.shape) + self.shift**2 * self.weight
-        return values
-
-    def std(self):
-        """Sample standard deviation of each column (ddof=1)."""
-        return np.sqrt(self.m2 / (self.count - 1))
-
-
-def _rate_point(config: SimConfig, snr_index: int, snr_db: float) -> list:
-    """Rate rows of one SNR point, from fading-averaged statistics of only
-    the columns the experiment writes.
-
-    Realizations run in chunks of ``_RATE_CHUNK``, chunk c drawn from
-    ``SeedSequence((seed, snr_index, c))``, so memory is O(chunk * K)
-    whatever the realization count. Every chunk draws into the point's one
-    (K, chunk) buffer, and each table is written over the draw. So
-    ``ratio`` takes its TDMA baseline first: each user's table alone, on
-    its own column in an (m, 1) scratch, is added in user order to an (m,)
-    sum that is then divided by K, the additions and division of a row
-    mean. The row sums are reduced before the per-user moments turn the
-    table into its deviations, so no chunk allocates an (N, K) array of its
-    own. A fresh array per chunk cost time: glibc hands its pages back to
-    the OS when the chunk frees it, and the next chunk faults them in
-    again. The single-user rates and the TDMA baseline are
-    ``hybrid_rate_table`` on users alone in their group at full power with
-    the cell's T kept. Nobody there absorbs anybody, so the order cannot
-    matter and distance order costs least.
-    """
-    cell = _scene(config)
-    count = cell.user_count
+    cell, experiment, n = _scene(config), config.experiment, config.frames
+    count, chunks, size = cell.user_count, -(-n // _RATE_CHUNK), min(_RATE_CHUNK, n)
     lone = dataclasses.replace(cell, group_of=tuple(range(count)), powers=(config.total_power,) * count)
     alone = [
         dataclasses.replace(cell, group_of=(0,), path_gains=(gain,), powers=(config.total_power,))
         for gain in cell.path_gains
     ]
-    noise_variance = config.noise_variance(snr_db)
-    experiment = config.experiment
-    n = config.frames
-    per_user = _Moments(spread=experiment != "ratio")
-    sums, tdma = _Moments(), _Moments()
-    cross = 0.0  # sum of products of the hybrid sum's and TDMA's deviations
-    # the point's draw, flat; a chunk of m realizations uses its leading
+    stats = np.zeros((stop - start, 2 * count + 5))
+    # the unit's draw, flat; a chunk of m realizations uses its leading
     # K m floats, so the ragged last chunk has the layout of a full one
-    draw = np.empty(count * min(_RATE_CHUNK, n))
-    for chunk, start in enumerate(range(0, n, _RATE_CHUNK)):
+    draw = np.empty(count * size)
+    if experiment != "rate_single_user":
+        row_sums = np.empty(size)
+    if experiment == "ratio":
+        baselines, scratches = np.empty(size), np.empty((size, 1))
+    for own, pair in zip(stats, range(start, stop)):
+        snr_index, chunk = divmod(pair, chunks)
+        sigma2 = config.noise_variance(config.snr_grid_db[snr_index])
         rng = np.random.default_rng(np.random.SeedSequence((config.seed, snr_index, chunk)))
-        m = min(_RATE_CHUNK, n - start)
+        m = min(_RATE_CHUNK, n - chunk * _RATE_CHUNK)
         # drawn (K, m) and viewed as (m, K): each user's realizations stay
         # contiguous, which keeps the reductions over realizations fast
         fading_power = rng.standard_exponential(out=draw[: count * m].reshape(count, m)).T
         if experiment == "rate_single_user":
-            per_user.add(hybrid_rate_table(lone, fading_power, noise_variance, out=fading_power))
+            _chunk_moments(hybrid_rate_table(lone, fading_power, sigma2, out=fading_power), own[5:])
             continue
         if experiment == "ratio":
             # read the draw before the hybrid table overwrites it
-            baseline, scratch = np.zeros(m), np.empty((m, 1))
+            baseline, scratch = baselines[:m], scratches[:m]
+            baseline.fill(0.0)
             for k, solo in enumerate(alone):
-                hybrid_rate_table(solo, fading_power[:, k:k + 1], noise_variance, out=scratch)
+                hybrid_rate_table(solo, fading_power[:, k:k + 1], sigma2, out=scratch)
                 baseline += scratch[:, 0]
             baseline /= count
-            tdma_deviations = tdma.add(baseline)
-        rates = hybrid_rate_table(cell, fading_power, noise_variance, config.decoding_order_mode,
+            tdma_deviations = _chunk_moments(baseline, own[2:])
+        rates = hybrid_rate_table(cell, fading_power, sigma2, config.decoding_order_mode,
                                   out=fading_power)
-        # the row sums first: with spread, the per-user moments consume the table
-        sum_deviations = sums.add(rates.sum(axis=1))
-        per_user.add(rates)
-        if experiment == "ratio":
-            # a sum of products, not np.cov, whose dot product would call BLAS
-            sum_deviations *= tdma_deviations
-            cross += sum_deviations.sum() + sums.shift * tdma.shift * sums.weight
-    root_n = math.sqrt(n)
-    if experiment != "ratio":
-        metric = "rate_single" if experiment == "rate_single_user" else "rate"
-        means, stds = per_user.mean, per_user.std()
-        rows = [
-            ResultRow(snr_db, str(k + 1), metric, float(means[k]), n, float(stds[k]) / root_n)
-            for k in range(count)
+        sum_deviations = _chunk_moments(np.sum(rates, axis=1, out=row_sums[:m]), own)
+        if experiment != "ratio":
+            _chunk_moments(rates, own[5:])
+            continue
+        own[5:5 + count] = rates.mean(axis=0)  # ratio writes no per-user spread
+        # a sum of products, not np.cov, whose dot product would call BLAS
+        sum_deviations *= tdma_deviations
+        own[4] = sum_deviations.sum()
+    return stats
+
+
+def _rate_rows(config: SimConfig, units) -> list:
+    """Every rate row, the SNR points in grid order, from ``_rate_chunks``
+    units that cover each (point, chunk) pair once, in order. Each point's
+    chunks are folded in chunk order by the pairwise update of Chan, Golub
+    & LeVeque (1979); running sums of x and x**2 would cancel
+    catastrophically. Merging into the empty state adds exact zeros, so one
+    chunk gives numpy's ``mean`` and ``std(ddof=1)`` bit for bit. Another
+    merge tree would change the last bits, so units return each chunk's
+    own statistics, and any split of the pairs gives the same rows.
+    """
+    count, n, experiment = len(config.distances), config.frames, config.experiment
+    chunks, root_n = -(-n // _RATE_CHUNK), math.sqrt(n)
+    stats = np.concatenate(units)
+    # (mean, sum of squares) columns: the hybrid sum and TDMA, folded as
+    # scalars, whose ** 2 is pow(), not an array's multiply (the two differ
+    # in the last bit about once in a thousand), then per user, as arrays
+    columns = [(0, 1), (2, 3), (slice(5, 5 + count), slice(5 + count, None))]
+    rows = []
+    for snr_index, snr_db in enumerate(config.snr_grid_db):
+        seen, means, m2s, cross = 0, [0.0] * 3, [0.0] * 3, 0.0
+        for chunk, own in enumerate(stats[snr_index * chunks:(snr_index + 1) * chunks]):
+            m = min(_RATE_CHUNK, n - chunk * _RATE_CHUNK)
+            total = seen + m
+            weight = seen * m / total
+            shifts = [own[mean] - means[group] for group, (mean, _m2) in enumerate(columns)]
+            for group, (mean, m2) in enumerate(columns):
+                means[group] = means[group] + shifts[group] * (m / total)
+                m2s[group] = m2s[group] + own[m2] + shifts[group] ** 2 * weight
+            cross += own[4] + shifts[0] * shifts[1] * weight
+            seen = total
+        # sample standard deviations (ddof=1): hybrid sum, TDMA, per user
+        stds = [np.sqrt(m2 / (n - 1)) for m2 in m2s]
+        hybrid_sum = float(np.sum(means[2]))
+        if experiment != "ratio":
+            metric = "rate_single" if experiment == "rate_single_user" else "rate"
+            rows += [ResultRow(snr_db, str(k + 1), metric, float(mean), n, float(std) / root_n)
+                     for k, (mean, std) in enumerate(zip(means[2], stds[2]))]
+            if experiment == "rate":
+                rows.append(ResultRow(snr_db, "sum", metric, hybrid_sum, n, float(stds[0]) / root_n))
+            continue
+        hybrid_std, tdma_sum, tdma_std = float(stds[0]), float(means[1]), float(stds[1])
+        ratio = hybrid_sum / tdma_sum
+        # delta method for a ratio of two correlated sample means
+        relative_cov = (cross / (n - 1)) / hybrid_sum / tdma_sum
+        relative_var = (hybrid_std / hybrid_sum) ** 2 + (tdma_std / tdma_sum) ** 2 - 2.0 * relative_cov
+        rows += [
+            ResultRow(snr_db, "sum", "rate_hybrid", hybrid_sum, n, hybrid_std / root_n),
+            ResultRow(snr_db, "sum", "rate_tdma", tdma_sum, n, tdma_std / root_n),
+            ResultRow(snr_db, "sum", "rate_ratio", ratio, n,
+                      math.sqrt(max(ratio**2 * relative_var / n, 0.0))),
         ]
-        if experiment == "rate":
-            rows.append(ResultRow(snr_db, "sum", metric, float(np.sum(means)), n,
-                                  float(sums.std()) / root_n))
-        return rows
-    hybrid_sum, hybrid_std = float(np.sum(per_user.mean)), float(sums.std())
-    tdma_sum, tdma_std = float(tdma.mean), float(tdma.std())
-    ratio = hybrid_sum / tdma_sum
-    # delta method for a ratio of two correlated sample means
-    relative_cov = (cross / (n - 1)) / hybrid_sum / tdma_sum
-    relative_var = (hybrid_std / hybrid_sum) ** 2 + (tdma_std / tdma_sum) ** 2 - 2.0 * relative_cov
-    return [
-        ResultRow(snr_db, "sum", "rate_hybrid", hybrid_sum, n, hybrid_std / root_n),
-        ResultRow(snr_db, "sum", "rate_tdma", tdma_sum, n, tdma_std / root_n),
-        ResultRow(snr_db, "sum", "rate_ratio", ratio, n,
-                  math.sqrt(max(ratio**2 * relative_var / n, 0.0))),
-    ]
+    return rows
+
+
+# each kind of experiment's work unit and the reducer of its units
+_WORK = {"ber": (_ber_frames, _ber_rows), "rate": (_rate_chunks, _rate_rows)}

@@ -37,10 +37,11 @@ from timnoma.harness import (
     FADING_MODES,
     ORDER_MODES,
     WORKERS_ENV,
+    _RATE_CHUNK,
     _scene,
     _worker_count,
 )
-from timnoma.points import _RATE_CHUNK, _ber_frames, _ber_rows, _rate_point
+from timnoma.points import _ber_frames, _ber_rows, _rate_chunks, _rate_rows
 
 import helpers
 from helpers import (
@@ -702,8 +703,9 @@ class TestRateExperiment:
 
 class TestChunkedRatePoints:
     """A rate point runs over chunks of _RATE_CHUNK realizations, chunk c
-    drawn from SeedSequence((seed, snr_index, c)), and merges the chunks'
-    moments in chunk order."""
+    drawn from SeedSequence((seed, snr_index, c)), and its chunks' moments
+    are merged in chunk order, however the (point, chunk) pairs are split
+    into work units."""
 
     FRAMES = 2 * _RATE_CHUNK + 7  # two full chunks and a ragged one
     CONFIG = SimConfig(frames=FRAMES, snr_grid_db=(0.0, 30.0))
@@ -771,6 +773,16 @@ class TestChunkedRatePoints:
                 assert row.value == pytest.approx(value, rel=1e-12), (snr, entity, metric)
                 assert row.stderr == pytest.approx(stderr, rel=1e-12), (snr, entity, metric)
 
+    @pytest.mark.parametrize("experiment", ["rate", "rate_single_user", "ratio"])
+    def test_any_split_of_the_chunks_gives_the_same_rows(self, experiment):
+        config = replace(self.CONFIG, experiment=experiment).validated()
+        pairs = len(config.snr_grid_db) * 3  # three chunks per point
+        # the last split cuts the first point after its second chunk
+        splits = [[(0, pairs)], [(p, p + 1) for p in range(pairs)], [(0, 2), (2, 5), (5, pairs)]]
+        results = [csv_bytes(_rate_rows(config, [_rate_chunks(config, *unit) for unit in split]))
+                   for split in splits]
+        assert results[0] == results[1] == results[2] == csv_bytes(run_experiment(config))
+
 
 @pytest.mark.parametrize(
     "config, workers",
@@ -790,6 +802,12 @@ class TestChunkedRatePoints:
         *(
             pytest.param(replace(TestChunkedRatePoints.CONFIG, experiment=name), 2, id=f"chunked-{name}")
             for name in ("rate", "rate_single_user", "ratio")
+        ),
+        # one point of three chunks: the two workers split its chunks
+        *(
+            pytest.param(replace(TestChunkedRatePoints.CONFIG, experiment=name, snr_grid_db=(10.0,)), 2,
+                         id=f"{name}-one-point")
+            for name in ("rate", "ratio")
         ),
     ],
 )
@@ -852,36 +870,40 @@ def test_ber_unit_frees_each_frame_before_the_next():
 
 
 @pytest.mark.parametrize(
-    "experiment, order_mode, bound",
+    "experiment, order_mode, bound, grid, pairs",
     [
-        ("rate", "distance", 2.5),
-        ("rate_single_user", "distance", 2.5),
-        ("ratio", "distance", 2.5),
-        ("rate", "instantaneous", 3.5),
-        ("ratio", "instantaneous", 3.5),
+        ("rate", "distance", 2.5, (10.0,), (0, 4)),
+        ("rate_single_user", "distance", 2.5, (10.0,), (0, 4)),
+        ("ratio", "distance", 2.5, (10.0,), (0, 4)),
+        ("rate", "instantaneous", 3.5, (10.0,), (0, 4)),
+        ("ratio", "instantaneous", 3.5, (10.0,), (0, 4)),
+        # the last two chunks of one point and the first two of the next
+        ("ratio", "distance", 2.5, (10.0, 20.0), (2, 6)),
     ],
-    ids=["rate", "rate_single_user", "ratio", "rate-instantaneous", "ratio-instantaneous"],
+    ids=["rate", "rate_single_user", "ratio", "rate-instantaneous", "ratio-instantaneous",
+         "ratio-two-points"],
 )
-def test_rate_point_memory_stays_near_one_chunk(experiment, order_mode, bound):
-    # three full chunks and a ragged one of the reference cell at 10 dB:
-    # the point's draw buffer takes one (K, chunk) array, every table is
-    # written over it, and no chunk allocates an (N, K) array of its own
-    # beside it; instantaneous order adds the (K, chunk) absorbed powers
+def test_rate_point_memory_stays_near_one_chunk(experiment, order_mode, bound, grid, pairs):
+    # four chunks of the reference cell, three full and a ragged one per
+    # point: the unit's draw buffer takes one (K, chunk) array, kept across
+    # points, every table is written over it, and no chunk allocates an
+    # (N, K) array of its own beside it; instantaneous order adds the
+    # (K, chunk) absorbed powers
     config = SimConfig(
-        experiment=experiment, frames=3 * _RATE_CHUNK + 7, snr_grid_db=(10.0,),
+        experiment=experiment, frames=3 * _RATE_CHUNK + 7, snr_grid_db=grid,
         decoding_order_mode=order_mode,
     ).validated()
     chunk = len(config.distances) * _RATE_CHUNK * 8  # one (K, chunk) float64 array
-    _rate_point(config, 0, 10.0)  # warm numpy's caches outside the trace
+    _rate_chunks(config, *pairs)  # warm numpy's caches outside the trace
     tracemalloc.start()
     try:
-        _rate_point(config, 0, 10.0)
+        _rate_chunks(config, *pairs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # about 1.6x, 1.4x and 2.0x in distance order and 2.6x and 3.0x in
-    # instantaneous order; with a separate table buffer beside the draw,
-    # 2.6x, 2.4x, 2.8x, 3.6x and 3.8x
+    # about 1.6x, 1.4x and 2.0x in distance order, 2.0x across two points
+    # too, and 2.6x and 3.0x in instantaneous order; with a separate table
+    # buffer beside the draw, 2.6x, 2.4x, 2.8x, 3.6x and 3.8x
     assert peak < bound * chunk, peak / chunk
 
 
