@@ -12,7 +12,8 @@ optional, each at most once, defaults reproduce the 5-user reference cell):
     path_loss_exponent   in (0, 10]                            3.0
     group_count                                                2
     frames               frames (BER) / realizations (rate),   500
-                         at least 2
+                         at least 2; for rates at most
+                         (2**18 // points) * 16384, see below
     bits_per_frame       per user, even, at most 2**20         6144
     snr_grid             "start:step:stop" (inclusive) or
                          comma list, dB, within +-300 dB       0:2:30
@@ -29,17 +30,27 @@ point's sigma^2 is a plain float. Within these ranges every path
 gain lies in [1e-30, 1e30] and sigma^2 in [4e-29, 4e31] W, so every rate,
 squared deviation and SINR stays a normal double.
 
-A run's items are its BER frames, or its rate (SNR point, chunk) pairs,
-points in grid order. BER frame f draws from its own (seed, f) substream
-and is decoded at every SNR point; rate chunk c of point i draws from
-(seed, i, c). So results are byte-identical for any worker count. The
-pool's work units are contiguous ranges of items, one per worker, up to
-the CPUs the process may use and up to ``TIMNOMA_WORKERS`` if it is set.
-It forks where the platform can, so its workers inherit the numpy and the
-package the run has imported, all but ``numpy.random``, which numpy loads
-lazily and each worker's first draw imports; Python 3.14 made forkserver
-Linux's default, whose workers import both again. Each unit returns raw
+A run's items are its BER frames or its rate chunks of ``_RATE_CHUNK``
+(16 384) realizations. Item i draws from its own (seed, i) substream,
+whatever the SNR grid, and is evaluated at every SNR point, so a row
+depends on the seed, the item count and its own SNR alone, and results
+are byte-identical for any worker count. The pool's work units are
+contiguous ranges of items, one per worker, up to the CPUs the process
+may use and up to ``TIMNOMA_WORKERS`` if it is set. It forks where the
+platform can, so its workers inherit the numpy and the package the run
+has imported, all but ``numpy.random``, which numpy loads lazily and
+each worker's first draw imports; Python 3.14 made forkserver Linux's
+default, whose workers import both again. Each unit returns raw
 statistics, in unit order, and one reducer builds the rows from them.
+
+A rate unit returns 2K + 5 floats per (SNR point, chunk) pair, which
+the reducer folds in chunk order, so they are all alive at once.
+``validated()`` therefore refuses a rate run of more than
+``_MAX_RATE_PAIRS`` (2**18) pairs: at most 78 MB of statistics at
+K = 16, and still 2**32 realizations at one SNR point, so a run whose
+statistics could not be allocated exits with one line, not a traceback.
+BER units return O(K) integers per point whatever the frame count, so
+BER frames have no such bound.
 """
 
 from __future__ import annotations
@@ -71,6 +82,8 @@ _MAX_SNR_DB = 300.0
 _MAX_BITS_PER_FRAME = 1 << 20
 # realizations per rate chunk: fixed, and known before numpy loads
 _RATE_CHUNK = 1 << 14
+# rate (SNR point, chunk) pairs a run may have; see the module docstring
+_MAX_RATE_PAIRS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -111,6 +124,15 @@ class SimConfig:
         # a standard error needs at least two frames or realizations
         if not (_is_int(self.frames) and self.frames >= 2):
             problems.append("frames must be an integer of at least 2")
+        elif self.experiment in RATE_EXPERIMENTS and self.snr_grid_db:
+            points = len(self.snr_grid_db)
+            if points * -(-self.frames // _RATE_CHUNK) > _MAX_RATE_PAIRS:
+                most = _MAX_RATE_PAIRS // points * _RATE_CHUNK
+                problems.append(
+                    f"frames must be at most {most} for a rate run of {points} SNR "
+                    f"point{'s' if points > 1 else ''} (at most {_MAX_RATE_PAIRS} SNR points "
+                    f"times {_RATE_CHUNK}-realization chunks)"
+                )
         bits = self.bits_per_frame
         if not (_is_int(bits) and bits > 0 and bits % 2 == 0):
             problems.append("bits_per_frame must be a positive even integer")
@@ -313,7 +335,7 @@ def run_experiment(config: SimConfig) -> tuple[ResultRow, ...]:
     """
     config = config.validated()
     if config.experiment in RATE_EXPERIMENTS:
-        kind, items = "rate", len(config.snr_grid_db) * -(-config.frames // _RATE_CHUNK)
+        kind, items = "rate", -(-config.frames // _RATE_CHUNK)
     else:
         kind, items = "ber", config.frames
     # at most one contiguous range of items per worker

@@ -1,5 +1,5 @@
 """The Monte Carlo's work units and their reducers: a range of BER
-frames, each decoded at every SNR point, and a range of rate chunks.
+frames and a range of rate chunks, each evaluated at every SNR point.
 
 It imports numpy at the top, as do ``receiver`` and ``analytics``, which
 it imports. ``harness.run_experiment`` imports it once per run, after the
@@ -7,6 +7,13 @@ config and the worker count have passed their checks and before the pool
 forks, so the pool's workers inherit numpy instead of importing it again
 (all but ``numpy.random``, which numpy loads lazily and each worker's
 first draw imports), and a run that is refused never loads it.
+
+Item i of a run, BER frame or rate chunk, draws from its own (seed, i)
+substream, whatever the SNR grid, and is evaluated at every SNR point:
+common random numbers, so an item's draws cost the same at one point as
+at a whole grid, and rows are correlated across SNR but depend on the
+seed, the item count and their own SNR alone. A work unit is a
+contiguous range of items.
 
 Fading is Rayleigh, and only its power gain is drawn. A unit-variance
 circularly symmetric h is (X + jY)/sqrt(2) with X, Y ~ N(0, 1)
@@ -23,30 +30,24 @@ projection cancels the other groups exactly, so receiver k's signal on
 each real axis is |g_k| times its group's superposed levels plus
 N(0, sigma^2/2) noise. The frame builds it equalised, divided by |g_k|:
 the plain levels plus noise scaled by sigma / (sqrt(2) |g_k|), so the
-channel is read here and nowhere else. Frame f draws from its own
-(seed, f) substream, whatever the SNR grid: the power gains |h|^2, then
-the bits, then, receiver by receiver, an (S, 2) row of standard normals
-for the noise, K row draws that take what one (K, S, 2) draw would from
-the stream. Each receiver's row is equalised once and then decoded at
-every SNR point, scaled by that point's sigma: common random numbers, so
-a frame's draws cost the same at one point as at a whole grid, and BER
-rows are correlated across SNR. A work unit is a contiguous range of
-frames (``_ber_frames``); it returns integer error counts, which
-``_ber_rows`` sums over the units into rows whose stderr comes from the
-per-frame counts. A single-user BER run is the same simulation on a
-scene where every user is a group of one, so nothing is cancelled or
-absorbed; it differs from the hybrid run only by that scene and by
-having no ``sum`` row.
+channel is read here and nowhere else. Frame f draws the power gains
+|h|^2, then the bits, then, receiver by receiver, an (S, 2) row of
+standard normals for the noise, K row draws that take what one (K, S, 2)
+draw would from the stream. Each receiver's row is equalised once and
+then decoded at every SNR point, scaled by that point's sigma. A unit
+(``_ber_frames``) returns integer error counts, which ``_ber_rows`` sums
+over the units into rows whose stderr comes from the per-frame counts. A
+single-user BER run is the same simulation on a scene where every user
+is a group of one, so nothing is cancelled or absorbed; it differs from
+the hybrid run only by that scene and by having no ``sum`` row.
 
-Rates run over chunks of ``_RATE_CHUNK`` (16 384) realizations, chunk c
-of SNR point i drawn from its own (seed, i, c) substream, so memory is
-O(chunk * K) whatever the realization count. A rate work unit is a
-contiguous range of (point, chunk) pairs (``_rate_chunks``), drawn into
-and written over one (K, chunk) buffer; it returns each chunk's own
-moments, which ``_rate_rows`` folds in chunk order into each point's
-rows. SeedSequence pads its entropy with zero words, so chunk 0 draws
-what the (seed, SNR index) stream drew before points were chunked: a
-point of at most one chunk keeps its bytes.
+Rates run over chunks of ``_RATE_CHUNK`` (16 384) realizations. A unit
+(``_rate_chunks``) draws each chunk into one (K, chunk) buffer and
+writes each point's table into a second one, so its working memory is
+two such buffers whatever the realization count. It returns each
+(point, chunk) pair's own moments, 2K + 5 floats, which ``_rate_rows``
+folds in chunk order into each point's rows; ``SimConfig.validated()``
+bounds the pairs, and so those statistics, at 2**18.
 """
 
 from __future__ import annotations
@@ -183,82 +184,83 @@ def _chunk_moments(values: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def _rate_chunks(config: SimConfig, start: int, stop: int) -> np.ndarray:
-    """Each chunk's own statistics for the (SNR point, chunk) pairs
-    ``start`` to ``stop - 1``, points in grid order: a rate work unit. Row
-    j of the (pairs, 2K + 5) result is pair ``start + j``'s: the hybrid sum
-    rate's mean and centred sum of squares, the TDMA baseline's, the sum of
-    products of their deviations, the K per-user means and the K per-user
-    sums of squares; what the experiment does not write stays 0.
+    """Each chunk's own statistics for chunks ``start`` to ``stop - 1`` at
+    every SNR point: a rate work unit. Entry (i, j) of the (points,
+    chunks, 2K + 5) result is chunk ``start + j``'s at point i: the hybrid
+    sum rate's mean and centred sum of squares, the TDMA baseline's, the
+    sum of products of their deviations, the K per-user means and the K
+    per-user sums of squares; what the experiment does not write stays 0.
 
-    Chunk c of point i is drawn from ``SeedSequence((seed, i, c))`` into
-    the unit's (K, chunk) buffer, and each table is written over the draw.
-    So ``ratio`` first adds its TDMA baseline user by user in an (m, 1)
-    scratch, the operations of a row mean, and the row sums come before
-    the per-user moments turn the table into deviations. The unit keeps
-    those arrays, since fresh ones per chunk raised the peak RSS. Lone-user
-    tables keep the cell's T at full power; nobody absorbs anybody.
+    Chunk c is drawn from ``SeedSequence((seed, c))``, whatever the grid,
+    into the unit's (K, chunk) draw buffer, which it keeps until the last
+    point. At each point, in grid order, ``ratio`` first adds its TDMA
+    baseline user by user in an (m, 1) scratch, the operations of a row
+    mean; then the table goes into the unit's second (K, chunk) buffer,
+    and the row sums come before the per-user moments turn the table into
+    deviations. The unit keeps those arrays, since fresh ones per chunk
+    raised the peak RSS. Lone-user tables keep the cell's T at full power;
+    nobody absorbs anybody.
     """
     cell, experiment, n = _scene(config), config.experiment, config.frames
-    count, chunks, size = cell.user_count, -(-n // _RATE_CHUNK), min(_RATE_CHUNK, n)
+    count, size = cell.user_count, min(_RATE_CHUNK, n)
     lone = dataclasses.replace(cell, group_of=tuple(range(count)), powers=(config.total_power,) * count)
     alone = [
         dataclasses.replace(cell, group_of=(0,), path_gains=(gain,), powers=(config.total_power,))
         for gain in cell.path_gains
     ]
-    stats = np.zeros((stop - start, 2 * count + 5))
-    # the unit's draw, flat; a chunk of m realizations uses its leading
-    # K m floats, so the ragged last chunk has the layout of a full one
-    draw = np.empty(count * size)
+    sigma2s = [config.noise_variance(snr_db) for snr_db in config.snr_grid_db]
+    stats = np.zeros((len(sigma2s), stop - start, 2 * count + 5))
+    # the chunk's draw and each point's table, flat; a chunk of m
+    # realizations uses their leading K m floats, so the ragged last chunk
+    # has the layout of a full one
+    draw, table = np.empty(count * size), np.empty(count * size)
     if experiment != "rate_single_user":
         row_sums = np.empty(size)
     if experiment == "ratio":
         baselines, scratches = np.empty(size), np.empty((size, 1))
-    for own, pair in zip(stats, range(start, stop)):
-        snr_index, chunk = divmod(pair, chunks)
-        sigma2 = config.noise_variance(config.snr_grid_db[snr_index])
-        rng = np.random.default_rng(np.random.SeedSequence((config.seed, snr_index, chunk)))
+    for chunk in range(start, stop):
+        rng = np.random.default_rng(np.random.SeedSequence((config.seed, chunk)))
         m = min(_RATE_CHUNK, n - chunk * _RATE_CHUNK)
         # drawn (K, m) and viewed as (m, K): each user's realizations stay
         # contiguous, which keeps the reductions over realizations fast
         fading_power = rng.standard_exponential(out=draw[: count * m].reshape(count, m)).T
-        if experiment == "rate_single_user":
-            _chunk_moments(hybrid_rate_table(lone, fading_power, sigma2, out=fading_power), own[5:])
-            continue
-        if experiment == "ratio":
-            # read the draw before the hybrid table overwrites it
-            baseline, scratch = baselines[:m], scratches[:m]
-            baseline.fill(0.0)
-            for k, solo in enumerate(alone):
-                hybrid_rate_table(solo, fading_power[:, k:k + 1], sigma2, out=scratch)
-                baseline += scratch[:, 0]
-            baseline /= count
-            tdma_deviations = _chunk_moments(baseline, own[2:])
-        rates = hybrid_rate_table(cell, fading_power, sigma2, config.decoding_order_mode,
-                                  out=fading_power)
-        sum_deviations = _chunk_moments(np.sum(rates, axis=1, out=row_sums[:m]), own)
-        if experiment != "ratio":
-            _chunk_moments(rates, own[5:])
-            continue
-        own[5:5 + count] = rates.mean(axis=0)  # ratio writes no per-user spread
-        # a sum of products, not np.cov, whose dot product would call BLAS
-        sum_deviations *= tdma_deviations
-        own[4] = sum_deviations.sum()
+        rates = table[: count * m].reshape(count, m).T
+        for own, sigma2 in zip(stats[:, chunk - start], sigma2s):
+            if experiment == "rate_single_user":
+                _chunk_moments(hybrid_rate_table(lone, fading_power, sigma2, out=rates), own[5:])
+                continue
+            if experiment == "ratio":
+                baseline, scratch = baselines[:m], scratches[:m]
+                baseline.fill(0.0)
+                for k, solo in enumerate(alone):
+                    hybrid_rate_table(solo, fading_power[:, k:k + 1], sigma2, out=scratch)
+                    baseline += scratch[:, 0]
+                baseline /= count
+                tdma_deviations = _chunk_moments(baseline, own[2:])
+            hybrid_rate_table(cell, fading_power, sigma2, config.decoding_order_mode, out=rates)
+            sum_deviations = _chunk_moments(np.sum(rates, axis=1, out=row_sums[:m]), own)
+            if experiment != "ratio":
+                _chunk_moments(rates, own[5:])
+                continue
+            own[5:5 + count] = rates.mean(axis=0)  # ratio writes no per-user spread
+            # a sum of products, not np.cov, whose dot product would call BLAS
+            sum_deviations *= tdma_deviations
+            own[4] = sum_deviations.sum()
     return stats
 
 
 def _rate_rows(config: SimConfig, units) -> list:
     """Every rate row, the SNR points in grid order, from ``_rate_chunks``
-    units that cover each (point, chunk) pair once, in order. Each point's
-    chunks are folded in chunk order by the pairwise update of Chan, Golub
-    & LeVeque (1979); running sums of x and x**2 would cancel
-    catastrophically. Merging into the empty state adds exact zeros, so one
-    chunk gives numpy's ``mean`` and ``std(ddof=1)`` bit for bit. Another
-    merge tree would change the last bits, so units return each chunk's
-    own statistics, and any split of the pairs gives the same rows.
+    units that cover each chunk once, in order. Each point's chunks are
+    folded in chunk order by the pairwise update of Chan, Golub & LeVeque
+    (1979); running sums of x and x**2 would cancel catastrophically.
+    Merging into the empty state adds exact zeros, so one chunk gives
+    numpy's ``mean`` and ``std(ddof=1)`` bit for bit. Another merge tree
+    would change the last bits, so units return each chunk's own
+    statistics, and any split of the chunks gives the same rows.
     """
     count, n, experiment = len(config.distances), config.frames, config.experiment
-    chunks, root_n = -(-n // _RATE_CHUNK), math.sqrt(n)
-    stats = np.concatenate(units)
+    root_n = math.sqrt(n)
     # (mean, sum of squares) columns: the hybrid sum and TDMA, folded as
     # scalars, whose ** 2 is pow(), not an array's multiply (the two differ
     # in the last bit about once in a thousand), then per user, as arrays
@@ -266,7 +268,8 @@ def _rate_rows(config: SimConfig, units) -> list:
     rows = []
     for snr_index, snr_db in enumerate(config.snr_grid_db):
         seen, means, m2s, cross = 0, [0.0] * 3, [0.0] * 3, 0.0
-        for chunk, own in enumerate(stats[snr_index * chunks:(snr_index + 1) * chunks]):
+        point_chunks = (own for unit in units for own in unit[snr_index])
+        for chunk, own in enumerate(point_chunks):
             m = min(_RATE_CHUNK, n - chunk * _RATE_CHUNK)
             total = seen + m
             weight = seen * m / total

@@ -264,9 +264,10 @@ class TestRateTables:
 
     @pytest.mark.parametrize("order_mode", ["distance", "instantaneous"])
     def test_writes_over_the_fading_as_a_fresh_table(self, ref_cell, order_mode):
-        # a rate chunk writes its table over its draw, (K, N) memory viewed
-        # as (N, K); the second cell is 16 users in one group at unit path
-        # gains, so gains drawn from {0, 0.25, 1, 3} tie exactly, at zero too
+        # out may be the fading itself, (K, N) memory viewed as (N, K) like
+        # a rate chunk's draw; the second cell is 16 users in one group at
+        # unit path gains, so gains drawn from {0, 0.25, 1, 3} tie exactly,
+        # at zero too
         rng = np.random.default_rng(16)
         one_group = replace(build_cell([0.5 + 0.25 * k for k in range(16)], 3.0, 1, 40.0),
                             path_gains=(1.0,) * 16)

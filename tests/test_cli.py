@@ -181,6 +181,14 @@ class TestCliErrors:
             (["ber", "--frames", "2"], "snr_grid = 10, nan\n", "snr_grid"),
             # a BER stderr needs two frames, as a rate's needs two realizations
             (["ber", "--frames", "1", "--snr", "10"], None, "frames"),
+            # too many (SNR point, chunk) pairs: refused before the run
+            # allocates their statistics, 682 GiB for the first
+            (["ratio", "--frames", "100000000000000", "--snr", "10"], None,
+             "frames must be at most 4294967296"),
+            (["rate", "--frames", "1000000000000000000", "--snr", "0:10:70"], None,
+             "frames must be at most 536870912"),
+            (["single-user", "--metric", "rate", "--frames", "4294967297", "--snr", "10"], None,
+             "frames must be at most 4294967296"),
         ],
     )
     def test_unrunnable_config_exits_one(self, argv, config_text, fragment, tmp_path, capsys):
