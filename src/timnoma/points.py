@@ -43,11 +43,12 @@ the hybrid run only by that scene and by having no ``sum`` row.
 
 Rates run over chunks of ``_RATE_CHUNK`` (16 384) realizations. A unit
 (``_rate_chunks``) draws each chunk into one (K, chunk) buffer and
-writes each point's table into a second one, so its working memory is
-two such buffers whatever the realization count. It returns each
-(point, chunk) pair's own moments, 2K + 5 floats, which ``_rate_rows``
-folds in chunk order into each point's rows; ``SimConfig.validated()``
-bounds the pairs, and so those statistics, at 2**18.
+writes each point's tables, the lone-user one first for ``ratio`` and
+then the hybrid one, into a second, so its working memory is two such
+buffers whatever the realization count. It returns each (point, chunk)
+pair's own moments, 2K + 5 floats, which ``_rate_rows`` folds in chunk
+order into each point's rows; ``SimConfig.validated()`` bounds the
+pairs, and so those statistics, at 2**18.
 """
 
 from __future__ import annotations
@@ -193,21 +194,17 @@ def _rate_chunks(config: SimConfig, start: int, stop: int) -> np.ndarray:
 
     Chunk c is drawn from ``SeedSequence((seed, c))``, whatever the grid,
     into the unit's (K, chunk) draw buffer, which it keeps until the last
-    point. At each point, in grid order, ``ratio`` first adds its TDMA
-    baseline user by user in an (m, 1) scratch, the operations of a row
-    mean; then the table goes into the unit's second (K, chunk) buffer,
-    and the row sums come before the per-user moments turn the table into
-    deviations. The unit keeps those arrays, since fresh ones per chunk
-    raised the peak RSS. Lone-user tables keep the cell's T at full power;
-    nobody absorbs anybody.
+    point. At each point, in grid order, the unit's second (K, chunk)
+    buffer takes up to two tables. ``ratio`` first writes the lone-user
+    table there, whose row mean is its TDMA baseline; then the hybrid
+    table overwrites it, and its row sums come before the per-user moments
+    turn it into deviations. The unit keeps those arrays, since fresh ones
+    per chunk raised the peak RSS. Lone-user tables keep the cell's T at
+    full power; nobody absorbs anybody.
     """
     cell, experiment, n = _scene(config), config.experiment, config.frames
     count, size = cell.user_count, min(_RATE_CHUNK, n)
     lone = dataclasses.replace(cell, group_of=tuple(range(count)), powers=(config.total_power,) * count)
-    alone = [
-        dataclasses.replace(cell, group_of=(0,), path_gains=(gain,), powers=(config.total_power,))
-        for gain in cell.path_gains
-    ]
     sigma2s = [config.noise_variance(snr_db) for snr_db in config.snr_grid_db]
     stats = np.zeros((len(sigma2s), stop - start, 2 * count + 5))
     # the chunk's draw and each point's table, flat; a chunk of m
@@ -217,7 +214,7 @@ def _rate_chunks(config: SimConfig, start: int, stop: int) -> np.ndarray:
     if experiment != "rate_single_user":
         row_sums = np.empty(size)
     if experiment == "ratio":
-        baselines, scratches = np.empty(size), np.empty((size, 1))
+        baselines = np.empty(size)
     for chunk in range(start, stop):
         rng = np.random.default_rng(np.random.SeedSequence((config.seed, chunk)))
         m = min(_RATE_CHUNK, n - chunk * _RATE_CHUNK)
@@ -230,11 +227,9 @@ def _rate_chunks(config: SimConfig, start: int, stop: int) -> np.ndarray:
                 _chunk_moments(hybrid_rate_table(lone, fading_power, sigma2, out=rates), own[5:])
                 continue
             if experiment == "ratio":
-                baseline, scratch = baselines[:m], scratches[:m]
-                baseline.fill(0.0)
-                for k, solo in enumerate(alone):
-                    hybrid_rate_table(solo, fading_power[:, k:k + 1], sigma2, out=scratch)
-                    baseline += scratch[:, 0]
+                # (K, m) memory, so the row sums add the K columns in user order
+                hybrid_rate_table(lone, fading_power, sigma2, out=rates)
+                baseline = np.sum(rates, axis=1, out=baselines[:m])
                 baseline /= count
                 tdma_deviations = _chunk_moments(baseline, own[2:])
             hybrid_rate_table(cell, fading_power, sigma2, config.decoding_order_mode, out=rates)

@@ -761,9 +761,24 @@ class TestChunkedRatePoints:
         hybrid = hybrid_rate_table(cell, fading_power, sigma2)
         return hybrid, hybrid_rate_table(helpers.lone_cell(cell, config.total_power), fading_power, sigma2)
 
-    @pytest.mark.parametrize("experiment", ["rate", "rate_single_user", "ratio"])
-    def test_matches_the_unchunked_statistics(self, experiment):
-        config = replace(self.CONFIG, experiment=experiment)
+    @pytest.mark.parametrize(
+        "experiment, changes",
+        [
+            *(pytest.param(name, {}, id=name) for name in ("rate", "rate_single_user", "ratio")),
+            # a last chunk of one realization, whose centred sum of squares is 0
+            *(
+                pytest.param(name, {"frames": _RATE_CHUNK + 1}, id=f"{name}-last-chunk-of-one")
+                for name in ("rate", "rate_single_user", "ratio")
+            ),
+            # 16 users in four groups: the TDMA baseline is a 16-column row mean
+            *(
+                pytest.param(name, {"distances": K16_DISTANCES, "group_count": 4}, id=f"{name}-k16")
+                for name in ("rate", "rate_single_user", "ratio")
+            ),
+        ],
+    )
+    def test_matches_the_unchunked_statistics(self, experiment, changes):
+        config = replace(self.CONFIG, experiment=experiment, **changes)
         result = run_experiment(config)
         n = config.frames
         root_n = math.sqrt(n)
@@ -848,6 +863,12 @@ class TestRatePointsAcrossTheGrid:
             pytest.param(replace(TestChunkedRatePoints.CONFIG, experiment=name), 2, id=f"chunked-{name}")
             for name in ("rate", "rate_single_user", "ratio")
         ),
+        # a full chunk and one of one realization: each worker takes one
+        *(
+            pytest.param(replace(TestChunkedRatePoints.CONFIG, experiment=name, frames=_RATE_CHUNK + 1), 2,
+                         id=f"{name}-last-chunk-of-one")
+            for name in ("rate", "rate_single_user", "ratio")
+        ),
         # one point of three chunks: the two workers split its chunks
         *(
             pytest.param(replace(TestChunkedRatePoints.CONFIG, experiment=name, snr_grid_db=(10.0,)), 2,
@@ -917,13 +938,13 @@ def test_ber_unit_frees_each_frame_before_the_next():
 @pytest.mark.parametrize(
     "experiment, order_mode, bound, grid",
     [
-        ("rate", "distance", 3.5, (10.0,)),
-        ("rate_single_user", "distance", 3.5, (10.0,)),
-        ("ratio", "distance", 3.5, (10.0,)),
-        ("rate", "instantaneous", 4.5, (10.0,)),
-        ("ratio", "instantaneous", 4.5, (10.0,)),
+        ("rate", "distance", 3.1, (10.0,)),
+        ("rate_single_user", "distance", 2.9, (10.0,)),
+        ("ratio", "distance", 3.3, (10.0,)),
+        ("rate", "instantaneous", 4.1, (10.0,)),
+        ("ratio", "instantaneous", 4.3, (10.0,)),
         # every chunk evaluated at two points
-        ("ratio", "distance", 3.5, (10.0, 20.0)),
+        ("ratio", "distance", 3.3, (10.0, 20.0)),
     ],
     ids=["rate", "rate_single_user", "ratio", "rate-instantaneous", "ratio-instantaneous",
          "ratio-two-points"],
@@ -946,10 +967,9 @@ def test_rate_point_memory_stays_near_one_chunk(experiment, order_mode, bound, g
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # about 2.6x, 2.4x and 3.0x in distance order, 3.0x at two points too,
-    # and 3.6x and 4.0x in instantaneous order: one (K, chunk) array above
-    # the 1.6x-3.0x the unit read when each table was written over its
-    # draw, so the bounds are that design's plus the second buffer
+    # about 2.6x, 2.4x and 2.8x in distance order, 2.8x at two points too,
+    # and 3.6x and 3.8x in instantaneous order; each bound is about 0.5
+    # above its case's reading, so one more (K, chunk) array fails every case
     assert peak < bound * chunk, peak / chunk
 
 
